@@ -6,6 +6,7 @@ thresholds above the half-split, so cdf(w/2) = 1 for every kind.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -78,7 +79,20 @@ class BeliefDistribution:
     # -- distribution functions -------------------------------------------
 
     def cdf(self, x):
-        """F(x) for x >= 0; negative amounts are a domain error."""
+        """F(x) for x >= 0; negative amounts are a domain error.
+
+        A float takes a short path through the same ufuncs as an array,
+        so both give bit-identical values.
+        """
+        if isinstance(x, float):
+            if x < 0.0:
+                raise DomainError("belief cdf evaluated at negative amount")
+            if self.kind == "always_accept":
+                return 1.0
+            if self.kind == "empirical":
+                return bisect.bisect_right(self.sample, x) / len(self.sample)
+            u = min(max(x / self.half, 0.0), 1.0)
+            return float(betainc(self.a, self.b, u) if self.kind == "scaled_beta" else u)
         arr = np.asarray(x, dtype=float)
         if np.any(arr < 0.0):
             raise DomainError("belief cdf evaluated at negative amount")

@@ -31,7 +31,7 @@ from . import io as mio
 from .curves import PayoffCurve
 from .errors import ConvergenceError, IndeterminateError, ValidationError
 from .mixture import bootstrap_se, default_games, em_fit, icl, nec
-from .nash import nash_set
+from .nash import _DEFAULT_GRID_DIVISOR, nash_set
 from .oracle import (
     brute_force_dg,
     brute_force_ug,
@@ -452,7 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nash", parents=[common], help="symmetric equilibrium set summary")
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--step", type=float, help="verifier lattice step (default w/200)")
+    p.add_argument(
+        "--step", type=float, help=f"verifier lattice step (default w/{_DEFAULT_GRID_DIVISOR})"
+    )
 
     p = sub.add_parser("predict", parents=[common], help="DG/UG predictions from estimates")
     p.add_argument("--estimates", required=True, metavar="CSV", help="id,alpha,beta,kappa file")

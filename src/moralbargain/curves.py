@@ -44,7 +44,20 @@ class PayoffCurve:
         return cls("shifted_log")
 
     def value(self, x):
-        """v(x). Accepts scalars or arrays; x < 0 is a domain error."""
+        """v(x). Accepts scalars or arrays; x < 0 is a domain error.
+
+        A float takes a short path through the same numpy ufuncs as an
+        array, so both give bit-identical values.
+        """
+        if isinstance(x, float):
+            if x < 0.0:
+                raise DomainError("curve evaluated at negative amount")
+            if self.kind == "linear":
+                return float(x)
+            if self.kind == "crra":
+                e = 1.0 - self.crra_rho
+                return float(np.power(x, e) / e)
+            return float(np.log1p(x))
         arr = np.asarray(x, dtype=float)
         if np.any(arr < 0.0):
             raise DomainError(f"curve evaluated at negative amount")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
 from .errors import ConvergenceError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
@@ -44,10 +46,8 @@ def golden_section_max(
             h *= _INVPHI
             d = a + _INVPHI * h
             fd = f(d)
-    x = c if fc > fd else d
+    best, fbest = (c, fc) if fc > fd else (d, fd)
     # boundary maxima beat the interior probe if strictly better
-    best = x
-    fbest = f(x)
     for cand in (lo, hi):
         fc2 = f(cand)
         if fc2 > fbest:
@@ -56,7 +56,7 @@ def golden_section_max(
 
 
 def scan_then_golden(
-    f: Callable[[float], float],
+    f: Callable,
     lo: float,
     hi: float,
     n_scan: int = 200,
@@ -64,16 +64,20 @@ def scan_then_golden(
 ) -> float:
     """Coarse n_scan-point scan to bracket the max, then golden-section refine.
 
-    Ties in the coarse scan go to the lowest abscissa.
+    The scan is one call of f on the array of n_scan + 1 abscissae, so f
+    must broadcast; the golden-section steps call it on Python floats.
+    Ties in the coarse scan go to the lowest abscissa. A NaN anywhere in
+    the scan is a ConvergenceError, not a silent pick.
     """
     if hi <= lo:
         return lo
     step = (hi - lo) / n_scan
-    xs = [lo + i * step for i in range(n_scan + 1)]
-    vals = [f(x) for x in xs]
-    k = max(range(len(xs)), key=lambda i: (vals[i], -i))
-    a = xs[max(0, k - 1)]
-    b = xs[min(n_scan, k + 1)]
+    vals = f(lo + np.arange(n_scan + 1) * step)
+    k = int(np.argmax(vals))
+    if math.isnan(vals[k]):
+        raise ConvergenceError(f"objective is NaN on the scan of [{lo}, {hi}]")
+    a = lo + max(0, k - 1) * step
+    b = lo + min(n_scan, k + 1) * step
     return golden_section_max(f, a, b, tol=tol)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -19,8 +20,8 @@ LAMBDA_BOUNDS = (0.01, 0.99)
 
 
 def validate_endowment(w: float) -> float:
-    if not (w > 0.0):
-        raise ValidationError(f"endowment must be positive, got {w}")
+    if not (0.0 < w < math.inf):
+        raise ValidationError(f"endowment must be positive and finite, got {w}")
     return float(w)
 
 
@@ -40,6 +41,9 @@ class PreferenceParams:
     lam: float = 0.0
 
     def __post_init__(self):
+        for name in ("alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0.0 <= self.kappa <= 1.0):
             raise ValidationError(f"kappa must lie in [0, 1], got {self.kappa}")
         if not (0.0 <= self.lam <= 1.0):

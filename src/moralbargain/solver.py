@@ -10,9 +10,10 @@ R3  spiteful low-universalization: selfish offer with a threshold above it
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .beliefs import BeliefDistribution
 from .curves import PayoffCurve
@@ -74,6 +75,8 @@ def constrained_threshold(kappa: float, alpha: float, curve: PayoffCurve, w: flo
     validate_endowment(w)
     if not (0.0 <= kappa <= 1.0):
         raise ValidationError(f"kappa must lie in [0, 1], got {kappa}")
+    if not math.isfinite(alpha):
+        raise ValidationError(f"alpha must be finite, got {alpha}")
     if alpha <= 0.0:
         return 0.0
     if kappa == 1.0:
@@ -82,13 +85,15 @@ def constrained_threshold(kappa: float, alpha: float, curve: PayoffCurve, w: flo
     return bisect_root(g, 0.0, 0.5 * w, residual_tol=1e-10)
 
 
-def _fast_u(p, curve, thresholds, tails, x1: float, x2: float, w: float) -> float:
-    """Expected utility via the precomputed tail table; mirrors eval_expected_utility."""
-    base = (1.0 - p.kappa) * curve.value(w - x1) * thresholds.cdf(x1)
-    base += tails.responder_term(p, x2)
-    if x1 >= x2:
-        base += p.kappa * (curve.value(w - x1) + curve.value(x1))
-    return base
+def _fast_u(p, curve, thresholds, tails, x1, x2, w: float):
+    """Expected utility via the precomputed tail table; mirrors eval_expected_utility.
+
+    Broadcasts over arrays of x1 and x2: the indicator of x1 >= x2
+    multiplies the universalization term instead of branching on it.
+    """
+    v_keep = curve.value(w - x1)
+    base = (1.0 - p.kappa) * v_keep * thresholds.cdf(x1) + tails.responder_term(p, x2)
+    return base + p.kappa * (v_keep + curve.value(x1)) * (x1 >= x2)
 
 
 def _diag_opt(p, curve, thresholds, tails, w: float, lo: float, hi: float) -> float:
@@ -114,17 +119,21 @@ def symmetric_optimum(
     return _diag_opt(p, curve, thresholds, tails, w, lo, hi)
 
 
+def _indifference_alpha(curve: PayoffCurve, x: float, w: float, weight: float = 1.0) -> float:
+    """weight v(x) / (v(w - x) - v(x)); infinite when x is the equal split."""
+    denom = curve.value(w - x) - curve.value(x)
+    if denom <= _DENOM_EPS:
+        return math.inf
+    return weight * curve.value(x) / denom
+
+
 def alpha_bar(curve: PayoffCurve, thresholds: BeliefDistribution, w: float) -> float:
     """Spite level above which rejecting the selfish offer is worth it.
 
     v(x_s) / (v(w - x_s) - v(x_s)); infinite when the selfish offer is
     already the equal split.
     """
-    x_s = selfish_offer(curve, thresholds, w)
-    denom = curve.value(w - x_s) - curve.value(x_s)
-    if denom <= _DENOM_EPS:
-        return math.inf
-    return curve.value(x_s) / denom
+    return _indifference_alpha(curve, selfish_offer(curve, thresholds, w), w)
 
 
 def alpha_tilde(kappa: float, curve: PayoffCurve, thresholds: BeliefDistribution, w: float) -> float:
@@ -134,10 +143,7 @@ def alpha_tilde(kappa: float, curve: PayoffCurve, thresholds: BeliefDistribution
     infinite when the constrained offer reaches the equal split.
     """
     x1c = constrained_offer(kappa, curve, thresholds, w)
-    denom = curve.value(w - x1c) - curve.value(x1c)
-    if denom <= _DENOM_EPS:
-        return math.inf
-    return (1.0 - kappa) * curve.value(x1c) / denom
+    return _indifference_alpha(curve, x1c, w, 1.0 - kappa)
 
 
 def kappa_tilde(
@@ -152,37 +158,10 @@ def kappa_tilde(
     """Universalization level where the selfish combination stops paying.
 
     Root of u(x_s, threshold) - u(symmetric, symmetric) in kappa; defined
-    for alpha above alpha_bar (returns None otherwise). The first utility
-    is strictly decreasing in kappa and the second convex, so the scanned
-    sign change is the single crossing.
+    for alpha above alpha_bar (returns None otherwise). See
+    _CachedProblem.kappa_tilde.
     """
-    abar = alpha_bar(curve, thresholds, w)
-    if not alpha > abar:
-        return None
-    x_s = selfish_offer(curve, thresholds, w)
-    tails = TailIntegrals(offers, curve, w)
-
-    def gap(kappa: float) -> float:
-        p = PreferenceParams(alpha=alpha, kappa=kappa)
-        x2 = constrained_threshold(kappa, alpha, curve, w)
-        u_split = _fast_u(p, curve, thresholds, tails, x_s, x2, w)
-        lo = constrained_offer(kappa, curve, thresholds, w)
-        x_hat = _diag_opt(p, curve, thresholds, tails, w, min(lo, x2), x2)
-        u_sym = _fast_u(p, curve, thresholds, tails, x_hat, x_hat, w)
-        return u_split - u_sym
-
-    hi_scan = 1.0 - 1e-9  # kappa = 1 leaves the threshold undefined
-    prev_k, prev_g = 0.0, gap(0.0)
-    if prev_g <= 0.0:
-        return 0.0
-    for i in range(1, n_scan + 1):
-        k = min(i / n_scan, hi_scan)
-        g = gap(k)
-        if g <= 0.0:
-            return bisect_boundary(lambda x: gap(x) <= 0.0, prev_k, k, x_tol=tol)
-        prev_k, prev_g = k, g
-    warnings.warn("indifference never reached on [0, 1); returning 0", stacklevel=2)
-    return 0.0
+    return _CachedProblem(curve, thresholds, offers, w).kappa_tilde(alpha, n_scan, tol)
 
 
 def optimal_strategy(
@@ -197,78 +176,31 @@ def optimal_strategy(
     flags: list[str] = []
     if thresholds.is_degenerate or offers.is_degenerate:
         flags.append("degenerate-belief")
-
-    x_s = selfish_offer(curve, thresholds, w)
-    abar = alpha_bar(curve, thresholds, w)
+    prob = _CachedProblem(curve, thresholds, offers, w)
 
     if p.kappa == 1.0:
         # Universalization dominates: equal split; threshold not pinned down.
         flags.append("threshold-indeterminate")
-        region = "R1" if p.alpha <= 0.0 else "R2"
         half = 0.5 * w
         return SolverOutputs(
-            x_selfish=x_s,
+            x_selfish=prob.x_s,
             x_constrained=half,
             threshold=0.0,
             symmetric=half if p.alpha > 0.0 else None,
-            alpha_bar=abar,
+            alpha_bar=prob.abar,
             alpha_tilde=0.0,
             kappa_tilde=None,
-            region=region,
+            region="R1" if p.alpha <= 0.0 else "R2",
             optimal=Strategy(half, 0.0),
             flags=tuple(flags),
         )
 
-    x1c = constrained_offer(p.kappa, curve, thresholds, w)
-    atil = alpha_tilde(p.kappa, curve, thresholds, w)
-
-    if p.alpha <= 0.0:
-        return SolverOutputs(
-            x_selfish=x_s,
-            x_constrained=x1c,
-            threshold=0.0,
-            symmetric=None,
-            alpha_bar=abar,
-            alpha_tilde=atil,
-            kappa_tilde=None,
-            region="R1",
-            optimal=Strategy(x1c, 0.0),
-            flags=tuple(flags),
+    out = prob.solve(p.alpha, p.kappa)
+    if out.region == "R2" and out.x_constrained > out.threshold:
+        raise IndeterminateError(
+            "bracket degenerate; region decision should not request a symmetric optimum"
         )
-
-    x2 = constrained_threshold(p.kappa, p.alpha, curve, w)
-    ktil: float | None = None
-
-    if p.alpha <= atil:
-        region = "R1"
-        optimal = Strategy(x1c, x2)
-        x_hat = None
-    else:
-        in_r2 = p.alpha < abar
-        if not in_r2:
-            ktil = kappa_tilde(p.alpha, curve, thresholds, offers, w)
-            in_r2 = ktil is None or p.kappa > ktil
-        if in_r2:
-            region = "R2"
-            x_hat = symmetric_optimum(p, curve, thresholds, offers, w)
-            optimal = Strategy(x_hat, x_hat)
-        else:
-            region = "R3"
-            x_hat = None
-            optimal = Strategy(x_s, x2)
-
-    return SolverOutputs(
-        x_selfish=x_s,
-        x_constrained=x1c,
-        threshold=x2,
-        symmetric=x_hat,
-        alpha_bar=abar,
-        alpha_tilde=atil,
-        kappa_tilde=ktil,
-        region=region,
-        optimal=optimal,
-        flags=tuple(flags),
-    )
+    return replace(out, flags=tuple(flags))
 
 
 @dataclass(frozen=True)
@@ -295,7 +227,11 @@ class RegionMapResult:
 
 
 class _CachedProblem:
-    """Per-configuration caches shared by map and statics sweeps."""
+    """One configuration's selfish offer, alpha-bar, tail table and per-kappa
+    caches, shared by one solve, kappa_tilde and the sweeps.
+
+    The tail table is built on first use: R1 decisions never need it.
+    """
 
     def __init__(self, curve, thresholds, offers, w):
         self.curve = curve
@@ -303,47 +239,108 @@ class _CachedProblem:
         self.offers = offers
         self.w = validate_endowment(w)
         self.x_s = selfish_offer(curve, thresholds, w)
-        self.abar = alpha_bar(curve, thresholds, w)
-        self.tails = TailIntegrals(offers, curve, w)
+        self.abar = _indifference_alpha(curve, self.x_s, w)
         self._by_kappa: dict[float, tuple[float, float]] = {}
         self._ktil: dict[float, float | None] = {}
+
+    @functools.cached_property
+    def tails(self) -> TailIntegrals:
+        return TailIntegrals(self.offers, self.curve, self.w)
 
     def offer_and_tilde(self, kappa: float) -> tuple[float, float]:
         hit = self._by_kappa.get(kappa)
         if hit is None:
             x1c = constrained_offer(kappa, self.curve, self.thresholds, self.w)
-            atil = alpha_tilde(kappa, self.curve, self.thresholds, self.w)
-            hit = (x1c, atil)
+            hit = (x1c, _indifference_alpha(self.curve, x1c, self.w, 1.0 - kappa))
             self._by_kappa[kappa] = hit
         return hit
 
+    def kappa_tilde(self, alpha: float, n_scan: int = 100, tol: float = 1e-8) -> float | None:
+        """Root in kappa of u(x_s, threshold) - u(symmetric, symmetric), for alpha > alpha_bar.
+
+        The first utility is strictly decreasing in kappa and the second
+        convex, so the first sign change on an n_scan-point kappa grid,
+        refined by bisection, is the single crossing.
+        """
+        if not alpha > self.abar:
+            return None
+        curve, thresholds, w = self.curve, self.thresholds, self.w
+        tails = self.tails
+
+        def gap(kappa: float) -> float:
+            p = PreferenceParams(alpha=alpha, kappa=kappa)
+            x2 = constrained_threshold(kappa, alpha, curve, w)
+            u_split = _fast_u(p, curve, thresholds, tails, self.x_s, x2, w)
+            lo = self.offer_and_tilde(kappa)[0]
+            x_hat = _diag_opt(p, curve, thresholds, tails, w, min(lo, x2), x2)
+            u_sym = _fast_u(p, curve, thresholds, tails, x_hat, x_hat, w)
+            return u_split - u_sym
+
+        hi_scan = 1.0 - 1e-9  # kappa = 1 leaves the threshold undefined
+        prev_k, prev_g = 0.0, gap(0.0)
+        if prev_g <= 0.0:
+            return 0.0
+        for i in range(1, n_scan + 1):
+            k = min(i / n_scan, hi_scan)
+            g = gap(k)
+            if g <= 0.0:
+                return bisect_boundary(lambda x: gap(x) <= 0.0, prev_k, k, x_tol=tol)
+            prev_k, prev_g = k, g
+        warnings.warn("indifference never reached on [0, 1); returning 0", stacklevel=3)
+        return 0.0
+
     def ktil(self, alpha: float) -> float | None:
         if alpha not in self._ktil:
-            self._ktil[alpha] = kappa_tilde(
-                alpha, self.curve, self.thresholds, self.offers, self.w
-            )
+            self._ktil[alpha] = self.kappa_tilde(alpha)
         return self._ktil[alpha]
+
+    def solve(self, alpha: float, kappa: float) -> SolverOutputs:
+        """The region decision and optimal strategy at one (alpha, kappa), kappa < 1."""
+        x1c, atil = self.offer_and_tilde(kappa)
+        x2, x_hat, ktil = 0.0, None, None
+        if alpha <= 0.0:
+            region, optimal = "R1", Strategy(x1c, 0.0)
+        else:
+            x2 = constrained_threshold(kappa, alpha, self.curve, self.w)
+            if alpha <= atil:
+                region, optimal = "R1", Strategy(x1c, x2)
+            else:
+                in_r2 = alpha < self.abar
+                if not in_r2:
+                    ktil = self.ktil(alpha)
+                    in_r2 = ktil is None or kappa > ktil
+                if in_r2:
+                    p = PreferenceParams(alpha=alpha, kappa=kappa)
+                    x_hat = _diag_opt(
+                        p, self.curve, self.thresholds, self.tails, self.w, min(x1c, x2), x2
+                    )
+                    region, optimal = "R2", Strategy(x_hat, x_hat)
+                else:
+                    region, optimal = "R3", Strategy(self.x_s, x2)
+        return SolverOutputs(
+            x_selfish=self.x_s,
+            x_constrained=x1c,
+            threshold=x2,
+            symmetric=x_hat,
+            alpha_bar=self.abar,
+            alpha_tilde=atil,
+            kappa_tilde=ktil,
+            region=region,
+            optimal=optimal,
+        )
 
     def classify(self, alpha: float, kappa: float) -> tuple[str, Strategy]:
         if kappa >= 1.0:
             raise ValidationError("region classification needs kappa < 1")
-        x1c, atil = self.offer_and_tilde(kappa)
-        if alpha <= 0.0:
-            return "R1", Strategy(x1c, 0.0)
-        x2 = constrained_threshold(kappa, alpha, self.curve, self.w)
-        if alpha <= atil:
-            return "R1", Strategy(x1c, x2)
-        in_r2 = alpha < self.abar
-        if not in_r2:
-            kt = self.ktil(alpha)
-            in_r2 = kt is None or kappa > kt
-        if in_r2:
-            p = PreferenceParams(alpha=alpha, kappa=kappa)
-            x_hat = _diag_opt(
-                p, self.curve, self.thresholds, self.tails, self.w, min(x1c, x2), x2
-            )
-            return "R2", Strategy(x_hat, x_hat)
-        return "R3", Strategy(self.x_s, x2)
+        out = self.solve(alpha, kappa)
+        return out.region, out.optimal
+
+    def cells(self, pairs) -> tuple[RegionCell, ...]:
+        cells = []
+        for a, k in pairs:
+            region, s = self.classify(a, k)
+            cells.append(RegionCell(a, k, region, s.x1, s.x2))
+        return tuple(cells)
 
 
 def region_map(
@@ -356,18 +353,14 @@ def region_map(
 ) -> RegionMapResult:
     """Classify every (alpha, kappa) cell and collect boundary curves."""
     prob = _CachedProblem(curve, thresholds, offers, w)
-    cells = []
-    for a in alphas:
-        for k in kappas:
-            region, s = prob.classify(float(a), float(k))
-            cells.append(RegionCell(float(a), float(k), region, s.x1, s.x2))
+    cells = prob.cells((float(a), float(k)) for a in alphas for k in kappas)
     atil_series = tuple((float(k), prob.offer_and_tilde(float(k))[1]) for k in kappas)
     ktil_series = tuple(
         (float(a), kt)
         for a in alphas
         if float(a) > prob.abar and (kt := prob.ktil(float(a))) is not None
     )
-    return RegionMapResult(tuple(cells), prob.abar, atil_series, ktil_series)
+    return RegionMapResult(cells, prob.abar, atil_series, ktil_series)
 
 
 def classify_many(
@@ -383,11 +376,7 @@ def classify_many(
     point, but amortizes the belief integrals over the whole batch.
     """
     prob = _CachedProblem(curve, thresholds, offers, w)
-    cells = []
-    for a, k in pairs:
-        region, s = prob.classify(float(a), float(k))
-        cells.append(RegionCell(float(a), float(k), region, s.x1, s.x2))
-    return tuple(cells)
+    return prob.cells((float(a), float(k)) for a, k in pairs)
 
 
 @dataclass(frozen=True)

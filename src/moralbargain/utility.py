@@ -148,16 +148,17 @@ class TailIntegrals:
         return (1.0 - p.kappa + p.alpha) * self.own(x2) - p.alpha * self.other(x2)
 
 
-def dg_objective(p: PreferenceParams, curve: PayoffCurve, x: float, w: float) -> float:
-    """Dictator objective at transfer x (half-weight on each role's term)."""
+def dg_objective(p: PreferenceParams, curve: PayoffCurve, x, w: float):
+    """Dictator objective at transfer x (half-weight on each role's term); broadcasts."""
     v_keep = curve.value(w - x)
     v_give = curve.value(x)
-    return 0.5 * (
+    out = 0.5 * (
         (1.0 - p.kappa) * v_keep
-        - p.alpha * max(v_give - v_keep, 0.0)
-        - p.beta * max(v_keep - v_give, 0.0)
+        - p.alpha * np.maximum(v_give - v_keep, 0.0)
+        - p.beta * np.maximum(v_keep - v_give, 0.0)
         + p.kappa * (v_keep + v_give)
     )
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def dg_transfer(p: PreferenceParams, curve: PayoffCurve, w: float, n_scan: int = 200) -> float:

@@ -1,10 +1,11 @@
 """Acceptance gate: the eight headline checks, one printed line per check.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see every line; the
-whole gate takes about three minutes, dominated by the brute-force
-equivalence sweep. Two reference values are known divergences, and both are
-asserted the same way: the model value is checked (against the brute-force
-grid oracle where one applies) and the reference is confirmed unreachable.
+whole gate takes about one minute on a 2-vCPU machine, nearly all of it in
+the brute-force equivalence sweep and the mixture estimation check. Two
+reference values are known divergences, and both are asserted the same
+way: the model value is checked (against the brute-force grid oracle where
+one applies) and the reference is confirmed unreachable.
 Criterion 2 does this for the one-type dictator transfer (model 9.47,
 reference 7.80); criterion 3 for the high-spite switch point (model
 kappa ~ 0.0172, reference window 0.03 +/- 0.01). See the Known divergences

@@ -124,3 +124,24 @@ def test_shape_parameters_validated():
         BeliefDistribution.scaled_beta(2.0, -1.0, W)
     with pytest.raises(ValidationError):
         BeliefDistribution("gaussian", w=W)
+
+
+@pytest.mark.parametrize("d", _all_kinds(), ids=lambda d: d.kind)
+def test_cdf_float_path_bitwise_equals_array_path(d):
+    # the float short path must run the array path's ufuncs: same bits
+    rng = np.random.default_rng(11)
+    xs = np.concatenate(
+        [[0.0, W / 2, W, 0.5, 1.0, 4.0, 1e-300], rng.uniform(0.0, 2 * W, size=2000)]
+    )
+    vec = d.cdf(xs)
+    for arg in (xs.tolist(), list(xs)):  # Python floats and numpy float64 scalars
+        scal = [d.cdf(x) for x in arg]
+        assert all(type(v) is float for v in scal)
+        assert np.array_equal(np.array(scal), vec)
+
+
+def test_cdf_rejects_negative_amounts_on_every_path():
+    for d in _all_kinds():
+        for bad in (-1e-12, np.float64(-3.0), np.array([[1.0], [-2.0]]), np.array(-0.5), -1):
+            with pytest.raises(DomainError):
+                d.cdf(bad)

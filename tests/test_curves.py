@@ -84,3 +84,28 @@ def test_scalar_and_vector_paths_agree(crra, rng):
     vec = crra.value(xs)
     scal = np.array([crra.value(float(x)) for x in xs])
     np.testing.assert_array_equal(vec, scal)
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [PayoffCurve.linear(), PayoffCurve.shifted_log()]
+    + [PayoffCurve.crra(r) for r in (0.05, 0.3, 0.5, 0.95)],
+    ids=lambda c: c.label(),
+)
+def test_float_path_bitwise_equals_array_path(curve, rng):
+    # the float short path must run the array path's ufuncs: same bits
+    w = 58.8
+    xs = np.concatenate([[0.0, w / 2, w, 1e-300, 5e-324], rng.uniform(0.0, 2 * w, size=2000)])
+    vec = curve.value(xs)
+    for arg in (xs.tolist(), list(xs)):  # Python floats and numpy float64 scalars
+        scal = [curve.value(x) for x in arg]
+        assert all(type(v) is float for v in scal)
+        assert np.array_equal(np.array(scal), vec)
+    assert curve.value(np.asarray(w / 2)) == vec[1]
+
+
+def test_negative_amount_rejected_on_every_path(linear, crra, shifted_log):
+    for curve in (linear, crra, shifted_log):
+        for bad in (-1e-12, np.float64(-3.0), np.array([1.0, -2.0]), np.array(-0.5), -1):
+            with pytest.raises(DomainError):
+                curve.value(bad)

@@ -455,6 +455,16 @@ class TestCliErrors:
         )
         assert code == 2
 
+    def test_nash_help_states_default_step(self, capsys):
+        from moralbargain.nash import _DEFAULT_GRID_DIVISOR
+
+        with pytest.raises(SystemExit) as exc:
+            main(["nash", "--help"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"(default w/{_DEFAULT_GRID_DIVISOR})" in help_text
+        assert _DEFAULT_GRID_DIVISOR == 400
+
     def test_unknown_subcommand_usage_exit(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -70,6 +70,30 @@ def test_constrained_threshold_linear_closed_form(linear):
         constrained_threshold(1.0, 0.5, linear, W)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_constrained_threshold_rejects_non_finite_alpha(linear, bad):
+    # a validation failure (exit 2), not a bisection that cannot converge
+    with pytest.raises(ValidationError):
+        constrained_threshold(0.3, bad, linear, W)
+
+
+def test_diagonal_utility_broadcasts_bitwise(crra, thresholds, offers):
+    from moralbargain.solver import _fast_u
+    from moralbargain.utility import TailIntegrals
+
+    tails = TailIntegrals(offers, crra, W)
+    ys = np.linspace(0.0, W / 2, 401)
+    for p in (PreferenceParams(alpha=0.5, kappa=0.6), PreferenceParams(alpha=3.0, kappa=0.01)):
+        vec = _fast_u(p, crra, thresholds, tails, ys, ys, W)
+        scal = [_fast_u(p, crra, thresholds, tails, y, y, W) for y in ys.tolist()]
+        assert np.array_equal(np.array(scal), vec)
+        # off the diagonal the universalization term drops out
+        x_s, x2 = X_SELFISH, 4.0
+        assert _fast_u(p, crra, thresholds, tails, x_s, x2, W) == (
+            (1 - p.kappa) * crra.value(W - x_s) * thresholds.cdf(x_s) + tails.responder_term(p, x2)
+        )
+
+
 def test_constrained_threshold_residual_bound(crra, rng):
     # the root is accepted only when the defining residual is below 1e-10
     for _ in range(50):

@@ -182,3 +182,38 @@ def test_dg_transfer_never_exceeds_half(shifted_log, rng):
             kappa=rng.uniform(0.0, 1.0),
         )
         assert dg_transfer(p, shifted_log, W) <= W / 2 + 1e-9
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_preferences_rejected(bad):
+    for field in ("alpha", "beta"):
+        with pytest.raises(ValidationError):
+            PreferenceParams(**{field: bad})
+    with pytest.raises(ValidationError):
+        PreferenceParams(kappa=bad)
+
+
+def test_non_finite_endowment_rejected(shifted_log):
+    from moralbargain.params import validate_endowment
+
+    for bad in (float("inf"), float("nan"), -float("inf")):
+        with pytest.raises(ValidationError):
+            validate_endowment(bad)
+        with pytest.raises(ValidationError):
+            dg_transfer(PreferenceParams(beta=0.2), shifted_log, bad)
+        with pytest.raises(ValidationError):
+            BeliefDistribution.uniform_on_half(bad)
+
+
+def test_dg_objective_broadcasts_bitwise(shifted_log, crra, rng):
+    w = 58.8
+    xs = np.concatenate([[0.0, w / 2, w], rng.uniform(0.0, w, size=500)])
+    for curve in (shifted_log, crra):
+        for p in (
+            PreferenceParams(alpha=0.3, beta=0.4, kappa=0.2),
+            PreferenceParams(alpha=-0.5, beta=-0.2, kappa=0.7),
+        ):
+            vec = dg_objective(p, curve, xs, w)
+            scal = [dg_objective(p, curve, x, w) for x in xs.tolist()]
+            assert all(type(v) is float for v in scal)
+            assert np.array_equal(np.array(scal), vec)

@@ -188,17 +188,19 @@ def logit_choice_prob(lam: float, u_chosen: float, u_other: float) -> float:
     return float(np.exp(log_expit((u_chosen - u_other) / lam)))
 
 
-def _pattern_and_margin(p: PreferenceParams, curve: PayoffCurve, games):
+def _pattern_and_margin(p: PreferenceParams, coeffs):
     """Preferred action and utility margin per game and role.
 
-    The off-role component is pinned at the joint argmax, so each entry
-    reduces to a binary comparison between the two veil strategies that
-    differ in that role's action alone. Margin = U(action 1) - U(action 0).
+    coeffs holds one game_coefficients table per game. The off-role
+    component is pinned at the joint argmax, so each entry reduces to a
+    binary comparison between the two veil strategies that differ in that
+    role's action alone. Margin = U(action 1) - U(action 0).
     """
-    pat = np.zeros((len(games), 2), dtype=np.int8)
-    margin = np.zeros((len(games), 2))
-    for g, game in enumerate(games):
-        u = strategy_utilities(p, curve, game)
+    basis = _basis(p)
+    pat = np.zeros((len(coeffs), 2), dtype=np.int8)
+    margin = np.zeros((len(coeffs), 2))
+    for g, table in enumerate(coeffs):
+        u = table @ basis
         a_star, b_star = _STRATEGY_ORDER[int(np.argmax(u.ravel()))]
         d_p = u[1, b_star] - u[0, b_star]
         d_r = u[a_star, 1] - u[a_star, 0]
@@ -210,7 +212,7 @@ def _pattern_and_margin(p: PreferenceParams, curve: PayoffCurve, games):
 
 def preferred_pattern(p: PreferenceParams, curve: PayoffCurve, games) -> np.ndarray:
     """Per-game, per-role preferred action (0, 1, or 2 for a tie)."""
-    return _pattern_and_margin(p, curve, games)[0]
+    return _pattern_and_margin(p, [game_coefficients(g, curve) for g in games])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +257,11 @@ def _count_mdt(cnt: np.ndarray, pattern: np.ndarray):
     return m, d, t
 
 
-def _loglik_matrix(cnt, params, curve, games, choice_model):
+def _loglik_matrix(cnt, params, coeffs, choice_model):
     """Per-subject log-likelihood column for each type."""
     cols = []
     for p in params:
-        pat, margin = _pattern_and_margin(p, curve, games)
+        pat, margin = _pattern_and_margin(p, coeffs)
         if choice_model == "constant":
             m, d, t = _count_mdt(cnt, pat)
             cols.append(
@@ -285,11 +287,15 @@ class _Lattice:
     the sign-flip cells plus local refinement is the exact-enough direct
     search; the logit model reuses the same candidate machinery with the
     temperature profiled over a grid and polished on the winners.
+
+    The constant-error objective depends on a point only through its
+    preferred pattern, and the lattice carries few distinct patterns
+    (209 of 137,781 points on the nine-game design), so the coarse scan
+    scores unique_patterns and gathers the result through pattern_id.
     """
 
     def __init__(self, games, curve, step: float = 0.05):
         self.games = games
-        self.curve = curve
         self.coeffs = np.stack([game_coefficients(g, curve) for g in games])
         aa, bb, kk = np.meshgrid(
             _axis(*ALPHA_BOUNDS, step), _axis(*BETA_BOUNDS, step), _axis(*KAPPA_BOUNDS, step),
@@ -298,6 +304,11 @@ class _Lattice:
         self.theta = np.column_stack([aa.ravel(), bb.ravel(), kk.ravel()])
         self.step = step
         self.patterns, self.margins = self._structure_at(self.theta)
+        # one void scalar per int8 pattern row; np.unique(axis=0) takes ~30x as long
+        flat = self.patterns.reshape(len(self.theta), -1)
+        rows = flat.view(np.dtype((np.void, flat.shape[1]))).ravel()
+        _, first, self.pattern_id = np.unique(rows, return_index=True, return_inverse=True)
+        self.unique_patterns = self.patterns[first]
 
     def _structure_at(self, theta: np.ndarray):
         """Vectorized preferred patterns and margins at arbitrary points."""
@@ -354,13 +365,13 @@ class _Lattice:
         return best_obj, best_lam
 
     def _score(self, theta, weights3, model, lam_grid):
-        patterns, margins = (
-            (self.patterns, self.margins)
-            if theta is self.theta
-            else self._structure_at(theta)
-        )
+        coarse = theta is self.theta
         if model == "constant":
-            return self._objective_constant(patterns, weights3)
+            if coarse:
+                obj, lam = self._objective_constant(self.unique_patterns, weights3)
+                return obj[self.pattern_id], lam[self.pattern_id]
+            return self._objective_constant(self._structure_at(theta)[0], weights3)
+        margins = self.margins if coarse else self._structure_at(theta)[1]
         return self._objective_logit(margins, weights3, lam_grid)
 
     def maximize(self, weights3: np.ndarray, current: PreferenceParams | None, model: str):
@@ -472,11 +483,21 @@ def em_fit(
     lattice search over (alpha, beta, kappa) with the noise parameter
     profiled (closed form under the constant-error model, grid plus golden
     polish under logit). Best of `restarts` random initializations wins.
+
+    Raises ValidationError for k < 1, an unknown choice model, max_iter < 1,
+    a negative or non-finite tol, and a non-positive or non-finite
+    lattice_step.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
     if choice_model not in CHOICE_MODELS:
         raise ValidationError(f"choice_model must be one of {CHOICE_MODELS}")
+    if max_iter < 1:
+        raise ValidationError("max_iter must be >= 1")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError("tol must be finite and >= 0")
+    if not (math.isfinite(lattice_step) and lattice_step > 0.0):
+        raise ValidationError("lattice_step must be finite and > 0")
     subjects, cnt = _encode(data, games)
     n = len(subjects)
     lattice = _lattice_for(tuple(games), curve, lattice_step)
@@ -546,7 +567,7 @@ def _em_once(cnt, lattice, k, rng, tol, max_iter, choice_model):
     ll = prev_ll
     it = 0
     for it in range(1, max_iter + 1):
-        lmat = _loglik_matrix(cnt, params, lattice.curve, lattice.games, choice_model)
+        lmat = _loglik_matrix(cnt, params, lattice.coeffs, choice_model)
         joint = lmat + np.log(shares)[None, :]
         norm = logsumexp(joint, axis=1)
         ll = float(norm.sum())
@@ -628,12 +649,15 @@ def bootstrap_se(
     matching in (alpha, beta, kappa, lambda); a replicate counts as
     unresolved when a matched distance exceeds half the smallest inter-type
     distance of the base fit (ambiguous attribution), and a warning fires
-    when more than 10% of replicates are unresolved.
+    when more than 10% of replicates are unresolved. A given base fit must
+    have k types.
     """
     if b < 2:
         raise ValidationError("b must be >= 2")
     if base is None:
         base = em_fit(data, games, curve, k, seed=seed, **fit_kw)
+    elif len(base.params) != k:
+        raise ValidationError(f"base fit has {len(base.params)} types, expected k={k}")
     base_mat = np.array([[p.alpha, p.beta, p.kappa, p.lam] for p in base.params])
     if k > 1:
         gaps = [

@@ -1,8 +1,8 @@
 """Acceptance gate: the eight headline checks, one printed line per check.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see every line; the
-whole gate takes about one minute on a 2-vCPU machine, nearly all of it in
-the brute-force equivalence sweep and the mixture estimation check. Two
+whole gate takes about 40 seconds on a 2-vCPU machine, most of it in the
+brute-force equivalence sweep and the mixture estimation check. Two
 reference values are known divergences, and both are asserted the same
 way: the model value is checked (against the brute-force grid oracle where
 one applies) and the reference is confirmed unreachable.

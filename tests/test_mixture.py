@@ -303,12 +303,75 @@ class TestEmFit:
         with pytest.raises(ValidationError, match="unknown game"):
             em_fit([ChoiceRecord("s1", "no-such-game", "P", 0)], games9, shifted_log, k=1)
 
+    def test_degenerate_fit_arguments_rejected(self, games9, shifted_log):
+        rec = ChoiceRecord("s1", games9[0].game_id, "P", 0)
+        with pytest.raises(ValidationError, match="max_iter"):
+            em_fit([rec], games9, shifted_log, k=1, max_iter=0)
+        for step in (0.0, -0.05, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="lattice_step"):
+                em_fit([rec], games9, shifted_log, k=1, lattice_step=step)
+        for tol in (math.nan, -1e-6, math.inf):
+            with pytest.raises(ValidationError, match="tol"):
+                em_fit([rec], games9, shifted_log, k=1, tol=tol)
+
     def test_logit_model_runs(self, games9, shifted_log):
         t = PreferenceParams(alpha=0.33, beta=0.09, kappa=0.26, lam=0.02)
         recs, _ = simulate_choices([t], [1.0], games9, shifted_log, 20, seed=3)
         fit = em_fit(recs, games9, shifted_log, k=1, choice_model="logit")
         assert fit.choice_model == "logit"
         assert np.isfinite(fit.loglik)
+
+
+# ---------------------------------------------------------------------------
+# lattice M-step over distinct choice patterns
+
+
+@pytest.fixture(scope="module")
+def lattice9(games9):
+    return mx._Lattice(games9, PayoffCurve.shifted_log())
+
+
+class TestLatticePatterns:
+    def test_unique_patterns_rebuild_every_point(self, lattice9):
+        lat = lattice9
+        assert lat.pattern_id.shape == (len(lat.theta),)
+        assert np.array_equal(lat.unique_patterns[lat.pattern_id], lat.patterns)
+        # the tie code 2 survives the row view
+        assert (lat.unique_patterns == 2).any()
+
+    def test_distinct_pattern_counts(self, lattice9, shifted_log):
+        assert len(lattice9.theta) == 137_781
+        assert len(lattice9.unique_patterns) == 209
+        assert len(mx._Lattice(default_games(), shifted_log).unique_patterns) == 93
+
+    def test_pattern_path_is_bitwise_point_path(self, lattice9, rng):
+        # the lattice holds tied (code 2) entries, asserted above
+        lat = lattice9
+        n_games = len(lat.games)
+        for draw in range(12):
+            weights3 = rng.uniform(0.0, 30.0, size=(n_games, 2, 2))
+            if draw % 3 == 1:
+                weights3[rng.choice(n_games, size=3, replace=False)] = 0.0
+            if draw % 3 == 2:
+                weights3[..., 1] = weights3[..., 0]  # equal action counts everywhere
+            obj, lam = lat._score(lat.theta, weights3, "constant", None)
+            want_obj, want_lam = lat._objective_constant(lat.patterns, weights3)
+            assert np.array_equal(obj, want_obj)
+            assert np.array_equal(lam, want_lam)
+
+    def test_coarse_scan_scores_distinct_patterns_only(self, lattice9, monkeypatch):
+        rows = []
+        original = mx._Lattice._objective_constant
+
+        def spy(self, patterns, weights3):
+            rows.append(len(patterns))
+            return original(self, patterns, weights3)
+
+        monkeypatch.setattr(mx._Lattice, "_objective_constant", spy)
+        weights3 = np.arange(len(lattice9.games) * 4, dtype=float).reshape(-1, 2, 2)
+        lattice9.maximize(weights3, None, "constant")
+        assert rows[0] == len(lattice9.unique_patterns)
+        assert len(lattice9.theta) not in rows
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +424,13 @@ class TestBootstrap:
         rec = ChoiceRecord("s1", games9[0].game_id, "P", 0)
         with pytest.raises(ValidationError):
             bootstrap_se([rec], games9, shifted_log, k=1, b=1)
+
+    def test_base_fit_must_match_k(self, games9, shifted_log):
+        t = PreferenceParams(alpha=0.33, beta=0.09, kappa=0.26, lam=0.02)
+        recs, _ = simulate_choices([t], [1.0], games9, shifted_log, 10, seed=3)
+        base = em_fit(recs, games9, shifted_log, k=1)
+        with pytest.raises(ValidationError, match="base fit"):
+            bootstrap_se(recs, games9, shifted_log, k=2, b=2, base=base)
 
     def test_smoke_b2(self, games9, shifted_log):
         t = PreferenceParams(alpha=0.33, beta=0.09, kappa=0.26, lam=0.02)

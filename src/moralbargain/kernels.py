@@ -1,29 +1,17 @@
-"""Hot grid kernels: numba-accelerated with a pure-numpy fallback.
+"""Hot grid kernels of the brute-force oracle and the equilibrium verifier.
 
-Set MORALBARGAIN_NO_NUMBA=1 in the environment to force the numpy path
-(the fallback is also selected automatically when numba is missing).
-Both paths perform identical arithmetic in identical order, so results
-are bit-for-bit equal; `benchmarks/bench_kernels.py` compares speed.
+Both return the first maximal cell in C order of (i, j), as a full-grid
+scan would: the lowest x1 index, then the lowest x2 index.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_OFF = os.environ.get("MORALBARGAIN_NO_NUMBA", "").lower() in ("1", "true", "yes")
-HAS_NUMBA = False
-if not _ENV_OFF:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
+from .errors import ValidationError
 
 
-def grid_argmax_numpy(a, b, c, x1s, x2s):
+def grid_argmax(a, b, c, x1s, x2s):
     """Argmax of u[i,j] = a[i] + b[j] + c[i]*1{x1s[i] >= x2s[j]}.
 
     Ties break to the lowest x1, then lowest x2 (C-order first hit).
@@ -36,65 +24,34 @@ def grid_argmax_numpy(a, b, c, x1s, x2s):
     return i, j, float(u[i, j])
 
 
-def deviation_best_numpy(pa, racc, c, x1s, x2s, y1, y2):
-    """Best unilateral deviation utility against a fixed opponent (y1, y2).
+def deviation_best(pa, racc, c, x1s, x2s, y1, y2):
+    """Best unilateral deviation against each of P fixed opponents (y1[p], y2[p]).
 
-    u[i,j] = pa[i]*1{x1s[i] >= y2} + racc*1{y1 >= x2s[j]}
-             + c[i]*1{x1s[i] >= x2s[j]}
-    Returns (u_max, i, j) with first-hit tie-breaking.
+    u[p,i,j] = pa[i]*1{x1s[i] >= y2[p]} + racc[p]*1{y1[p] >= x2s[j]}
+               + c[i]*1{x1s[i] >= x2s[j]}, summed left to right.
+    With x2s ascending, both j-indicators switch off once, so each row is
+    at most three runs of equal value: both terms on, one on, neither.
+    Scoring the runs in increasing j and keeping a run only if it beats
+    the best so far strictly gives the first hit of the full (i, j) grid
+    in O(n) per row. Returns arrays (u_max, i, j) of length P.
     """
-    prop = np.where(x1s >= y2, pa, 0.0)
-    resp = np.where(y1 >= x2s, racc, 0.0)
-    u = prop[:, None] + resp[None, :] + np.where(x1s[:, None] >= x2s[None, :], c[:, None], 0.0)
-    k = int(np.argmax(u))
-    i, j = divmod(k, u.shape[1])
-    return float(u[i, j]), i, j
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def grid_argmax_numba(a, b, c, x1s, x2s):  # pragma: no cover - timed in benchmarks
-        best_i = 0
-        best_j = 0
-        best_u = -np.inf
-        for i in range(a.shape[0]):
-            ai = a[i]
-            ci = c[i]
-            xi = x1s[i]
-            for j in range(b.shape[0]):
-                u = ai + b[j]
-                if xi >= x2s[j]:
-                    u += ci
-                if u > best_u:
-                    best_u = u
-                    best_i = i
-                    best_j = j
-        return best_i, best_j, best_u
-
-    @njit(cache=True)
-    def deviation_best_numba(pa, racc, c, x1s, x2s, y1, y2):  # pragma: no cover
-        best_u = -np.inf
-        best_i = 0
-        best_j = 0
-        for i in range(x1s.shape[0]):
-            base = pa[i] if x1s[i] >= y2 else 0.0
-            for j in range(x2s.shape[0]):
-                u = base
-                if y1 >= x2s[j]:
-                    u += racc
-                if x1s[i] >= x2s[j]:
-                    u += c[i]
-                if u > best_u:
-                    best_u = u
-                    best_i = i
-                    best_j = j
-        return best_u, best_i, best_j
-
-    grid_argmax = grid_argmax_numba
-    deviation_best = deviation_best_numba
-else:
-    grid_argmax = grid_argmax_numpy
-    deviation_best = deviation_best_numpy
-
-USE_NUMBA = HAS_NUMBA
+    if np.any(x2s[1:] < x2s[:-1]):
+        raise ValidationError("deviation_best needs x2s sorted ascending")
+    racc = np.asarray(racc, dtype=float)[:, None]
+    prop = np.where(x1s >= np.asarray(y2, dtype=float)[:, None], pa, 0.0)
+    r1 = np.searchsorted(x2s, y1, "right")[:, None]  # responder term on for j < r1
+    r2 = np.searchsorted(x2s, x1s, "right")  # c term on for j < r2[i]
+    lo = np.minimum(r1, r2)
+    hi = np.maximum(r1, r2)
+    both = (prop + racc) + c
+    one = np.where(r1 < r2, (prop + 0.0) + c, (prop + racc) + 0.0)
+    neither = (prop + 0.0) + 0.0
+    u = np.full(prop.shape, -np.inf)
+    j = np.zeros(prop.shape, dtype=np.intp)
+    for start, stop, val in ((0, lo, both), (lo, hi, one), (hi, len(x2s), neither)):
+        take = (stop > start) & (val > u)
+        u = np.where(take, val, u)
+        j = np.where(take, start, j)
+    i = np.argmax(u, axis=1)
+    lanes = np.arange(len(i))
+    return u[lanes, i], i, j[lanes, i]

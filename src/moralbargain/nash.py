@@ -55,8 +55,8 @@ class NashBounds:
 def _check_step(grid_step: float | None, w: float) -> float:
     if grid_step is None:
         return w / _DEFAULT_GRID_DIVISOR
-    if not grid_step > 0.0:
-        raise ValidationError("grid_step must be positive")
+    if not 0.0 < grid_step <= 0.5 * w:  # also rejects nan and inf
+        raise ValidationError("grid_step must lie in (0, w/2]")
     return float(grid_step)
 
 
@@ -102,6 +102,49 @@ def x1_upper_of(kappa: float, alpha: float, curve: PayoffCurve, w: float) -> flo
     return bisect_boundary(lambda x: not pred(x), 0.0, w, x_tol=1e-12)
 
 
+def _verify(
+    profiles: list[Strategy],
+    kappa: float,
+    alpha: float,
+    curve: PayoffCurve,
+    w: float,
+    step: float,
+    tol: float = _NASH_TOL,
+) -> list[NashCheck]:
+    """verify_nash for many profiles: one deviation lattice, one kernel call."""
+    p = PreferenceParams(alpha=alpha, kappa=kappa)
+    n = int(round(w / step))
+    axis = np.linspace(0.0, w, n + 1)
+
+    v_keep = curve.value(w - axis)
+    v_give = curve.value(axis)
+    pa = (
+        (1.0 - kappa) * v_keep
+        - alpha * np.maximum(v_give - v_keep, 0.0)
+        - p.beta * np.maximum(v_keep - v_give, 0.0)
+    )
+    c = kappa * (v_keep + v_give)
+    y1 = np.array([s.x1 for s in profiles], dtype=float)
+    y2 = np.array([s.x2 for s in profiles], dtype=float)
+    vo_own = curve.value(y1)
+    vo_oth = curve.value(w - y1)
+    racc = (
+        (1.0 - kappa) * vo_own
+        - alpha * np.maximum(vo_oth - vo_own, 0.0)
+        - p.beta * np.maximum(vo_own - vo_oth, 0.0)
+    )
+
+    u_best, i, j = kernels.deviation_best(pa, racc, c, axis, axis, y1, y2)
+    checks = []
+    for s, u, di, dj in zip(profiles, u_best.tolist(), i, j):
+        gain = u - eval_expost_symmetric(p, curve, s, s, w)
+        if gain <= tol:
+            checks.append(NashCheck(True, gain, None))
+        else:
+            checks.append(NashCheck(False, gain, Strategy(float(axis[di]), float(axis[dj]))))
+    return checks
+
+
 def verify_nash(
     profile: Strategy,
     kappa: float,
@@ -117,33 +160,7 @@ def verify_nash(
     Passes iff no deviation raises the ex-post utility by more than tol.
     """
     validate_endowment(w)
-    step = _check_step(grid_step, w)
-    p = PreferenceParams(alpha=alpha, kappa=kappa)
-    n = int(round(w / step))
-    axis = np.linspace(0.0, w, n + 1)
-
-    v_keep = curve.value(w - axis)
-    v_give = curve.value(axis)
-    pa = (
-        (1.0 - kappa) * v_keep
-        - alpha * np.maximum(v_give - v_keep, 0.0)
-        - p.beta * np.maximum(v_keep - v_give, 0.0)
-    )
-    c = kappa * (v_keep + v_give)
-    vo_own = curve.value(profile.x1)
-    vo_oth = curve.value(w - profile.x1)
-    racc = (
-        (1.0 - kappa) * vo_own
-        - alpha * max(vo_oth - vo_own, 0.0)
-        - p.beta * max(vo_own - vo_oth, 0.0)
-    )
-
-    u_best, i, j = kernels.deviation_best(pa, racc, c, axis, axis, profile.x1, profile.x2)
-    current = eval_expost_symmetric(p, curve, profile, profile, w)
-    gain = u_best - current
-    if gain <= tol:
-        return NashCheck(True, gain, None)
-    return NashCheck(False, gain, Strategy(float(axis[i]), float(axis[j])))
+    return _verify([profile], kappa, alpha, curve, w, _check_step(grid_step, w), tol)[0]
 
 
 def rho_of_kappa(
@@ -159,9 +176,11 @@ def rho_of_kappa(
     step = _check_step(grid_step, w)
     half = 0.5 * w
     n = int(round((w - half) / step))
-    for x in np.linspace(w, half, n + 1):
-        if verify_nash(Strategy(float(x), float(x)), kappa, 0.0, curve, w, step).is_nash:
-            return float(x)
+    xs = np.linspace(w, half, n + 1).tolist()
+    checks = _verify([Strategy(x, x) for x in xs], kappa, 0.0, curve, w, step)
+    for x, chk in zip(xs, checks):
+        if chk.is_nash:
+            return x
     warnings.warn("no symmetric profile on [w/2, w] passes the verifier", stacklevel=2)
     return math.nan
 
@@ -201,37 +220,28 @@ def nash_set(
 
     n = int(round(w / step))
     axis = np.linspace(0.0, w, n + 1)
-    passing = np.array(
-        [
-            verify_nash(Strategy(float(x), float(x)), kappa, alpha, curve, w, step).is_nash
-            for x in axis
-        ]
-    )
+    checks = _verify([Strategy(x, x) for x in axis.tolist()], kappa, alpha, curve, w, step)
+    passing = np.array([chk.is_nash for chk in checks], dtype=np.int8)
     segment = None
     if passing.any():
-        # maximal contiguous run of passing diagonal points
-        best_len, best_lo, run_lo = 0, 0, None
-        for idx, ok in enumerate(passing):
-            if ok and run_lo is None:
-                run_lo = idx
-            if (not ok or idx == n) and run_lo is not None:
-                run_hi = idx if ok else idx - 1
-                if run_hi - run_lo + 1 > best_len:
-                    best_len, best_lo = run_hi - run_lo + 1, run_lo
-                run_lo = None
-        segment = (float(axis[best_lo]), float(axis[best_lo + best_len - 1]))
+        # maximal contiguous run of passing diagonal points; argmax keeps the first longest
+        edges = np.diff(passing, prepend=0, append=0)
+        starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+        k = int(np.argmax(stops - starts))
+        segment = (float(axis[starts[k]]), float(axis[stops[k] - 1]))
     else:
         flags.append("no symmetric equilibrium on grid")
 
     stub = None
     set_kind = SET_KINDS[0]
     if tau > x2lo + 1e-12:
-        below = verify_nash(Strategy(tau, 0.5 * tau), kappa, alpha, curve, w, step).is_nash
-        below &= verify_nash(Strategy(tau, 0.0), kappa, alpha, curve, w, step).is_nash
-        above = verify_nash(
-            Strategy(tau, min(tau + 2.0 * step, w)), kappa, alpha, curve, w, step
-        ).is_nash
-        if below:
+        probes = [
+            Strategy(tau, 0.5 * tau),
+            Strategy(tau, 0.0),
+            Strategy(tau, min(tau + 2.0 * step, w)),
+        ]
+        mid, zero, above = (chk.is_nash for chk in _verify(probes, kappa, alpha, curve, w, step))
+        if mid and zero:
             stub = (tau, (0.0, tau))
             set_kind = SET_KINDS[1]
             flags.append("stub-direction-x2-below")

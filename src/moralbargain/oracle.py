@@ -17,10 +17,10 @@ from .params import GridSpec, PreferenceParams, Strategy, validate_endowment
 from .utility import dg_objective, eval_expected_utility
 
 
-def _as_step(grid: float | GridSpec) -> float:
+def _as_step(grid: float | GridSpec, w: float) -> float:
     step = grid.step if isinstance(grid, GridSpec) else float(grid)
-    if step <= 0.0:
-        raise ValidationError("grid_step must be positive")
+    if not 0.0 < step <= 0.5 * w:  # also rejects nan and inf
+        raise ValidationError("grid_step must lie in (0, w/2]")
     return step
 
 
@@ -85,7 +85,7 @@ def brute_force_ug(
     diagonal, so x1 = x2 cells are evaluated explicitly.
     """
     validate_endowment(w)
-    step = _as_step(grid_step)
+    step = _as_step(grid_step, w)
     n = int(round(w / step))
     xs = np.linspace(0.0, w, n + 1)
     ka = p.kappa
@@ -111,7 +111,7 @@ def brute_force_symmetric(
 ) -> tuple[float, float]:
     """Grid argmax of u(y, y) on the diagonal segment [lo, hi]."""
     validate_endowment(w)
-    step = _as_step(grid_step)
+    step = _as_step(grid_step, w)
     top = 0.5 * w if hi is None else hi
     n = max(1, int(round((top - lo) / step)))
     ys = np.linspace(lo, top, n + 1)
@@ -131,7 +131,7 @@ def brute_force_dg(
 ) -> tuple[float, float]:
     """Exhaustive scan of the dictator objective on [0, w]."""
     validate_endowment(w)
-    n = int(round(w / _as_step(grid_step)))
+    n = int(round(w / _as_step(grid_step, w)))
     xs = np.linspace(0.0, w, n + 1)
     vals = np.array([dg_objective(p, curve, float(x), w) for x in xs])
     k = int(np.argmax(vals))

@@ -455,6 +455,14 @@ class TestCliErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command", [["nash", "--kappa", "0.6", "--alpha", "0.5"], ["oracle-check"]]
+    )
+    def test_grid_step_that_collapses_the_grid_exit_2(self, command, capsys):
+        code, out, err = run_cli(command + ["--step", "inf"], capsys)
+        assert code == 2 and "error:" in err
+        assert "all checks passed" not in out
+
     def test_nash_help_states_default_step(self, capsys):
         from moralbargain.nash import _DEFAULT_GRID_DIVISOR
 

@@ -6,6 +6,8 @@ so segment assertions go through the verifier and the bound functions keep
 formula-level checks only.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from moralbargain import (
     x2_lower_of,
 )
 from moralbargain.errors import ValidationError
+from moralbargain.nash import _verify
 from moralbargain.params import Strategy
 
 W = 10.0
@@ -134,6 +137,32 @@ class TestVerifier:
     def test_grid_step_validation(self, crra):
         with pytest.raises(ValidationError):
             verify_nash(Strategy(5.0, 5.0), 0.5, 0.5, crra, W, grid_step=-0.1)
+
+    @pytest.mark.parametrize("step", [math.inf, math.nan, W / 2 + 1e-9, 2 * W])
+    def test_grid_step_that_collapses_the_lattice_rejected(self, crra, step):
+        # a step above w/2 rounds the lattice to {0}, where every profile
+        # would pass vacuously; this profile has a deviation gaining ~7
+        bad = Strategy(0.5, 4.0)
+        with pytest.raises(ValidationError):
+            verify_nash(bad, 0.3, 1.0, crra, W, grid_step=step)
+        with pytest.raises(ValidationError):
+            rho_of_kappa(0.6, crra, W, step)
+        with pytest.raises(ValidationError):
+            nash_set(0.6, 0.5, crra, W, grid_step=step)
+
+    def test_half_endowment_step_is_the_coarsest_accepted(self, crra):
+        chk = verify_nash(Strategy(0.5, 4.0), 0.3, 1.0, crra, W, grid_step=W / 2)
+        assert not chk.is_nash
+
+    def test_batch_matches_one_profile_calls(self, crra, shifted_log, rng):
+        step = W / 50
+        profiles = [Strategy(x, x) for x in (0.0, W / 2, W)]
+        profiles += [Strategy(float(a), float(b)) for a, b in rng.uniform(0.0, W, size=(30, 2))]
+        for curve in (crra, shifted_log):
+            for k, a in ((0.6, 0.5), (0.3, 1.0), (1.0, 0.0)):
+                batch = _verify(profiles, k, a, curve, W, step)
+                assert batch == [verify_nash(s, k, a, curve, W, step) for s in profiles]
+                assert not all(chk.is_nash for chk in batch)
 
 
 class TestRho:

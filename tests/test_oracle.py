@@ -91,6 +91,19 @@ def test_brute_ug_accepts_gridspec(crra, thresholds, offers):
         GridSpec(step=0.0)
 
 
+@pytest.mark.parametrize("step", [np.inf, np.nan, W / 2 + 1e-9, 2 * W])
+def test_grid_step_that_collapses_the_grid_rejected(crra, thresholds, offers, step):
+    # a step above w/2 rounds the grid to {0}; the oracle would then report
+    # x = 0 as the optimum of every problem
+    p = PreferenceParams(alpha=0.2, kappa=0.3)
+    with pytest.raises(ValidationError):
+        brute_force_ug(p, crra, thresholds, offers, W, step)
+    with pytest.raises(ValidationError):
+        brute_force_symmetric(p, crra, thresholds, offers, W, step)
+    with pytest.raises(ValidationError):
+        brute_force_dg(p, crra, W, step)
+
+
 def test_grid_refinement_stability(crra, thresholds, offers, rng):
     # halving the step moves the argmax by at most one coarse step
     coarse = W / 50

@@ -34,9 +34,8 @@ from .mixture import bootstrap_se, default_games, em_fit, icl, nec
 from .nash import _DEFAULT_GRID_DIVISOR, nash_set
 from .oracle import (
     brute_force_dg,
-    brute_force_ug,
-    expected_utility_riemann,
     foc_residual,
+    optimal_vs_brute,
 )
 from .params import ESTIMATION_ENDOWMENT, PreferenceParams, Strategy
 from .solver import (
@@ -319,16 +318,8 @@ def _cmd_oracle_check(args, cfg, seed, out_dir, fmt) -> int:
     def record(name: str, count: int, worst: float, ok: bool) -> None:
         checks.append({"check": name, "n": count, "worst": worst, "pass": bool(ok)})
 
-    # analytic optimum vs exhaustive grid, both scored by the same
-    # Riemann evaluator so integration error cancels from the margin
-    worst = math.inf
-    for _ in range(n):
-        p = PreferenceParams(alpha=rng.uniform(-1.0, 3.0), kappa=rng.uniform(0.0, 0.95))
-        out = optimal_strategy(p, cfg.curve, cfg.thresholds, cfg.offers, w)
-        s_brute, _ = brute_force_ug(p, cfg.curve, cfg.thresholds, cfg.offers, w, step)
-        u_opt = expected_utility_riemann(p, cfg.curve, cfg.thresholds, cfg.offers, out.optimal, w)
-        u_brute = expected_utility_riemann(p, cfg.curve, cfg.thresholds, cfg.offers, s_brute, w)
-        worst = min(worst, u_opt - u_brute)
+    # analytic optimum vs exhaustive grid
+    worst = optimal_vs_brute(rng, n, cfg.curve, cfg.thresholds, cfg.offers, w, step)
     record("optimal-vs-brute", n, worst, worst >= -1e-6)
 
     # acceptance threshold solves the indifference equation

@@ -26,6 +26,10 @@ SET_KINDS = ("SymmetricSegment", "SegmentPlusAsymmetricStub")
 
 _DEFAULT_GRID_DIVISOR = 400  # deviation lattice step = w / 400
 _NASH_TOL = 1e-9
+# (profiles x lattice) cells per deviation_best call; the kernel holds about a
+# dozen temporaries of this size. The default w/400 diagonal (401 x 401 cells)
+# fits in one call.
+_VERIFY_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -111,7 +115,7 @@ def _verify(
     step: float,
     tol: float = _NASH_TOL,
 ) -> list[NashCheck]:
-    """verify_nash for many profiles: one deviation lattice, one kernel call."""
+    """verify_nash for many profiles: one deviation lattice, kernel calls of bounded size."""
     p = PreferenceParams(alpha=alpha, kappa=kappa)
     n = int(round(w / step))
     axis = np.linspace(0.0, w, n + 1)
@@ -134,7 +138,13 @@ def _verify(
         - p.beta * np.maximum(vo_own - vo_oth, 0.0)
     )
 
-    u_best, i, j = kernels.deviation_best(pa, racc, c, axis, axis, y1, y2)
+    # lanes are independent, so chunks of profiles concatenate to the one-call result
+    rows = max(1, _VERIFY_CELLS // len(axis))
+    parts = [
+        kernels.deviation_best(pa, racc[k : k + rows], c, axis, axis, y1[k : k + rows], y2[k : k + rows])
+        for k in range(0, len(profiles), rows)
+    ]
+    u_best, i, j = (np.concatenate(arrs) for arrs in zip(*parts))
     checks = []
     for s, u, di, dj in zip(profiles, u_best.tolist(), i, j):
         gain = u - eval_expost_symmetric(p, curve, s, s, w)

@@ -14,6 +14,7 @@ from .curves import PayoffCurve
 from .errors import IndeterminateError, ValidationError
 from .kernels import grid_argmax
 from .params import GridSpec, PreferenceParams, Strategy, validate_endowment
+from .solver import optimal_strategy
 from .utility import dg_objective, eval_expected_utility
 
 
@@ -37,6 +38,8 @@ def riemann_tail_pair(
     """
     half = 0.5 * w
     nodes = np.asarray(nodes, dtype=float)
+    if np.isnan(nodes).any():
+        raise ValidationError("riemann_tail_pair nodes must not be NaN")
     if offers.kind == "always_accept":
         own = np.where(nodes <= 0.0, curve.value(0.0), 0.0)
         oth = np.where(nodes <= 0.0, curve.value(w), 0.0)
@@ -50,24 +53,19 @@ def riemann_tail_pair(
         i2 = np.array([vals_oth[pts >= t].sum() / n for t in nodes])
         return i1, i2
 
-    inside = nodes[nodes < half]
-    edges = np.unique(np.concatenate([inside, [half]]))
-    i1 = np.zeros_like(nodes)
-    i2 = np.zeros_like(nodes)
-    acc1 = acc2 = 0.0
-    cum: dict[float, tuple[float, float]] = {float(edges[-1]): (0.0, 0.0)}
-    for lo, hi in zip(edges[-2::-1], edges[::-1]):
-        mids = np.linspace(lo, hi, fine_factor, endpoint=False) + (hi - lo) / (2 * fine_factor)
-        wts = offers.pdf(mids) * (hi - lo) / fine_factor
-        acc1 += float(np.sum(curve.value(mids) * wts))
-        acc2 += float(np.sum(curve.value(w - mids) * wts))
-        cum[float(lo)] = (acc1, acc2)
-    for idx, t in enumerate(nodes):
-        if t >= half:
-            i1[idx] = i2[idx] = 0.0
-        else:
-            i1[idx], i2[idx] = cum[float(t)]
-    return i1, i2
+    edges = np.unique(np.append(nodes[nodes < half], half))
+    lo, hi = edges[-2::-1], edges[:0:-1]  # sub-intervals from the top edge down
+    # linspace(axis=1) is a transposed view; row sums of a non-contiguous
+    # array do not use numpy's pairwise order, so copy to C order first
+    mids = np.ascontiguousarray(np.linspace(lo, hi, fine_factor, endpoint=False, axis=1))
+    mids += ((hi - lo) / (2 * fine_factor))[:, None]
+    wts = offers.pdf(mids) * (hi - lo)[:, None] / fine_factor
+    # acc[m] sums the top m intervals, added one at a time from w/2 down
+    acc1 = np.cumsum(np.append(0.0, np.sum(curve.value(mids) * wts, axis=1)))
+    acc2 = np.cumsum(np.append(0.0, np.sum(curve.value(w - mids) * wts, axis=1)))
+    # node edges[k] takes the top len(edges) - 1 - k intervals; nodes >= w/2 take none
+    idx = np.maximum(len(edges) - 1 - np.searchsorted(edges, nodes), 0)
+    return acc1[idx], acc2[idx]
 
 
 def brute_force_ug(
@@ -133,7 +131,7 @@ def brute_force_dg(
     validate_endowment(w)
     n = int(round(w / _as_step(grid_step, w)))
     xs = np.linspace(0.0, w, n + 1)
-    vals = np.array([dg_objective(p, curve, float(x), w) for x in xs])
+    vals = dg_objective(p, curve, xs, w)
     k = int(np.argmax(vals))
     return float(xs[k]), float(vals[k])
 
@@ -166,6 +164,32 @@ def expected_utility_riemann(
     responder = (1.0 - ka + p.alpha) * i1 - p.alpha * i2
     universal = ka * (curve.value(w - s.x1) + curve.value(s.x1)) if s.x1 >= s.x2 else 0.0
     return proposer + responder + universal
+
+
+def optimal_vs_brute(
+    rng: np.random.Generator,
+    draws: int,
+    curve: PayoffCurve,
+    thresholds: BeliefDistribution,
+    offers: BeliefDistribution,
+    w: float,
+    grid_step: float | GridSpec,
+) -> float:
+    """Worst margin u(solver optimum) - u(grid optimum) over random draws.
+
+    Each draw takes alpha ~ U(-1, 3), then kappa ~ U(0, 0.95), from `rng`.
+    Both strategies are scored by the same Riemann evaluator, so its
+    integration error cancels from the margin. Returns inf for no draws.
+    """
+    worst = np.inf
+    for _ in range(draws):
+        p = PreferenceParams(alpha=rng.uniform(-1.0, 3.0), kappa=rng.uniform(0.0, 0.95))
+        s_opt = optimal_strategy(p, curve, thresholds, offers, w).optimal
+        s_brute, _ = brute_force_ug(p, curve, thresholds, offers, w, grid_step)
+        u_opt = expected_utility_riemann(p, curve, thresholds, offers, s_opt, w)
+        u_brute = expected_utility_riemann(p, curve, thresholds, offers, s_brute, w)
+        worst = min(worst, u_opt - u_brute)
+    return worst
 
 
 def foc_residual(

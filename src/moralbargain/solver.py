@@ -24,7 +24,11 @@ from .utility import TailIntegrals, eval_expected_utility
 
 REGIONS = ("R1", "R2", "R3")
 
-_DENOM_EPS = 1e-12
+# Where an offer objective peaks at w/2 with zero slope, its values tie in
+# floating point within about 5e-9 w of the peak, so the search can stop
+# there and leave v(w - x) - v(x) near 1e-8 of the scale of v. A difference
+# below this fraction of |v(w - x)| + |v(x)| is read as the equal split.
+_DENOM_RTOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -121,10 +125,11 @@ def symmetric_optimum(
 
 def _indifference_alpha(curve: PayoffCurve, x: float, w: float, weight: float = 1.0) -> float:
     """weight v(x) / (v(w - x) - v(x)); infinite when x is the equal split."""
-    denom = curve.value(w - x) - curve.value(x)
-    if denom <= _DENOM_EPS:
+    v_keep, v_give = curve.value(w - x), curve.value(x)
+    denom = v_keep - v_give
+    if denom <= _DENOM_RTOL * (abs(v_keep) + abs(v_give)):
         return math.inf
-    return weight * curve.value(x) / denom
+    return weight * v_give / denom
 
 
 def alpha_bar(curve: PayoffCurve, thresholds: BeliefDistribution, w: float) -> float:

@@ -22,6 +22,7 @@ from moralbargain import (
     x2_lower_of,
 )
 from moralbargain.errors import ValidationError
+import moralbargain.nash as nash_mod
 from moralbargain.nash import _verify
 from moralbargain.params import Strategy
 
@@ -163,6 +164,26 @@ class TestVerifier:
                 batch = _verify(profiles, k, a, curve, W, step)
                 assert batch == [verify_nash(s, k, a, curve, W, step) for s in profiles]
                 assert not all(chk.is_nash for chk in batch)
+
+    def test_chunked_batch_matches_one_call(self, crra, rng, monkeypatch):
+        # a cell budget of four profiles on the 51-point lattice splits 51
+        # profiles into twelve chunks of four and one of three
+        step = W / 50
+        profiles = [Strategy(float(a), float(b)) for a, b in rng.uniform(0.0, W, size=(40, 2))]
+        profiles += [Strategy(x, x) for x in np.linspace(0.0, W, 11).tolist()]
+        one = _verify(profiles, 0.6, 0.5, crra, W, step)
+        chunks = []
+        real = nash_mod.kernels.deviation_best
+
+        def counted(*args):
+            chunks.append(len(args[-1]))
+            return real(*args)
+
+        monkeypatch.setattr(nash_mod, "_VERIFY_CELLS", 4 * 51)
+        monkeypatch.setattr(nash_mod.kernels, "deviation_best", counted)
+        assert _verify(profiles, 0.6, 0.5, crra, W, step) == one
+        assert chunks == [4] * 12 + [3]
+        assert not all(chk.is_nash for chk in one)
 
 
 class TestRho:

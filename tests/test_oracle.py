@@ -1,7 +1,11 @@
 """Brute-force and finite-difference oracles that cross-check the solver."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moralbargain import (
     BeliefDistribution,
@@ -18,12 +22,76 @@ from moralbargain.oracle import (
     brute_force_ug,
     expected_utility_riemann,
     foc_residual,
+    optimal_vs_brute,
     riemann_tail_pair,
 )
 from moralbargain.params import Strategy
-from moralbargain.utility import eval_expected_utility
+from moralbargain.utility import dg_objective, eval_expected_utility
 
 W = 10.0
+
+_CURVES = {
+    "linear": PayoffCurve.linear(),
+    "shifted-log": PayoffCurve.shifted_log(),
+    "crra(0.05)": PayoffCurve.crra(0.05),
+    "crra(0.3)": PayoffCurve.crra(0.3),
+}
+
+
+def _riemann_slow(offers, curve, w, nodes, fine_factor=100):
+    """Per-edge reference for continuous beliefs: one pdf call and one running sum per sub-interval."""
+    half = 0.5 * w
+    nodes = np.asarray(nodes, dtype=float)
+    inside = nodes[nodes < half]
+    edges = np.unique(np.concatenate([inside, [half]]))
+    i1 = np.zeros_like(nodes)
+    i2 = np.zeros_like(nodes)
+    acc1 = acc2 = 0.0
+    cum = {float(edges[-1]): (0.0, 0.0)}
+    for lo, hi in zip(edges[-2::-1], edges[::-1]):
+        mids = np.linspace(lo, hi, fine_factor, endpoint=False) + (hi - lo) / (2 * fine_factor)
+        wts = offers.pdf(mids) * (hi - lo) / fine_factor
+        acc1 += float(np.sum(curve.value(mids) * wts))
+        acc2 += float(np.sum(curve.value(w - mids) * wts))
+        cum[float(lo)] = (acc1, acc2)
+    for idx, t in enumerate(nodes):
+        if t >= half:
+            i1[idx] = i2[idx] = 0.0
+        else:
+            i1[idx], i2[idx] = cum[float(t)]
+    return i1, i2
+
+
+@st.composite
+def _tail_cases(draw):
+    # nodes on a lattice, off any lattice, exactly at w/2 and above it, in
+    # any order and with repeats; rounding keeps two distinct nodes from
+    # lying a subnormal distance apart
+    w = draw(st.sampled_from([10.0, 58.8]) | st.floats(0.5, 100.0))
+    half = 0.5 * w
+    m = draw(st.integers(1, 60))
+    on_grid = st.integers(0, m).map(lambda k: k * w / m)
+    off_grid = st.floats(0.0, w).map(lambda x: round(x, 9))
+    nodes = draw(st.lists(on_grid | off_grid | st.just(half), min_size=1, max_size=30))
+    nodes += draw(st.lists(st.sampled_from(nodes), max_size=5))
+    if draw(st.booleans()):
+        offers = BeliefDistribution.uniform_on_half(w)
+    else:
+        a, b = draw(st.floats(0.5, 6.0)), draw(st.floats(0.5, 6.0))
+        offers = BeliefDistribution.scaled_beta(a, b, w)
+    curve = _CURVES[draw(st.sampled_from(sorted(_CURVES)))]
+    return offers, curve, w, np.array(draw(st.permutations(nodes))), draw(st.integers(1, 200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_tail_cases())
+def test_riemann_tail_pair_matches_per_edge_loop(case):
+    got = riemann_tail_pair(*case[:4], fine_factor=case[4])
+    ref = _riemann_slow(*case[:4], fine_factor=case[4])
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape
+        assert np.array_equal(g, r)
+        assert np.array_equal(np.signbit(g), np.signbit(r))
 
 
 def test_riemann_tail_pair_matches_quadrature(offers, crra):
@@ -48,6 +116,15 @@ def test_riemann_tail_pair_exact_kinds(linear):
     i1, i2 = riemann_tail_pair(acc, linear, W, np.array([0.0, 0.1]))
     assert (i1[0], i2[0]) == (0.0, 10.0)
     assert (i1[1], i2[1]) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "offers", [BeliefDistribution.scaled_beta(2.0, 4.0, W), BeliefDistribution.always_accept(W)]
+)
+def test_riemann_tail_pair_nan_node_rejected(offers, crra):
+    # a NaN node has no edge to map to; it must not read as a zero tail
+    with pytest.raises(ValidationError):
+        riemann_tail_pair(offers, crra, W, np.array([1.0, np.nan]))
 
 
 def test_brute_ug_degenerate_corner(linear):
@@ -78,6 +155,23 @@ def test_brute_ug_never_beats_solver(crra, thresholds, offers, rng):
         u_b2 = expected_utility_riemann(p, crra, thresholds, offers, s_b, W)
         assert u_o >= u_b2 - 1e-6
         assert u_b == pytest.approx(u_b2, abs=1e-3)
+
+
+_WIDE = list(
+    itertools.product(("linear", "shifted-log", "crra(0.3)"), ("uniform", "beta(2,2)"), (W, 58.8))
+)
+
+
+@pytest.mark.parametrize("curve, belief, w", _WIDE)
+def test_solver_never_loses_to_grid_beyond_default_config(curve, belief, w):
+    # the 300-draw acceptance gate covers crra(0.05) with Beta(2,4) beliefs only
+    if belief == "uniform":
+        dist = BeliefDistribution.uniform_on_half(w)
+    else:
+        dist = BeliefDistribution.scaled_beta(2.0, 2.0, w)
+    rng = np.random.default_rng(8000 + _WIDE.index((curve, belief, w)))
+    worst = optimal_vs_brute(rng, 12, _CURVES[curve], dist, dist, w, w / 400)
+    assert worst >= -1e-6
 
 
 def test_brute_ug_accepts_gridspec(crra, thresholds, offers):
@@ -133,6 +227,27 @@ def test_brute_dg_corners_and_closed_form(shifted_log):
     p = PreferenceParams(alpha=0.13, beta=0.22, kappa=0.26)
     x, _ = brute_force_dg(p, shifted_log, 58.8, 0.01)
     assert x == pytest.approx((0.48 * 59.8 - 0.78) / 1.26, abs=0.01)
+
+
+def test_brute_dg_matches_pointwise_scan(rng):
+    # the one array call must pick the same point, to the bit, as scoring
+    # each grid point on its own; argmax keeps the lowest tied transfer
+    for curve in _CURVES.values():
+        for w in (W, 58.8):
+            xs = np.linspace(0.0, w, 501)
+            # at kappa = 1 the linear objective is flat: every point ties
+            draws = [PreferenceParams(kappa=1.0)] + [
+                PreferenceParams(
+                    alpha=rng.uniform(-1, 1), beta=rng.uniform(-1, 1), kappa=rng.uniform(0, 1)
+                )
+                for _ in range(8)
+            ]
+            for p in draws:
+                vals = [dg_objective(p, curve, float(x), w) for x in xs]
+                k = int(np.argmax(vals))
+                x, u = brute_force_dg(p, curve, w, w / 500)
+                assert (x, u) == (float(xs[k]), vals[k])
+                assert np.signbit(u) == np.signbit(vals[k])
 
 
 def test_diagonal_jump_measured_by_oracle(crra, thresholds, offers, rng):

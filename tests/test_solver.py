@@ -114,6 +114,18 @@ def test_alpha_bar_definitional_identity(crra, thresholds, linear):
     assert alpha_bar(linear, BeliefDistribution.always_accept(W), W) == pytest.approx(0.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("w", [W, 58.8])
+def test_indifference_alpha_infinite_at_a_flat_half_split(linear, w):
+    # (w - x) F(x) with uniform F peaks at w/2 with zero slope, so the search
+    # stops about 3e-10 short of it; that gap must not read as a finite bar
+    uniform = BeliefDistribution.uniform_on_half(w)
+    assert selfish_offer(linear, uniform, w) == pytest.approx(w / 2, abs=1e-8)
+    assert alpha_bar(linear, uniform, w) == np.inf
+    assert alpha_tilde(0.3, linear, uniform, w) == np.inf
+    out = optimal_strategy(PreferenceParams(alpha=0.5, kappa=0.3), linear, uniform, uniform, w)
+    assert (out.alpha_bar, out.alpha_tilde) == (np.inf, np.inf)
+
+
 def test_alpha_tilde_frozen_and_limits(crra, thresholds):
     assert alpha_tilde(0.0, crra, thresholds, W) == pytest.approx(
         alpha_bar(crra, thresholds, W), abs=1e-9

@@ -37,7 +37,7 @@ from .oracle import (
     foc_residual,
     optimal_vs_brute,
 )
-from .params import ESTIMATION_ENDOWMENT, PreferenceParams, Strategy
+from .params import ESTIMATION_ENDOWMENT, LATTICE_STEP_BOUNDS, PreferenceParams, Strategy
 from .solver import (
     comparative_statics,
     constrained_threshold,
@@ -286,6 +286,7 @@ def _cmd_estimate(args, cfg, seed, out_dir, fmt) -> int:
             seed=seed,
             base=fit,
             choice_model=args.choice_model,
+            max_iter=args.max_iter,
             lattice_step=args.lattice_step,
         )
     payload = mio.fit_payload(fit, se)
@@ -460,7 +461,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--choice-model", choices=("constant", "logit"), default="constant")
     p.add_argument("--bootstrap", type=int, default=0, metavar="B", help="bootstrap replicates")
     p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--lattice-step", type=float, default=0.05)
+    p.add_argument(
+        "--lattice-step", type=float, default=0.05,
+        help="coarse lattice step and refinement radius, in [%g, %g] (default 0.05)"
+        % LATTICE_STEP_BOUNDS,
+    )
     p.add_argument("--curve", choices=sorted(_CURVE_FLAGS), help="payoff curve (default shifted-log)")
     p.add_argument("--rho", type=float, default=0.05, help="CRRA exponent for --curve crra")
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import log_expit, logsumexp
@@ -21,6 +21,7 @@ from .params import (
     ESTIMATION_ENDOWMENT,
     KAPPA_BOUNDS,
     LAMBDA_BOUNDS,
+    LATTICE_STEP_BOUNDS,
     PreferenceParams,
     validate_endowment,
 )
@@ -292,6 +293,9 @@ class _Lattice:
     preferred pattern, and the lattice carries few distinct patterns
     (209 of 137,781 points on the nine-game design), so the coarse scan
     scores unique_patterns and gathers the result through pattern_id.
+    The logit coarse scan likewise scores the distinct margin values
+    (103,431 of 2,480,058 entries on that design) and gathers them through
+    an index built on its first call.
     """
 
     def __init__(self, games, curve, step: float = 0.05):
@@ -317,10 +321,11 @@ class _Lattice:
         )
         u = np.einsum("gabc,tc->tgab", self.coeffs, basis)
         joint = u.reshape(len(theta), len(self.games), 4).argmax(axis=2)
-        a_star, b_star = joint // 2, joint % 2
-        u_b = np.take_along_axis(u, b_star[:, :, None, None], axis=3)[..., 0]
+        # u at the joint argmax's b (over a) and at its a (over b); a
+        # two-way select is exact and cheaper than a gather
+        u_b = np.where((joint % 2 == 1)[..., None], u[..., 1], u[..., 0])
         d_p = u_b[:, :, 1] - u_b[:, :, 0]
-        u_a = np.take_along_axis(u, a_star[:, :, None, None], axis=2)[:, :, 0, :]
+        u_a = np.where((joint // 2 == 1)[..., None], u[:, :, 1], u[:, :, 0])
         d_r = u_a[:, :, 1] - u_a[:, :, 0]
         margins = np.stack([d_p, d_r], axis=2)
         patterns = np.where(
@@ -349,15 +354,25 @@ class _Lattice:
         obj = m * np.log1p(-0.5 * lam) + d * np.log(0.5 * lam) + t * math.log(0.5)
         return obj, lam
 
-    def _objective_logit(self, margins: np.ndarray, weights3: np.ndarray, lams: np.ndarray):
-        """Weighted logit log-likelihood, maximized over the lam grid."""
+    @cached_property
+    def distinct_margins(self):
+        """(values, index) with values[index] == self.margins; logit scans only."""
+        return _distinct(self.margins)
+
+    def _objective_logit(self, values, index, weights3: np.ndarray, lams: np.ndarray):
+        """Weighted logit log-likelihood, maximized over the lam grid.
+
+        values[index] is the (T, G, 2) margin table. Division and log_expit
+        are elementwise, so scoring the distinct values and gathering gives
+        the bits that scoring every entry would.
+        """
         w1, w0 = weights3[:, :, 1], weights3[:, :, 0]
-        best_obj = np.full(len(margins), -np.inf)
-        best_lam = np.full(len(margins), lams[0])
+        best_obj = np.full(len(index), -np.inf)
+        best_lam = np.full(len(index), lams[0])
         for lam in lams:
-            z = margins / lam
-            obj = np.einsum("tgr,gr->t", log_expit(z), w1) + np.einsum(
-                "tgr,gr->t", log_expit(-z), w0
+            z = values / lam
+            obj = np.einsum("tgr,gr->t", log_expit(z)[index], w1) + np.einsum(
+                "tgr,gr->t", log_expit(-z)[index], w0
             )
             improved = obj > best_obj
             best_obj = np.where(improved, obj, best_obj)
@@ -371,8 +386,10 @@ class _Lattice:
                 obj, lam = self._objective_constant(self.unique_patterns, weights3)
                 return obj[self.pattern_id], lam[self.pattern_id]
             return self._objective_constant(self._structure_at(theta)[0], weights3)
-        margins = self.margins if coarse else self._structure_at(theta)[1]
-        return self._objective_logit(margins, weights3, lam_grid)
+        values, index = (
+            self.distinct_margins if coarse else _distinct(self._structure_at(theta)[1])
+        )
+        return self._objective_logit(values, index, weights3, lam_grid)
 
     def maximize(self, weights3: np.ndarray, current: PreferenceParams | None, model: str):
         """Best (alpha, beta, kappa, lambda) for one type's weighted counts.
@@ -391,7 +408,7 @@ class _Lattice:
             cand.append(_local_box(self.theta[idx], self.step, 0.01))
         if current is not None:
             cand.append(np.array([[current.alpha, current.beta, current.kappa]]))
-        theta = np.unique(np.vstack(cand), axis=0)
+        theta = _unique_rows(np.vstack(cand))
         obj_f, lam_f = self._score(theta, weights3, model, lam_grid)
         best = obj_f.max()
         at_max = obj_f >= best - 1e-12
@@ -418,6 +435,25 @@ class _Lattice:
             alpha=float(pick[0]), beta=float(pick[1]), kappa=float(pick[2]), lam=float(pick_lam)
         )
         return p, float(best)
+
+
+def _distinct(margins: np.ndarray):
+    """Sorted distinct margins and the int32 index with values[index] == margins."""
+    values, index = np.unique(margins, return_inverse=True)
+    return values, index.astype(np.int32)
+
+
+def _unique_rows(theta: np.ndarray) -> np.ndarray:
+    """np.unique(theta, axis=0) for an (n, 3) float array, by one lexsort.
+
+    Rows come out in the same lexicographic order (column 0 first), which
+    maximize's first-tied-candidate pick relies on.
+    """
+    theta = theta[np.lexsort(theta.T[::-1])]
+    keep = np.empty(len(theta), dtype=bool)
+    keep[:1] = True
+    keep[1:] = (theta[1:] != theta[:-1]).any(axis=1)
+    return theta[keep]
 
 
 def _polish_logit_lam(lattice, theta, weights3, lam0, obj0):
@@ -484,41 +520,23 @@ def em_fit(
     profiled (closed form under the constant-error model, grid plus golden
     polish under logit). Best of `restarts` random initializations wins.
 
+    lattice_step is the coarse lattice spacing and the radius of each
+    0.01-step refinement box. It must lie in LATTICE_STEP_BOUNDS, [0.04, 0.2]:
+    a k=1 fit on nine games peaks near 400 MB at 0.04 and 260 MB at 0.2.
+    Memory grows as 1/step**3 below the range and with the box volume above
+    it; a step of 2 makes every box the whole grid, about 4.7 GB.
+
     Raises ValidationError for k < 1, an unknown choice model, max_iter < 1,
-    a negative or non-finite tol, and a non-positive or non-finite
-    lattice_step.
+    a negative or non-finite tol, and a lattice_step outside its range.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if choice_model not in CHOICE_MODELS:
-        raise ValidationError(f"choice_model must be one of {CHOICE_MODELS}")
-    if max_iter < 1:
-        raise ValidationError("max_iter must be >= 1")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValidationError("tol must be finite and >= 0")
-    if not (math.isfinite(lattice_step) and lattice_step > 0.0):
-        raise ValidationError("lattice_step must be finite and > 0")
-    subjects, cnt = _encode(data, games)
-    n = len(subjects)
-    lattice = _lattice_for(tuple(games), curve, lattice_step)
-
-    best = None
-    n_restarts = 1 if k == 1 else max(1, restarts)
-    for child in np.random.SeedSequence(seed).spawn(n_restarts):
-        rng = np.random.default_rng(child)
-        fit = _em_once(cnt, lattice, k, rng, tol, max_iter, choice_model)
-        if best is None or fit[2] > best[2]:
-            best = fit
-    params, shares, loglik, posterior, n_iter = best
-
-    order = np.argsort(-shares)
-    params = tuple(params[i] for i in order)
-    shares_arr = shares[order]
-    posterior = posterior[:, order]
-
+    cnt, params, shares, loglik, posterior, n_iter = _em(
+        data, games, curve, k, restarts, seed,
+        tol=tol, choice_model=choice_model, max_iter=max_iter, lattice_step=lattice_step,
+    )
+    n = cnt.shape[0]
     flags = tuple(
         f"type-{idx}-degenerate-share"
-        for idx, share in enumerate(shares_arr)
+        for idx, share in enumerate(shares)
         if share < 1.0 / (10.0 * n)
     )
 
@@ -526,16 +544,16 @@ def em_fit(
     icl_val = icl(loglik, k, n, en)
     nec_val = None
     if k >= 2:
-        base = em_fit(
-            data, games, curve, 1, restarts=1, tol=tol, seed=seed,
-            choice_model=choice_model, max_iter=max_iter, lattice_step=lattice_step,
-        )
-        nec_val = nec(en, loglik, base.loglik)
+        base_loglik = _em(
+            data, games, curve, 1, 1, seed,
+            tol=tol, choice_model=choice_model, max_iter=max_iter, lattice_step=lattice_step,
+        )[3]
+        nec_val = nec(en, loglik, base_loglik)
 
     return MixtureFit(
         k=k,
         params=params,
-        shares=tuple(float(s) for s in shares_arr),
+        shares=tuple(float(s) for s in shares),
         posterior=posterior,
         loglik=float(loglik),
         en=float(en),
@@ -547,6 +565,42 @@ def em_fit(
         n_iter=n_iter,
         flags=flags,
     )
+
+
+def _em(
+    data, games, curve, k, restarts, seed,
+    tol=1e-6, choice_model="constant", max_iter=200, lattice_step=0.05,
+):
+    """Validate, then run the best of `restarts` EM runs.
+
+    Returns (counts, params, shares, loglik, posterior, n_iter) with the
+    types in descending share order. em_fit adds the diagnostics; bootstrap
+    replicates read params and shares alone, so they skip its k=1 NEC fit.
+    """
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    if choice_model not in CHOICE_MODELS:
+        raise ValidationError(f"choice_model must be one of {CHOICE_MODELS}")
+    if max_iter < 1:
+        raise ValidationError("max_iter must be >= 1")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError("tol must be finite and >= 0")
+    lo, hi = LATTICE_STEP_BOUNDS
+    if not lo <= lattice_step <= hi:  # also rejects nan
+        raise ValidationError(f"lattice_step must lie in [{lo}, {hi}], got {lattice_step}")
+    _, cnt = _encode(data, games)
+    lattice = _lattice_for(tuple(games), curve, lattice_step)
+
+    best = None
+    n_restarts = 1 if k == 1 else max(1, restarts)
+    for child in np.random.SeedSequence(seed).spawn(n_restarts):
+        rng = np.random.default_rng(child)
+        fit = _em_once(cnt, lattice, k, rng, tol, max_iter, choice_model)
+        if best is None or fit[2] > best[2]:
+            best = fit
+    params, shares, loglik, posterior, n_iter = best
+    order = np.argsort(-shares)
+    return cnt, tuple(params[i] for i in order), shares[order], loglik, posterior[:, order], n_iter
 
 
 def _em_once(cnt, lattice, k, rng, tol, max_iter, choice_model):
@@ -685,16 +739,15 @@ def bootstrap_se(
             for copy, i in enumerate(draw)
             for r in by_subject[ids[i]]
         ]
-        fit = em_fit(
-            data=sample, games=games, curve=curve, k=k,
-            restarts=restarts, seed=int(rng.integers(2**31)), **fit_kw,
+        _, params, shares, *_ = _em(
+            sample, games, curve, k, restarts, int(rng.integers(2**31)), **fit_kw
         )
-        rep_mat = np.array([[p.alpha, p.beta, p.kappa, p.lam] for p in fit.params])
+        rep_mat = np.array([[p.alpha, p.beta, p.kappa, p.lam] for p in params])
         assign, worst = _greedy_align(base_mat, rep_mat)
         if worst > ambiguity_radius:
             unresolved += 1
         reps_params[rep] = rep_mat[assign]
-        reps_shares[rep] = np.array(fit.shares)[assign]
+        reps_shares[rep] = shares[assign]
 
     if unresolved > 0.1 * b:
         warnings.warn(

@@ -17,6 +17,9 @@ ALPHA_BOUNDS = (-2.0, 2.0)
 BETA_BOUNDS = (-2.0, 2.0)
 KAPPA_BOUNDS = (0.0, 1.0)
 LAMBDA_BOUNDS = (0.01, 0.99)
+# Valid em_fit lattice steps. The coarse lattice grows as 1/step**3 below
+# this range and the refinement boxes as step**3 above it.
+LATTICE_STEP_BOUNDS = (0.04, 0.2)
 
 
 def validate_endowment(w: float) -> float:

@@ -412,6 +412,31 @@ class TestCliCore:
         assert code == 0
         assert out.startswith("quantity,type_1")
 
+    def test_estimate_bootstrap_forwards_max_iter(self, tmp_path, capsys, shifted_log,
+                                                  monkeypatch):
+        import moralbargain.mixture as mx
+
+        truth = PreferenceParams(alpha=0.33, beta=0.09, kappa=0.26, lam=0.2)
+        records, _ = simulate_choices([truth], [1.0], default_games(), shifted_log, 10, seed=5)
+        choices = tmp_path / "choices.csv"
+        mio.save_choices(records, choices)
+        seen = []
+        original = mx._em_once
+
+        def spy(cnt, lattice, k, rng, tol, max_iter, choice_model):
+            seen.append(max_iter)
+            return original(cnt, lattice, k, rng, tol, max_iter, choice_model)
+
+        monkeypatch.setattr(mx, "_em_once", spy)
+        code, _, _ = run_cli(
+            ["estimate", "--choices", str(choices), "--k", "1", "--bootstrap", "2",
+             "--max-iter", "3"],
+            capsys,
+        )
+        assert code == 0
+        # the fit and both replicates
+        assert seen == [3, 3, 3]
+
     def test_out_dir_writes_named_file(self, tmp_path, capsys):
         code, out, _ = run_cli(
             ["solve", "--alpha", "0.2", "--kappa", "0.1", "--out", str(tmp_path)], capsys
@@ -462,6 +487,28 @@ class TestCliErrors:
         code, out, err = run_cli(command + ["--step", "inf"], capsys)
         assert code == 2 and "error:" in err
         assert "all checks passed" not in out
+
+    def test_lattice_step_outside_range_exit_2(self, tmp_path, capsys, monkeypatch):
+        import moralbargain.mixture as mx
+
+        def no_lattice(*args):
+            raise AssertionError("a step of 5 must fail before any lattice is built")
+
+        monkeypatch.setattr(mx, "_lattice_for", no_lattice)
+        choices = tmp_path / "choices.csv"
+        mio.save_choices([ChoiceRecord("s1", default_games()[0].game_id, "P", 0)], choices)
+        code, _, err = run_cli(
+            ["estimate", "--choices", str(choices), "--lattice-step", "5"], capsys
+        )
+        assert code == 2 and "lattice_step" in err
+
+    def test_estimate_help_states_lattice_step_range(self, capsys):
+        from moralbargain.params import LATTICE_STEP_BOUNDS
+
+        with pytest.raises(SystemExit):
+            main(["estimate", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "in [%g, %g]" % LATTICE_STEP_BOUNDS in help_text
 
     def test_nash_help_states_default_step(self, capsys):
         from moralbargain.nash import _DEFAULT_GRID_DIVISOR

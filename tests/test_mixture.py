@@ -14,6 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import log_expit
 
 import moralbargain.mixture as mx
 from moralbargain import (
@@ -216,6 +219,14 @@ class TestSimulateChoices:
 # EM
 
 
+class LatticeReached(Exception):
+    pass
+
+
+def _no_lattice(*args):
+    raise LatticeReached
+
+
 class TestEmFit:
     def test_single_type_recovery(self, games9, shifted_log):
         truth = PreferenceParams(alpha=0.33, beta=0.09, kappa=0.26, lam=0.02)
@@ -303,16 +314,28 @@ class TestEmFit:
         with pytest.raises(ValidationError, match="unknown game"):
             em_fit([ChoiceRecord("s1", "no-such-game", "P", 0)], games9, shifted_log, k=1)
 
-    def test_degenerate_fit_arguments_rejected(self, games9, shifted_log):
+    def test_degenerate_fit_arguments_rejected(self, games9, shifted_log, monkeypatch):
+        # every case fails before a lattice is built: a step of 2 or more
+        # makes every refinement box the whole 0.01 grid (about 4.7 GB), and
+        # 0.01 gives a 16.2M-point coarse lattice
+        monkeypatch.setattr(mx, "_lattice_for", _no_lattice)
         rec = ChoiceRecord("s1", games9[0].game_id, "P", 0)
         with pytest.raises(ValidationError, match="max_iter"):
             em_fit([rec], games9, shifted_log, k=1, max_iter=0)
-        for step in (0.0, -0.05, math.nan, math.inf):
+        for step in (0.0, -0.05, math.nan, math.inf, 0.01, 0.039, 0.21, 2.0, 5.0):
             with pytest.raises(ValidationError, match="lattice_step"):
                 em_fit([rec], games9, shifted_log, k=1, lattice_step=step)
         for tol in (math.nan, -1e-6, math.inf):
             with pytest.raises(ValidationError, match="tol"):
                 em_fit([rec], games9, shifted_log, k=1, tol=tol)
+
+    def test_lattice_step_range_ends_reach_the_lattice(self, games9, shifted_log, monkeypatch):
+        monkeypatch.setattr(mx, "_lattice_for", _no_lattice)
+        rec = ChoiceRecord("s1", games9[0].game_id, "P", 0)
+        lo, hi = mx.LATTICE_STEP_BOUNDS
+        for step in (lo, 0.05, 0.1, hi):
+            with pytest.raises(LatticeReached):
+                em_fit([rec], games9, shifted_log, k=1, lattice_step=step)
 
     def test_logit_model_runs(self, games9, shifted_log):
         t = PreferenceParams(alpha=0.33, beta=0.09, kappa=0.26, lam=0.02)
@@ -372,6 +395,131 @@ class TestLatticePatterns:
         lattice9.maximize(weights3, None, "constant")
         assert rows[0] == len(lattice9.unique_patterns)
         assert len(lattice9.theta) not in rows
+
+
+def _logit_every_entry(margins, weights3, lams):
+    """The per-entry logit scan: log_expit over the whole (T, G, 2) table."""
+    w1, w0 = weights3[:, :, 1], weights3[:, :, 0]
+    best_obj = np.full(len(margins), -np.inf)
+    best_lam = np.full(len(margins), lams[0])
+    for lam in lams:
+        z = margins / lam
+        obj = np.einsum("tgr,gr->t", log_expit(z), w1) + np.einsum(
+            "tgr,gr->t", log_expit(-z), w0
+        )
+        improved = obj > best_obj
+        best_obj = np.where(improved, obj, best_obj)
+        best_lam = np.where(improved, lam, best_lam)
+    return best_obj, best_lam
+
+
+def _structure_by_gather(lat, theta):
+    """Margins and patterns read with take_along_axis at the joint argmax."""
+    basis = np.column_stack([np.ones(len(theta)), theta[:, 2], theta[:, 0], theta[:, 1]])
+    u = np.einsum("gabc,tc->tgab", lat.coeffs, basis)
+    joint = u.reshape(len(theta), len(lat.games), 4).argmax(axis=2)
+    a_star, b_star = joint // 2, joint % 2
+    u_b = np.take_along_axis(u, b_star[:, :, None, None], axis=3)[..., 0]
+    u_a = np.take_along_axis(u, a_star[:, :, None, None], axis=2)[:, :, 0, :]
+    margins = np.stack([u_b[:, :, 1] - u_b[:, :, 0], u_a[:, :, 1] - u_a[:, :, 0]], axis=2)
+    patterns = np.where(np.abs(margins) <= mx._TIE_TOL, 2, (margins > 0).astype(np.int8))
+    return patterns.astype(np.int8), margins
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+class TestLogitScan:
+    def test_coarse_path_is_bitwise_every_entry_path(self, lattice9, rng):
+        lat = lattice9
+        n_games = len(lat.games)
+        for draw in range(3):
+            weights3 = rng.uniform(0.0, 30.0, size=(n_games, 2, 2))
+            if draw == 1:
+                weights3[rng.choice(n_games, size=3, replace=False)] = 0.0
+            if draw == 2:
+                weights3[..., 1] = weights3[..., 0]  # equal action counts everywhere
+            # the grid plus an off-grid incumbent, as maximize builds it
+            lams = np.unique(np.append(mx._LOGIT_LAM_GRID, rng.uniform(0.011, 0.98)))
+            obj, lam = lat._score(lat.theta, weights3, "logit", lams)
+            want_obj, want_lam = _logit_every_entry(lat.margins, weights3, lams)
+            assert np.array_equal(_bits(obj), _bits(want_obj))
+            assert np.array_equal(_bits(lam), _bits(want_lam))
+
+    def test_candidate_path_is_bitwise_every_entry_path(self, lattice9, rng):
+        lat = lattice9
+        theta = np.column_stack(
+            [rng.uniform(-2, 2, 300), rng.uniform(-2, 2, 300), rng.uniform(0, 1, 300)]
+        )
+        weights3 = rng.uniform(0.0, 30.0, size=(len(lat.games), 2, 2))
+        obj, lam = lat._score(theta, weights3, "logit", mx._LOGIT_LAM_GRID)
+        want = _logit_every_entry(lat._structure_at(theta)[1], weights3, mx._LOGIT_LAM_GRID)
+        assert np.array_equal(_bits(obj), _bits(want[0]))
+        assert np.array_equal(_bits(lam), _bits(want[1]))
+
+    def test_coarse_scan_scores_distinct_margins_only(self, lattice9, monkeypatch):
+        lat = lattice9
+        values, index = lat.distinct_margins
+        assert index.dtype == np.int32 and index.shape == lat.margins.shape
+        assert np.array_equal(values[index], lat.margins)
+        sizes = []
+        original = mx.log_expit
+
+        def spy(x):
+            sizes.append(np.size(x))
+            return original(x)
+
+        monkeypatch.setattr(mx, "log_expit", spy)
+        weights3 = np.arange(len(lat.games) * 4, dtype=float).reshape(-1, 2, 2)
+        lat._score(lat.theta, weights3, "logit", mx._LOGIT_LAM_GRID)
+        assert sizes == [len(values)] * (2 * len(mx._LOGIT_LAM_GRID))
+        assert len(values) < lat.margins.size // 20  # 103,431 of 2,480,058
+
+
+class TestCandidateRows:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ints=st.lists(
+            st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=40
+        ),
+        scale=st.sampled_from([0.01, 0.05, 0.3, 1.0]),
+        repeats=st.lists(st.integers(0, 39), max_size=10),
+        center=st.tuples(
+            st.sampled_from([-2.0, -1.95, -0.05, 0.0, 0.35, 2.0]),
+            st.sampled_from([-2.0, -0.1, 0.0, 1.95]),
+            st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+        ),
+        incumbent=st.integers(0, 10**6),
+    )
+    def test_matches_np_unique_rows(self, ints, scale, repeats, center, incumbent):
+        # small integer grids force duplicates and ties in the first and
+        # second columns; the box and the incumbent mimic maximize's blocks
+        rows = np.array(ints, dtype=float) * scale
+        rows = np.vstack([rows, rows[[i % len(rows) for i in repeats]]])
+        box = mx._local_box(np.array(center), 0.05, 0.01)
+        cand = np.vstack([rows, box, box[incumbent % len(box)][None, :]])
+        got = mx._unique_rows(cand)
+        want = np.unique(cand, axis=0)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+class TestStructureAt:
+    def test_matches_gather_on_random_and_tied_points(self, lattice9, rng):
+        lat = lattice9
+        random_theta = np.column_stack(
+            [rng.uniform(-2, 2, 2000), rng.uniform(-2, 2, 2000), rng.uniform(0, 1, 2000)]
+        )
+        # zero and equal coordinates tie veil strategies; lattice points that
+        # carry the tie code 2 sit on a margin's zero plane
+        tied = lat.theta[(lat.patterns == 2).any(axis=(1, 2))]
+        corners = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [-2.0, 2.0, 0.5]])
+        for theta in (random_theta, tied, corners):
+            pat, margins = lat._structure_at(theta)
+            want_pat, want_margins = _structure_by_gather(lat, theta)
+            assert np.array_equal(pat, want_pat)
+            assert np.array_equal(_bits(margins), _bits(want_margins))
+        assert len(tied) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +599,23 @@ class TestBootstrap:
         assert np.all(se.param_se[:, 2] < 0.05)
         assert np.all(se.param_se[:, 2] < 1e-6)
         assert se.unresolved == 0
+
+    @pytest.mark.filterwarnings("ignore:label switching")
+    def test_replicates_run_no_nec_base_fit(self, games9, shifted_log, monkeypatch):
+        t = PreferenceParams(alpha=0.33, beta=0.09, kappa=0.26, lam=0.02)
+        recs, _ = simulate_choices([t], [1.0], games9, shifted_log, 10, seed=3)
+        base = em_fit(recs, games9, shifted_log, k=2, seed=1, restarts=1)
+        ks = []
+        original = mx._em_once
+
+        def spy(cnt, lattice, k, *args):
+            ks.append(k)
+            return original(cnt, lattice, k, *args)
+
+        monkeypatch.setattr(mx, "_em_once", spy)
+        bootstrap_se(recs, games9, shifted_log, k=2, b=2, seed=1, restarts=1, base=base)
+        # one k=2 run per replicate and restart, none at k=1
+        assert ks == [2, 2]
 
     def test_share_se_shrinks_with_sample_size(self, games9, shifted_log):
         # quadrupling N spans two doublings; the per-doubling share-SE factor

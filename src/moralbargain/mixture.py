@@ -394,17 +394,22 @@ class _Lattice:
     def maximize(self, weights3: np.ndarray, current: PreferenceParams | None, model: str):
         """Best (alpha, beta, kappa, lambda) for one type's weighted counts.
 
-        Coarse scan, local 0.01-step refinement around the top three coarse
-        cells, centroid-of-argmax reporting, and the incumbent parameters as
-        a guaranteed candidate so EM ascent is preserved.
+        Coarse scan, local 0.01-step refinement around three coarse seeds,
+        centroid-of-argmax reporting, and the incumbent parameters as a
+        guaranteed candidate so EM ascent is preserved.
+
+        The seeds are the three largest coarse values; among equal values,
+        the lowest lattice indices (_top_three). The rule fixes the seeds on
+        a plateau of tied points, where an unstable sort's order would
+        depend on numpy's SIMD target.
         """
         lam_grid = _LOGIT_LAM_GRID
         if current is not None:
             lam_grid = np.unique(np.append(lam_grid, current.lam))
         obj, _ = self._score(self.theta, weights3, model, lam_grid)
-        order = np.argsort(obj)[::-1]
-        cand = [self.theta[order[:3]]]
-        for idx in order[:3]:
+        seeds = _top_three(obj)
+        cand = [self.theta[seeds]]
+        for idx in seeds:
             cand.append(_local_box(self.theta[idx], self.step, 0.01))
         if current is not None:
             cand.append(np.array([[current.alpha, current.beta, current.kappa]]))
@@ -435,6 +440,18 @@ class _Lattice:
             alpha=float(pick[0]), beta=float(pick[1]), kappa=float(pick[2]), lam=float(pick_lam)
         )
         return p, float(best)
+
+
+def _top_three(obj: np.ndarray) -> np.ndarray:
+    """Indices of the three largest values; among equal values, the lowest.
+
+    The set np.argsort(-obj, kind="stable")[:3] picks, in O(n): a partition
+    finds the third-largest value and only the entries at or above it are
+    sorted. obj holds at least three values (a coarse lattice).
+    """
+    cut = np.partition(obj, len(obj) - 3)[len(obj) - 3]
+    at_or_above = np.flatnonzero(obj >= cut)
+    return at_or_above[np.argsort(-obj[at_or_above], kind="stable")[:3]]
 
 
 def _distinct(margins: np.ndarray):

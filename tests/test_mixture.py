@@ -8,13 +8,17 @@ freezing.
 """
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import log_expit
 
@@ -502,6 +506,79 @@ class TestCandidateRows:
         got = mx._unique_rows(cand)
         want = np.unique(cand, axis=0)
         assert np.array_equal(_bits(got), _bits(want))
+
+
+class TestTopThree:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(st.integers(-3, 3).map(float), st.just(-np.inf)), min_size=3, max_size=60
+        )
+    )
+    @example(values=[1.0, 1.0, 1.0])
+    @example(values=[0.0, 2.0, -np.inf])
+    @example(values=[5.0] * 50)
+    @example(values=[-np.inf] * 7)
+    def test_matches_stable_argsort(self, values):
+        # small integers force ties at and above the cut
+        obj = np.array(values)
+        want = np.argsort(-obj, kind="stable")[:3]
+        assert set(mx._top_three(obj).tolist()) == set(want.tolist())
+
+    def test_lattice_sized_plateau_takes_lowest_indices(self, lattice9):
+        obj = np.zeros(len(lattice9.theta))
+        obj[[70_000, 90_000]] = 1.0
+        assert set(mx._top_three(obj).tolist()) == {0, 70_000, 90_000}
+
+
+# Recipe tables whose M-step picks differed between numpy's default dispatch
+# and X86_V4 (AVX-512) disabled while the seeds came from an unstable argsort.
+_SIMD_DRAWS = (144, 209, 276, 284, 296)
+
+_SIMD_PICKS_SCRIPT = """
+import json, sys
+sys.path.insert(0, {tests!r})
+import test_mixture as t
+games = tuple(t.default_games()) + t.load_games_config(t._CONFIG)
+lat = t.mx._Lattice(games, t.PayoffCurve.shifted_log())
+print(json.dumps(t._recipe_picks(lat, {draws!r})))
+"""
+
+
+def _recipe_picks(lat, draws):
+    """(alpha, beta, kappa) of maximize on the listed draws of the seeded recipe."""
+    rng = np.random.default_rng(7)
+    picks = []
+    for draw in range(max(draws) + 1):
+        w = rng.uniform(0, 30, size=(9, 2, 2)) * (rng.uniform(size=(9, 1, 1)) < 0.8)
+        if draw in draws:
+            p, _ = lat.maximize(w, None, "constant")
+            picks.append([p.alpha, p.beta, p.kappa])
+    return picks
+
+
+def _has_avx512() -> bool:
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return bool(__cpu_features__.get("AVX512_SKX"))
+
+
+@pytest.mark.skipif(not _has_avx512(), reason="host has no AVX-512 target to disable")
+def test_mstep_picks_do_not_depend_on_simd_target(lattice9):
+    here = _recipe_picks(lattice9, _SIMD_DRAWS)
+    script = _SIMD_PICKS_SCRIPT.format(tests=str(Path(__file__).parent), draws=_SIMD_DRAWS)
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4")
+    src = str(Path(mx.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    there = json.loads(out.stdout)
+
+    def sig12(picks):
+        return [[f"{x:.12g}" for x in row] for row in picks]
+
+    assert sig12(here) == sig12(there)
 
 
 class TestStructureAt:

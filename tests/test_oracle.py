@@ -26,7 +26,7 @@ from moralbargain.oracle import (
     riemann_tail_pair,
 )
 from moralbargain.params import Strategy
-from moralbargain.utility import dg_objective, eval_expected_utility
+from moralbargain.utility import dg_objective, dg_transfer, eval_expected_utility
 
 W = 10.0
 
@@ -293,3 +293,22 @@ class TestFocResidual:
             foc_residual(p, crra, thresholds, offers, Strategy(2.0, 2.0), W)
         with pytest.raises(ValidationError):
             foc_residual(p, crra, thresholds, offers, Strategy(0.0, 3.0), W)
+
+
+def test_dg_transfer_never_loses_to_grid_beyond_default_config():
+    # predict's transfers come from dg_transfer; its kinked two-branch search
+    # must reach the w/4000 grid optimum on every curve, endowment and sign
+    # of alpha and beta, not only at the estimates of the shipped sample
+    rng = np.random.default_rng(11)
+    worst = np.inf
+    for curve, w in itertools.product(
+        ("linear", "shifted-log", "crra(0.3)", "crra(0.05)"), (W, 58.8)
+    ):
+        for _ in range(40):
+            p = PreferenceParams(
+                alpha=rng.uniform(-2, 2), beta=rng.uniform(-2, 2), kappa=rng.uniform(0, 1)
+            )
+            _, grid_best = brute_force_dg(p, _CURVES[curve], w, w / 4000)
+            x = dg_transfer(p, _CURVES[curve], w)
+            worst = min(worst, dg_objective(p, _CURVES[curve], x, w) - grid_best)
+    assert worst >= -1e-9

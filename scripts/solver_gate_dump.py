@@ -1,0 +1,90 @@
+"""Print the solver bit-identity set: every checked value in full precision.
+
+A solver change that claims to keep its results must leave this output
+byte-identical. Run it on both commits and diff:
+
+    python3 scripts/solver_gate_dump.py > after.txt
+
+The set, all under the default configuration (w = 10, CRRA(0.05),
+Beta(2, 4) beliefs on both sides):
+
+- the JSON of the default CLI `oracle-check` (seed 0, 40 draws, step w/400);
+- acceptance criterion 6's worst margin over its 300 draws (rng seed 6300),
+  and the sha256 of the `repr` of the 300 SolverOutputs of those draws,
+  one optimal_strategy call per draw, one line each;
+- kappa-tilde at alpha = 2 and 3, and at criterion 6's 63 high-spite alpha;
+- the sha256 of a freshly generated `region-map` CSV, and whether it equals
+  tests/golden/region_map.csv.
+
+Output depends on numpy's SIMD dispatch: transcendental ufuncs may round
+differently under another target, so compare runs on one machine.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from moralbargain import (  # noqa: E402
+    BeliefDistribution,
+    PayoffCurve,
+    PreferenceParams,
+    kappa_tilde,
+    optimal_strategy,
+)
+from moralbargain.cli import main as cli_main  # noqa: E402
+from moralbargain.oracle import optimal_vs_brute  # noqa: E402
+
+W = 10.0
+ALPHA_BAR = 0.908812520585837  # as in tests/test_acceptance.py
+GOLDEN_MAP = ROOT / "tests" / "golden" / "region_map.csv"
+
+
+def cli_output(argv: list[str], name: str) -> tuple[int, str]:
+    """Run one CLI subcommand into a fresh directory; its exit code and the named file's text."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(argv + ["--out", tmp])
+        text = (Path(tmp) / name).read_text()
+    return code, text
+
+
+def main() -> None:
+    curve = PayoffCurve.crra(0.05)
+    beliefs = BeliefDistribution.scaled_beta(2.0, 4.0, W)
+
+    code, text = cli_output(["oracle-check", "--format", "json"], "oracle_check.json")
+    print(f"oracle-check default: exit={code}\n{text}")
+
+    worst = optimal_vs_brute(np.random.default_rng(6300), 300, curve, beliefs, beliefs, W, W / 400)
+    print(f"criterion 6 worst margin: {worst!r}")
+    rng = np.random.default_rng(6300)  # the runner's draws: alpha, then kappa
+    draws = [(rng.uniform(-1.0, 3.0), rng.uniform(0.0, 0.95)) for _ in range(300)]
+    outs = "\n".join(
+        repr(optimal_strategy(PreferenceParams(alpha=a, kappa=k), curve, beliefs, beliefs, W))
+        for a, k in draws
+    )
+    print(f"criterion 6 outputs sha256: {hashlib.sha256(outs.encode()).hexdigest()}")
+
+    for a in (2.0, 3.0):
+        print(f"kappa_tilde({a!r}): {kappa_tilde(a, curve, beliefs, beliefs, W)!r}")
+    ktils = [kappa_tilde(float(a), curve, beliefs, beliefs, W)
+             for a in np.linspace(ALPHA_BAR + 1e-3, 2.0, 63)]
+    print(f"kappa_tilde at the 63 high-spite alpha: {ktils!r}")
+
+    code, text = cli_output(["region-map", "--format", "csv"], "region_map.csv")
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    print(f"region-map default: exit={code} csv sha256={digest} "
+          f"equals golden: {text == GOLDEN_MAP.read_text()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -110,7 +110,20 @@ class BeliefDistribution:
         return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
     def pdf(self, x):
-        """Density on [0, w/2]; 0 outside. Empirical uses a histogram density."""
+        """Density on [0, w/2]; 0 outside and at NaN. Empirical uses a histogram density.
+
+        A float (other than for empirical beliefs) takes a short path: for
+        scaled_beta it calls the Beta kernel that scipy's pdf reaches with
+        loc = 0 and scale = 1, without that wrapper's per-call set-up, so
+        both paths give bit-identical values.
+        """
+        if isinstance(x, float) and self.kind != "empirical":
+            if not 0.0 <= x <= self.half:
+                return 0.0
+            if self.kind == "scaled_beta":
+                u = min(max(x / self.half, 0.0), 1.0)
+                return float(_beta_dist._pdf(u, self.a, self.b) / self.half)
+            return 1.0 / self.half if self.kind == "uniform" else 0.0
         arr = np.asarray(x, dtype=float)
         inside = (arr >= 0.0) & (arr <= self.half)
         if self.kind == "scaled_beta":

@@ -351,14 +351,6 @@ def prediction_payload(table: PredictionTable) -> dict:
     }
 
 
-def write_predictions_csv(table: PredictionTable, path: str | Path) -> None:
-    write_csv(
-        path,
-        ["subject_id", "dg_transfer", "ug_threshold"],
-        [(r.subject_id, r.dg_transfer, r.ug_threshold) for r in table.rows],
-    )
-
-
 # ---------------------------------------------------------------------------
 # choice data
 
@@ -541,13 +533,6 @@ def fit_summary_table(
     return header, rows
 
 
-def write_fit_summary_csv(
-    fit: MixtureFit, path: str | Path, se: BootstrapSE | None = None
-) -> None:
-    header, rows = fit_summary_table(fit, se)
-    write_csv(path, header, rows)
-
-
 # ---------------------------------------------------------------------------
 # region-map emission
 
@@ -560,10 +545,6 @@ def region_map_csv_text(result: RegionMapResult) -> str:
             f"{c.alpha:.6f},{c.kappa:.6f},{c.region},{c.x1_star:.9f},{c.x2_star:.9f}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_region_map_csv(result: RegionMapResult, path: str | Path) -> None:
-    _atomic_write(path, region_map_csv_text(result))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from .curves import PayoffCurve
 from .errors import IndeterminateError, ValidationError
 from .kernels import grid_argmax
 from .params import GridSpec, PreferenceParams, Strategy, validate_endowment
-from .solver import optimal_strategy
+from .solver import _CachedProblem
 from .utility import dg_objective, eval_expected_utility
 
 
@@ -178,15 +178,23 @@ def optimal_vs_brute(
     """Worst margin u(solver optimum) - u(grid optimum) over random draws.
 
     Each draw takes alpha ~ U(-1, 3), then kappa ~ U(0, 0.95), from `rng`.
-    Both strategies are scored by the same Riemann evaluator, so its
-    integration error cancels from the margin. Returns inf for no draws.
+    All draws are taken first, in that order (the grid oracle and the
+    Riemann evaluator take nothing from `rng`), and solved by one shared
+    _CachedProblem, so the selfish offer and the tail table are built once
+    per configuration. Both strategies are scored by the same Riemann
+    evaluator, so its integration error cancels from the margin. Returns
+    inf for no draws.
     """
+    params = [
+        PreferenceParams(alpha=rng.uniform(-1.0, 3.0), kappa=rng.uniform(0.0, 0.95))
+        for _ in range(draws)
+    ]
+    prob = _CachedProblem(curve, thresholds, offers, w)
+    outs = prob.solve_many((p.alpha, p.kappa) for p in params)
     worst = np.inf
-    for _ in range(draws):
-        p = PreferenceParams(alpha=rng.uniform(-1.0, 3.0), kappa=rng.uniform(0.0, 0.95))
-        s_opt = optimal_strategy(p, curve, thresholds, offers, w).optimal
+    for p, out in zip(params, outs):
         s_brute, _ = brute_force_ug(p, curve, thresholds, offers, w, grid_step)
-        u_opt = expected_utility_riemann(p, curve, thresholds, offers, s_opt, w)
+        u_opt = expected_utility_riemann(p, curve, thresholds, offers, out.optimal, w)
         u_brute = expected_utility_riemann(p, curve, thresholds, offers, s_brute, w)
         worst = min(worst, u_opt - u_brute)
     return worst

@@ -60,9 +60,6 @@ class Strategy:
     x1: float
     x2: float
 
-    def clipped(self, w: float) -> "Strategy":
-        return Strategy(min(max(self.x1, 0.0), w), min(max(self.x2, 0.0), w))
-
 
 @dataclass(frozen=True)
 class GridSpec:

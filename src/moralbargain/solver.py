@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .beliefs import BeliefDistribution
 from .curves import PayoffCurve
@@ -176,36 +176,13 @@ def optimal_strategy(
     offers: BeliefDistribution,
     w: float,
 ) -> SolverOutputs:
-    """Region classification and the optimal (offer, threshold) pair."""
-    validate_endowment(w)
-    flags: list[str] = []
-    if thresholds.is_degenerate or offers.is_degenerate:
-        flags.append("degenerate-belief")
-    prob = _CachedProblem(curve, thresholds, offers, w)
+    """Region classification and the optimal (offer, threshold) pair.
 
-    if p.kappa == 1.0:
-        # Universalization dominates: equal split; threshold not pinned down.
-        flags.append("threshold-indeterminate")
-        half = 0.5 * w
-        return SolverOutputs(
-            x_selfish=prob.x_s,
-            x_constrained=half,
-            threshold=0.0,
-            symmetric=half if p.alpha > 0.0 else None,
-            alpha_bar=prob.abar,
-            alpha_tilde=0.0,
-            kappa_tilde=None,
-            region="R1" if p.alpha <= 0.0 else "R2",
-            optimal=Strategy(half, 0.0),
-            flags=tuple(flags),
-        )
-
-    out = prob.solve(p.alpha, p.kappa)
-    if out.region == "R2" and out.x_constrained > out.threshold:
-        raise IndeterminateError(
-            "bracket degenerate; region decision should not request a symmetric optimum"
-        )
-    return replace(out, flags=tuple(flags))
+    A one-point _CachedProblem.solve_many: the batch callers share its
+    decision path and its flags.
+    """
+    (out,) = _CachedProblem(curve, thresholds, offers, w).solve_many([(p.alpha, p.kappa)])
+    return out
 
 
 @dataclass(frozen=True)
@@ -247,6 +224,8 @@ class _CachedProblem:
         self.abar = _indifference_alpha(curve, self.x_s, w)
         self._by_kappa: dict[float, tuple[float, float]] = {}
         self._ktil: dict[float, float | None] = {}
+        degenerate = thresholds.is_degenerate or offers.is_degenerate
+        self.flags = ("degenerate-belief",) if degenerate else ()
 
     @functools.cached_property
     def tails(self) -> TailIntegrals:
@@ -299,8 +278,31 @@ class _CachedProblem:
             self._ktil[alpha] = self.kappa_tilde(alpha)
         return self._ktil[alpha]
 
-    def solve(self, alpha: float, kappa: float) -> SolverOutputs:
-        """The region decision and optimal strategy at one (alpha, kappa), kappa < 1."""
+    def solve_many(self, pairs) -> tuple[SolverOutputs, ...]:
+        """The region decision and optimal strategy at each (alpha, kappa), in order.
+
+        This is the one decision path: optimal_strategy, the sweeps and the
+        brute-force oracle runner all go through it. At kappa = 1 the
+        universalization term dominates: the offer is the equal split and
+        the threshold is not pinned down (flagged, reported as 0).
+        """
+        return tuple(self._solve(float(a), float(k)) for a, k in pairs)
+
+    def _solve(self, alpha: float, kappa: float) -> SolverOutputs:
+        if kappa == 1.0:
+            half = 0.5 * self.w
+            return SolverOutputs(
+                x_selfish=self.x_s,
+                x_constrained=half,
+                threshold=0.0,
+                symmetric=half if alpha > 0.0 else None,
+                alpha_bar=self.abar,
+                alpha_tilde=0.0,
+                kappa_tilde=None,
+                region="R1" if alpha <= 0.0 else "R2",
+                optimal=Strategy(half, 0.0),
+                flags=self.flags + ("threshold-indeterminate",),
+            )
         x1c, atil = self.offer_and_tilde(kappa)
         x2, x_hat, ktil = 0.0, None, None
         if alpha <= 0.0:
@@ -315,6 +317,8 @@ class _CachedProblem:
                     ktil = self.ktil(alpha)
                     in_r2 = ktil is None or kappa > ktil
                 if in_r2:
+                    # just above alpha-tilde the threshold root can land a few
+                    # 1e-11 below the constrained offer; the bracket then is [x2, x2]
                     p = PreferenceParams(alpha=alpha, kappa=kappa)
                     x_hat = _diag_opt(
                         p, self.curve, self.thresholds, self.tails, self.w, min(x1c, x2), x2
@@ -332,20 +336,22 @@ class _CachedProblem:
             kappa_tilde=ktil,
             region=region,
             optimal=optimal,
+            flags=self.flags,
+        )
+
+    def cells(self, pairs) -> tuple[RegionCell, ...]:
+        """RegionCells for kappa < 1; a cell has no room for the kappa = 1 flag."""
+        pairs = [(float(a), float(k)) for a, k in pairs]
+        if any(k >= 1.0 for _, k in pairs):
+            raise ValidationError("region classification needs kappa < 1")
+        outs = self.solve_many(pairs)
+        return tuple(
+            RegionCell(a, k, o.region, o.optimal.x1, o.optimal.x2) for (a, k), o in zip(pairs, outs)
         )
 
     def classify(self, alpha: float, kappa: float) -> tuple[str, Strategy]:
-        if kappa >= 1.0:
-            raise ValidationError("region classification needs kappa < 1")
-        out = self.solve(alpha, kappa)
-        return out.region, out.optimal
-
-    def cells(self, pairs) -> tuple[RegionCell, ...]:
-        cells = []
-        for a, k in pairs:
-            region, s = self.classify(a, k)
-            cells.append(RegionCell(a, k, region, s.x1, s.x2))
-        return tuple(cells)
+        (cell,) = self.cells([(alpha, kappa)])
+        return cell.region, Strategy(cell.x1_star, cell.x2_star)
 
 
 def region_map(
@@ -358,7 +364,7 @@ def region_map(
 ) -> RegionMapResult:
     """Classify every (alpha, kappa) cell and collect boundary curves."""
     prob = _CachedProblem(curve, thresholds, offers, w)
-    cells = prob.cells((float(a), float(k)) for a in alphas for k in kappas)
+    cells = prob.cells((a, k) for a in alphas for k in kappas)
     atil_series = tuple((float(k), prob.offer_and_tilde(float(k))[1]) for k in kappas)
     ktil_series = tuple(
         (float(a), kt)
@@ -380,8 +386,7 @@ def classify_many(
     Equivalent to optimal_strategy's region and strategy fields point by
     point, but amortizes the belief integrals over the whole batch.
     """
-    prob = _CachedProblem(curve, thresholds, offers, w)
-    return prob.cells((float(a), float(k)) for a, k in pairs)
+    return _CachedProblem(curve, thresholds, offers, w).cells(pairs)
 
 
 @dataclass(frozen=True)

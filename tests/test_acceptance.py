@@ -1,8 +1,8 @@
 """Acceptance gate: the eight headline checks, one printed line per check.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see every line; the
-whole gate takes about 30 seconds on a 2-vCPU machine, most of it in the
-brute-force equivalence sweep (about 20 s, mostly the solver's kappa-tilde
+whole gate takes about 20 seconds on a 2-vCPU machine, most of it in the
+brute-force equivalence sweep (about 13 s, mostly the solver's kappa-tilde
 root inside each of its 300 draws) and the mixture estimation check. Two
 reference values are known divergences, and both are asserted the same
 way: the model value is checked (against the brute-force grid oracle where
@@ -37,6 +37,7 @@ from moralbargain import (
 )
 from moralbargain.oracle import brute_force_ug, optimal_vs_brute
 from moralbargain.params import Strategy
+from moralbargain.solver import _CachedProblem
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = ROOT / "data" / "test_sample.csv"
@@ -205,16 +206,16 @@ def test_criterion_6_oracle_equivalence(crra, thresholds, offers, shifted_log):
     )
     check(bad, "500 draws: threshold positive iff alpha > 0", sign_ok)
 
-    # high spite with enough universalization weight: offer >= threshold
-    from moralbargain.solver import kappa_tilde
-
+    # high spite with enough universalization weight: offer >= threshold;
+    # one problem solves each kappa-tilde once for the scan and the cells
+    prob = _CachedProblem(crra, thresholds, offers, W)
     alphas = np.linspace(ALPHA_BAR + 1e-3, 2.0, 63)
     cor2_pairs = []
     for a in alphas:
-        kt = kappa_tilde(float(a), crra, thresholds, offers, W)
+        kt = prob.ktil(float(a))
         for k in np.linspace(kt + 1e-3, 0.95, 8):
             cor2_pairs.append((float(a), float(k)))
-    cells2 = classify_many(cor2_pairs, crra, thresholds, offers, W)
+    cells2 = prob.cells(cor2_pairs)
     cor2_ok = all(c.x1_star >= c.x2_star - 1e-9 for c in cells2)
     check(bad, f"{len(cells2)} high-spite pairs: offer >= threshold", cor2_ok)
 

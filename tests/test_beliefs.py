@@ -140,6 +140,25 @@ def test_cdf_float_path_bitwise_equals_array_path(d):
         assert np.array_equal(np.array(scal), vec)
 
 
+@pytest.mark.parametrize(
+    "d",
+    _all_kinds()
+    + [BeliefDistribution.scaled_beta(a, b, W) for a, b in ((0.5, 0.5), (1, 1), (1, 3), (3, 1))],
+    ids=lambda d: d.kind if d.a is None else f"{d.kind}({d.a},{d.b})",
+)
+def test_pdf_float_path_bitwise_equals_array_path(d):
+    # the float short path must return the array path's values bit for bit,
+    # including 0 outside [0, w/2], at NaN, and the infinite edge densities
+    rng = np.random.default_rng(12)
+    edges = [0.0, W / 2, np.nextafter(W / 2, np.inf), -1e-12, -3.0, np.nan, np.inf, -np.inf, 1e-300]
+    xs = np.concatenate([edges, rng.uniform(-W, 2 * W, size=2000)])
+    vec = d.pdf(xs)
+    for arg in (xs.tolist(), list(xs)):  # Python floats and numpy float64 scalars
+        scal = [d.pdf(x) for x in arg]
+        assert all(type(v) is float for v in scal)
+        assert np.array(scal).tobytes() == vec.tobytes()
+
+
 def test_cdf_rejects_negative_amounts_on_every_path():
     for d in _all_kinds():
         for bad in (-1e-12, np.float64(-3.0), np.array([[1.0], [-2.0]]), np.array(-0.5), -1):

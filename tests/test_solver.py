@@ -13,6 +13,7 @@ from moralbargain import (
     BeliefDistribution,
     PayoffCurve,
     PreferenceParams,
+    Strategy,
     alpha_bar,
     alpha_tilde,
     classify_many,
@@ -25,6 +26,7 @@ from moralbargain import (
     selfish_offer,
 )
 from moralbargain.errors import IndeterminateError, ValidationError
+from moralbargain.solver import _CachedProblem
 
 W = 10.0
 
@@ -237,8 +239,33 @@ def test_classify_many_matches_single_solver(crra, thresholds, offers, rng):
     for (a, k), cell in zip(pairs, cells):
         out = optimal_strategy(PreferenceParams(alpha=a, kappa=k), crra, thresholds, offers, W)
         assert cell.region == out.region
-        assert cell.x1_star == pytest.approx(out.optimal.x1, abs=1e-9)
-        assert cell.x2_star == pytest.approx(out.optimal.x2, abs=1e-9)
+        assert (cell.x1_star, cell.x2_star) == (out.optimal.x1, out.optimal.x2)
+
+
+def test_solve_many_equals_pointwise_optimal_strategy(crra, thresholds, offers):
+    # one shared problem per configuration gives each point's full outputs, flags included
+    just_above_atil = float(np.nextafter(ALPHA_TILDE[0.46], np.inf))
+    pairs = [
+        (-0.5, 0.3), (0.0, 0.6),  # alpha <= 0
+        (0.5, 1.0), (-0.5, 1.0),  # kappa = 1
+        (0.3, 0.2), (0.5, 0.6), (3.0, 0.005), (3.0, 0.5), (1.5, 0.01), (1.5, 0.3),  # R1, R2, R3
+        (just_above_atil, 0.46),
+    ]
+    for th in (thresholds, BeliefDistribution.always_accept(W)):
+        outs = _CachedProblem(crra, th, offers, W).solve_many(pairs)
+        assert len(outs) == len(pairs)
+        for (a, k), out in zip(pairs, outs):
+            assert out == optimal_strategy(PreferenceParams(alpha=a, kappa=k), crra, th, offers, W)
+        if th is thresholds:
+            assert {o.region for o in outs} == {"R1", "R2", "R3"}
+        else:
+            assert all("degenerate-belief" in o.flags for o in outs)
+    # the threshold root lands 4e-11 below the constrained offer here; the
+    # diagonal optimum then sits on the threshold instead of raising
+    p = PreferenceParams(alpha=just_above_atil, kappa=0.46)
+    out = optimal_strategy(p, crra, thresholds, offers, W)
+    assert out.region == "R2" and out.x_constrained > out.threshold
+    assert out.optimal == Strategy(out.threshold, out.threshold)
 
 
 def test_region_map_structure(crra, thresholds, offers):

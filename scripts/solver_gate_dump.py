@@ -14,7 +14,12 @@ Beta(2, 4) beliefs on both sides):
   one optimal_strategy call per draw, one line each;
 - kappa-tilde at alpha = 2 and 3, and at criterion 6's 63 high-spite alpha;
 - the sha256 of a freshly generated `region-map` CSV, and whether it equals
-  tests/golden/region_map.csv.
+  tests/golden/region_map.csv;
+- the sha256 of the JSON of CLI `statics --alpha 0.5`, and of CLI
+  `statics --alpha 3` with kappa_grid [0, 0.05, 6];
+- the sha256 of the `repr` of classify_many over the 96 subjects of
+  data/test_sample.csv, one cell per line;
+- the sha256 of the JSON and of the CSV of CLI `predict` on that file.
 
 Output depends on numpy's SIMD dispatch: transcendental ufuncs may round
 differently under another target, so compare runs on one machine.
@@ -25,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -38,15 +44,18 @@ from moralbargain import (  # noqa: E402
     BeliefDistribution,
     PayoffCurve,
     PreferenceParams,
+    classify_many,
     kappa_tilde,
     optimal_strategy,
 )
+from moralbargain.io import load_estimates  # noqa: E402
 from moralbargain.cli import main as cli_main  # noqa: E402
 from moralbargain.oracle import optimal_vs_brute  # noqa: E402
 
 W = 10.0
 ALPHA_BAR = 0.908812520585837  # as in tests/test_acceptance.py
 GOLDEN_MAP = ROOT / "tests" / "golden" / "region_map.csv"
+SAMPLE = ROOT / "data" / "test_sample.csv"
 
 
 def cli_output(argv: list[str], name: str) -> tuple[int, str]:
@@ -55,6 +64,10 @@ def cli_output(argv: list[str], name: str) -> tuple[int, str]:
         code = cli_main(argv + ["--out", tmp])
         text = (Path(tmp) / name).read_text()
     return code, text
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def main() -> None:
@@ -72,7 +85,7 @@ def main() -> None:
         repr(optimal_strategy(PreferenceParams(alpha=a, kappa=k), curve, beliefs, beliefs, W))
         for a, k in draws
     )
-    print(f"criterion 6 outputs sha256: {hashlib.sha256(outs.encode()).hexdigest()}")
+    print(f"criterion 6 outputs sha256: {sha(outs)}")
 
     for a in (2.0, 3.0):
         print(f"kappa_tilde({a!r}): {kappa_tilde(a, curve, beliefs, beliefs, W)!r}")
@@ -81,9 +94,27 @@ def main() -> None:
     print(f"kappa_tilde at the 63 high-spite alpha: {ktils!r}")
 
     code, text = cli_output(["region-map", "--format", "csv"], "region_map.csv")
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    print(f"region-map default: exit={code} csv sha256={digest} "
+    print(f"region-map default: exit={code} csv sha256={sha(text)} "
           f"equals golden: {text == GOLDEN_MAP.read_text()}")
+
+    code, text = cli_output(["statics", "--alpha", "0.5", "--format", "json"], "statics.json")
+    print(f"statics alpha=0.5: exit={code} json sha256={sha(text)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "statics-alpha3.json"
+        cfg.write_text(json.dumps({"kappa_grid": [0.0, 0.05, 6]}))
+        code, text = cli_output(
+            ["statics", "--alpha", "3", "--config", str(cfg), "--format", "json"], "statics.json"
+        )
+    print(f"statics alpha=3 on kappa_grid [0, 0.05, 6]: exit={code} json sha256={sha(text)}")
+
+    records, _ = load_estimates(SAMPLE)
+    cells = classify_many([(r.alpha, r.kappa) for r in records], curve, beliefs, beliefs, W)
+    print(f"classify_many over {len(cells)} sample subjects: repr sha256="
+          f"{sha(chr(10).join(repr(c) for c in cells))}")
+    for fmt in ("json", "csv"):
+        code, text = cli_output(["predict", "--estimates", str(SAMPLE), "--format", fmt],
+                                f"predict.{fmt}")
+        print(f"predict on the sample: exit={code} {fmt} sha256={sha(text)}")
 
 
 if __name__ == "__main__":

@@ -94,7 +94,7 @@ class BeliefDistribution:
             u = min(max(x / self.half, 0.0), 1.0)
             return float(betainc(self.a, self.b, u) if self.kind == "scaled_beta" else u)
         arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0.0):
+        if np.count_nonzero(arr < 0.0):
             raise DomainError("belief cdf evaluated at negative amount")
         if self.kind == "scaled_beta":
             u = np.clip(arr / self.half, 0.0, 1.0)
@@ -107,7 +107,7 @@ class BeliefDistribution:
             pts = np.asarray(self.sample)
             out = np.searchsorted(pts, arr, side="right") / len(pts)
             out = out.astype(float)
-        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+        return float(out) if arr.ndim == 0 else out
 
     def pdf(self, x):
         """Density on [0, w/2]; 0 outside and at NaN. Empirical uses a histogram density.
@@ -143,7 +143,7 @@ class BeliefDistribution:
             idx = np.clip(np.searchsorted(edges, arr, side="right") - 1, 0, len(dens) - 1)
             out = dens[idx]
         out = np.where(inside, out, 0.0)
-        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+        return float(out) if arr.ndim == 0 else out
 
     def tail_expectation(self, fn: Callable, lo: float) -> float:
         """Exact-or-adaptive integral of fn against this distribution on [lo, w/2].

@@ -37,7 +37,13 @@ from .oracle import (
     foc_residual,
     optimal_vs_brute,
 )
-from .params import ESTIMATION_ENDOWMENT, LATTICE_STEP_BOUNDS, PreferenceParams, Strategy
+from .params import (
+    ESTIMATION_ENDOWMENT,
+    LATTICE_STEP_BOUNDS,
+    ParamLanes,
+    PreferenceParams,
+    Strategy,
+)
 from .solver import (
     comparative_statics,
     constrained_threshold,
@@ -157,8 +163,20 @@ def _cmd_dg(args, cfg, seed, out_dir, fmt) -> int:
     return 0
 
 
+def _region_kappas(args, cfg: mio.RunConfig) -> np.ndarray:
+    """The configured kappa grid, for the commands that classify regions (kappa < 1)."""
+    kappas = cfg.kappas()
+    if kappas.max() >= 1.0:
+        raise ValidationError(
+            f"{args.config}: kappa_grid reaches kappa = {float(kappas.max())}; "
+            f"{args.command} needs every kappa < 1"
+        )
+    return kappas
+
+
 def _cmd_region_map(args, cfg, seed, out_dir, fmt) -> int:
-    result = region_map(cfg.alphas(), cfg.kappas(), cfg.curve, cfg.thresholds, cfg.offers, cfg.w)
+    kappas = _region_kappas(args, cfg)
+    result = region_map(cfg.alphas(), kappas, cfg.curve, cfg.thresholds, cfg.offers, cfg.w)
     payload = {
         "w": cfg.w,
         "curve": cfg.curve.label(),
@@ -180,7 +198,8 @@ def _cmd_region_map(args, cfg, seed, out_dir, fmt) -> int:
 
 
 def _cmd_statics(args, cfg, seed, out_dir, fmt) -> int:
-    res = comparative_statics(args.alpha, cfg.kappas(), cfg.curve, cfg.thresholds, cfg.offers, cfg.w)
+    kappas = _region_kappas(args, cfg)
+    res = comparative_statics(args.alpha, kappas, cfg.curve, cfg.thresholds, cfg.offers, cfg.w)
     payload = {
         "alpha": args.alpha,
         "w": cfg.w,
@@ -245,11 +264,7 @@ def _cmd_predict(args, cfg, seed, out_dir, fmt) -> int:
         "dropped_ids": list(report.dropped_ids),
         "stats": report.stats,
     }
-    csv_body = mio.csv_text(
-        ["subject_id", "dg_transfer", "ug_threshold"],
-        [(r.subject_id, r.dg_transfer, r.ug_threshold) for r in table.rows],
-    )
-    _deliver("predict", payload, csv_body, out_dir, fmt)
+    _deliver("predict", payload, mio.predictions_csv_text(table), out_dir, fmt)
     return 0
 
 
@@ -323,35 +338,38 @@ def _cmd_oracle_check(args, cfg, seed, out_dir, fmt) -> int:
     worst = optimal_vs_brute(rng, n, cfg.curve, cfg.thresholds, cfg.offers, w, step)
     record("optimal-vs-brute", n, worst, worst >= -1e-6)
 
-    # acceptance threshold solves the indifference equation
+    # acceptance threshold solves the indifference equation; every draw is
+    # taken before the one lane search, as the solves take nothing from rng
+    draws = np.array([(rng.uniform(1e-6, 3.0), rng.uniform(0.0, 0.95)) for _ in range(n)])
+    alphas, kappas = draws.reshape(-1, 2).T
+    roots = constrained_threshold(kappas, alphas, cfg.curve, w)
     worst = 0.0
-    for _ in range(n):
-        alpha = rng.uniform(1e-6, 3.0)
-        kappa = rng.uniform(0.0, 0.95)
-        t = constrained_threshold(kappa, alpha, cfg.curve, w)
+    for alpha, kappa, t in zip(alphas.tolist(), kappas.tolist(), roots.tolist()):
         if t > 0.0:
             resid = abs((1.0 - kappa + alpha) * cfg.curve.value(t) - alpha * cfg.curve.value(w - t))
             worst = max(worst, resid)
     record("threshold-root-residual", n, worst, worst < 1e-10)
 
     # nonpositive alpha forces a zero threshold; positive alpha a positive one
-    ok = True
-    for _ in range(n):
-        kappa = rng.uniform(0.0, 0.99)
-        t0 = constrained_threshold(kappa, rng.uniform(-2.0, 0.0), cfg.curve, w)
-        t1 = constrained_threshold(kappa, rng.uniform(1e-9, 2.0), cfg.curve, w)
-        ok = ok and t0 == 0.0 and t1 > 0.0
+    draws = np.array([(rng.uniform(0.0, 0.99), rng.uniform(-2.0, 0.0), rng.uniform(1e-9, 2.0))
+                      for _ in range(n)])
+    kappas, a0, a1 = draws.reshape(-1, 3).T
+    t0 = constrained_threshold(kappas, a0, cfg.curve, w)
+    t1 = constrained_threshold(kappas, a1, cfg.curve, w)
+    ok = bool(np.all(t0 == 0.0) and np.all(t1 > 0.0))
     record("threshold-sign", n, 0.0, ok)
 
     # dictator transfer vs 1-D exhaustive scan, same objective
-    worst = math.inf
-    for _ in range(n):
-        p = PreferenceParams(
+    params = [
+        PreferenceParams(
             alpha=rng.uniform(-1.0, 1.0),
             beta=rng.uniform(-1.0, 1.0),
             kappa=rng.uniform(0.0, 0.95),
         )
-        x = dg_transfer(p, cfg.curve, w)
+        for _ in range(n)
+    ]
+    worst = math.inf
+    for p, x in zip(params, dg_transfer(ParamLanes.of(params), cfg.curve, w).tolist()):
         _, u_brute = brute_force_dg(p, cfg.curve, w, w / 2000.0)
         worst = min(worst, dg_objective(p, cfg.curve, x, w) - u_brute)
     record("dg-vs-brute", n, worst, worst >= -1e-9)

@@ -59,7 +59,7 @@ class PayoffCurve:
                 return float(np.power(x, e) / e)
             return float(np.log1p(x))
         arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0.0):
+        if np.count_nonzero(arr < 0.0):
             raise DomainError(f"curve evaluated at negative amount")
         if self.kind == "linear":
             out = arr
@@ -68,12 +68,12 @@ class PayoffCurve:
             out = np.power(arr, e) / e
         else:
             out = np.log1p(arr)
-        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+        return float(out) if arr.ndim == 0 else out
 
     def derivative(self, x):
         """v'(x); infinite at 0 for CRRA."""
         arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0.0):
+        if np.count_nonzero(arr < 0.0):
             raise DomainError(f"curve derivative at negative amount")
         if self.kind == "linear":
             out = np.ones_like(arr)
@@ -82,7 +82,7 @@ class PayoffCurve:
                 out = np.power(arr, -self.crra_rho)
         else:
             out = 1.0 / (1.0 + arr)
-        return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+        return float(out) if arr.ndim == 0 else out
 
     def label(self) -> str:
         if self.kind == "crra":

@@ -19,7 +19,7 @@ from .beliefs import BeliefDistribution
 from .curves import PayoffCurve
 from .errors import ValidationError
 from .mixture import BinaryGame, BootstrapSE, ChoiceRecord, MixtureFit
-from .params import ESTIMATION_ENDOWMENT, THEORY_ENDOWMENT, PreferenceParams
+from .params import ESTIMATION_ENDOWMENT, THEORY_ENDOWMENT, ParamLanes, PreferenceParams
 from .solver import RegionMapResult, constrained_threshold
 from .utility import dg_transfer
 
@@ -291,17 +291,16 @@ def predict_all(
         curve = PayoffCurve.shifted_log()
     if not estimates:
         raise ValidationError("predict_all needs at least one estimate")
-    rows = []
-    for rec in estimates:
-        kappa = 0.0 if suppress_kappa else rec.kappa
-        p = PreferenceParams(alpha=rec.alpha, beta=rec.beta, kappa=kappa)
-        rows.append(
-            PredictionRow(
-                subject_id=rec.subject_id,
-                dg_transfer=dg_transfer(p, curve, w),
-                ug_threshold=constrained_threshold(kappa, rec.alpha, curve, w),
-            )
-        )
+    lanes = ParamLanes.of(
+        PreferenceParams(alpha=rec.alpha, beta=rec.beta, kappa=0.0 if suppress_kappa else rec.kappa)
+        for rec in estimates
+    )
+    transfers = dg_transfer(lanes, curve, w).tolist()
+    thresholds = constrained_threshold(lanes.kappa, lanes.alpha, curve, w).tolist()
+    rows = [
+        PredictionRow(subject_id=rec.subject_id, dg_transfer=x, ug_threshold=t)
+        for rec, x, t in zip(estimates, transfers, thresholds)
+    ]
     dg = np.array([r.dg_transfer for r in rows])
     ug = np.array([r.ug_threshold for r in rows])
     return PredictionTable(
@@ -534,7 +533,15 @@ def fit_summary_table(
 
 
 # ---------------------------------------------------------------------------
-# region-map emission
+# CSV emission
+
+
+def predictions_csv_text(table: PredictionTable) -> str:
+    """One row per subject: id, DG transfer and UG threshold."""
+    return csv_text(
+        ["subject_id", "dg_transfer", "ug_threshold"],
+        [(r.subject_id, r.dg_transfer, r.ug_threshold) for r in table.rows],
+    )
 
 
 def region_map_csv_text(result: RegionMapResult) -> str:

@@ -103,7 +103,7 @@ def x1_upper_of(kappa: float, alpha: float, curve: PayoffCurve, w: float) -> flo
     if pred(w):
         return w
     # the inequality holds on a lower interval; bisect its right edge
-    return bisect_boundary(lambda x: not pred(x), 0.0, w, x_tol=1e-12)
+    return bisect_boundary(lambda x: ~pred(x), 0.0, w, x_tol=1e-12)
 
 
 def _verify(

@@ -1,4 +1,14 @@
-"""Scalar search primitives: coarse-scan bracketing, golden-section, bisection."""
+"""Scalar search primitives: coarse-scan bracketing, golden-section, bisection.
+
+Every routine takes one bracket or a 1-D array of L brackets (lanes) and
+runs all lanes in lockstep: each step makes one call of the objective on
+an array of shape (L,), whose entry i belongs to lane i. A lane that has
+finished is masked, not removed: it takes exactly the steps it would take
+alone, and its entry of later calls holds a point inside its bracket. A
+scalar bracket is a one-lane call and returns a float; there is no other
+path. Golden-section and bisection follow Brent (1973), Algorithms for
+Minimization without Derivatives.
+"""
 
 from __future__ import annotations
 
@@ -11,134 +21,208 @@ from .errors import ConvergenceError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+_LOG_INVPHI = math.log(_INVPHI)
+
+# Most scan points in one objective call, over all lanes: a wider scan is
+# split into blocks of rows so the objective's temporaries stay small.
+_SCAN_CELLS = 1 << 15
+
+
+def _lanes(lo, hi):
+    """Both bounds as float arrays of one shape (L,), and whether both were scalars."""
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
+                                 np.atleast_1d(np.asarray(hi, dtype=float)))
+    if lo.ndim != 1:
+        raise ValueError(f"brackets must be scalars or 1-D arrays, got shape {lo.shape}")
+    return scalar, lo.copy(), hi.copy()
+
+
+def _result(x, scalar: bool):
+    return float(x[0]) if scalar else x
 
 
 def golden_section_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
+    f: Callable,
+    lo: float | np.ndarray,
+    hi: float | np.ndarray,
     tol: float = 1e-9,
-) -> float:
-    """Maximize f on [lo, hi]; assumes unimodality on the bracket.
+) -> float | np.ndarray:
+    """Maximize f on [lo, hi] per lane; assumes unimodality on each bracket.
 
-    Returns the abscissa. Endpoints are compared against the interior
-    optimum so boundary maxima are returned exactly.
+    Returns the abscissae. Endpoints are compared against the interior
+    optimum so boundary maxima are returned exactly. A lane no wider than
+    tol returns the first of (lo, hi, mid) with the largest value. Each
+    lane's step count comes from math.log on its own width, as a scalar
+    search would compute it.
     """
-    if hi < lo:
-        raise ValueError(f"empty bracket [{lo}, {hi}]")
-    a, b = lo, hi
-    h = b - a
-    if h <= tol:
-        mid = 0.5 * (a + b)
-        return max((lo, hi, mid), key=f)
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
+    scalar, lo, hi = _lanes(lo, hi)
+    if np.any(hi < lo):
+        i = int(np.argmax(hi < lo))
+        raise ValueError(f"empty bracket [{lo[i]}, {hi[i]}]")
+    h = hi - lo
+    tiny = h <= tol
+    n = np.array([0 if w <= tol else int(math.ceil(math.log(tol / w) / _LOG_INVPHI))
+                  for w in h.tolist()])
+    mid = 0.5 * (lo + hi)
+    a = lo
+    c = np.where(tiny, mid, a + _INVPHI2 * h)
+    d = np.where(tiny, mid, a + _INVPHI * h)
     fc, fd = f(c), f(d)
-    n = int(math.ceil(math.log(tol / h) / math.log(_INVPHI))) if h > tol else 0
-    for _ in range(n):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h *= _INVPHI
-            c = a + _INVPHI2 * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h *= _INVPHI
-            d = a + _INVPHI * h
-            fd = f(d)
-    best, fbest = (c, fc) if fc > fd else (d, fd)
-    # boundary maxima beat the interior probe if strictly better
-    for cand in (lo, hi):
-        fc2 = f(cand)
-        if fc2 > fbest:
-            best, fbest = cand, fc2
-    return best
+    n_all = int(n.min()) if n.size else 0
+    for it in range(int(n.max(initial=0))):
+        # fc > fd keeps [a, d]: the old c becomes d and a new c is probed;
+        # otherwise [c, b] is kept: the old d becomes c and a new d is probed
+        gt = fc > fd
+        a_new = np.where(gt, a, c)
+        h_new = h * _INVPHI
+        x = a_new + np.where(gt, _INVPHI2, _INVPHI) * h_new
+        live = None if it < n_all else it < n
+        if live is not None:
+            x = np.where(live, x, c)
+        fx = f(x)
+        state = (a_new, h_new, np.where(gt, x, d), np.where(gt, c, x),
+                 np.where(gt, fx, fd), np.where(gt, fc, fx))
+        if live is not None:
+            state = tuple(np.where(live, new, old) for new, old in zip(state, (a, h, c, d, fc, fd)))
+        a, h, c, d, fc, fd = state
+    flo, fhi = f(lo), f(hi)
+    gt = fc > fd
+    best = np.where(tiny, lo, np.where(gt, c, d))
+    fbest = np.where(tiny, flo, np.where(gt, fc, fd))
+    # an endpoint wins only if strictly better, lo before hi; tiny lanes end on mid
+    up = ~tiny & (flo > fbest)
+    best, fbest = np.where(up, lo, best), np.where(up, flo, fbest)
+    up = fhi > fbest
+    best, fbest = np.where(up, hi, best), np.where(up, fhi, fbest)
+    best = np.where(tiny & (fc > fbest), mid, best)
+    return _result(best, scalar)
 
 
 def scan_then_golden(
     f: Callable,
-    lo: float,
-    hi: float,
+    lo: float | np.ndarray,
+    hi: float | np.ndarray,
     n_scan: int = 200,
     tol: float = 1e-9,
-) -> float:
+) -> float | np.ndarray:
     """Coarse n_scan-point scan to bracket the max, then golden-section refine.
 
-    The scan is one call of f on the array of n_scan + 1 abscissae, so f
-    must broadcast; the golden-section steps call it on Python floats.
-    Ties in the coarse scan go to the lowest abscissa. A NaN anywhere in
-    the scan is a ConvergenceError, not a silent pick.
+    The scan calls f on abscissae of shape (n_scan + 1, L), row i at
+    lo + i (hi - lo) / n_scan, in blocks of rows of at most _SCAN_CELLS
+    points; so f must broadcast, and per-lane parameters of shape (L,)
+    line up with the columns. The golden-section steps call it on shape
+    (L,). Ties in the coarse scan go to the lowest abscissa. A NaN anywhere
+    in a lane's scan is a ConvergenceError naming that lane's bracket, not
+    a silent pick. A lane with hi <= lo returns lo; its entries of every
+    call hold lo, and if all lanes are such, f is not called.
     """
-    if hi <= lo:
-        return lo
-    step = (hi - lo) / n_scan
-    vals = f(lo + np.arange(n_scan + 1) * step)
-    k = int(np.argmax(vals))
-    if math.isnan(vals[k]):
-        raise ConvergenceError(f"objective is NaN on the scan of [{lo}, {hi}]")
-    a = lo + max(0, k - 1) * step
-    b = lo + min(n_scan, k + 1) * step
-    return golden_section_max(f, a, b, tol=tol)
+    scalar, lo, hi = _lanes(lo, hi)
+    empty = hi <= lo
+    if empty.all():
+        return _result(lo, scalar)
+    step = np.where(empty, 0.0, (hi - lo) / n_scan)
+    idx = np.arange(n_scan + 1)[:, None]
+    vals = np.empty((n_scan + 1, lo.size))
+    rows = max(1, _SCAN_CELLS // lo.size)
+    for r in range(0, n_scan + 1, rows):
+        vals[r:r + rows] = f(lo + idx[r:r + rows] * step)
+    k = np.argmax(vals, axis=0)
+    bad = np.isnan(vals[k, np.arange(lo.size)]) & ~empty
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConvergenceError(f"objective is NaN on the scan of [{lo[i]}, {hi[i]}]")
+    a = lo + np.maximum(k - 1, 0) * step
+    b = lo + np.minimum(k + 1, n_scan) * step
+    best = golden_section_max(f, a, b, tol=tol)
+    return _result(np.where(empty, lo, best), scalar)
 
 
 def bisect_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
+    f: Callable,
+    lo: float | np.ndarray,
+    hi: float | np.ndarray,
     residual_tol: float = 1e-10,
     max_iter: int = 500,
-) -> float:
-    """Find a sign change of f on [lo, hi] by bisection.
+) -> float | np.ndarray:
+    """Find a sign change of f on [lo, hi] per lane by bisection.
 
-    Stops when |f(mid)| < residual_tol; raises ConvergenceError if the
-    bracket collapses to machine width first.
+    A lane stops when |f(mid)| < residual_tol; a ConvergenceError names
+    the first lane whose endpoints share a sign, or whose bracket
+    collapses to machine width first.
     """
+    scalar, lo, hi = _lanes(lo, hi)
     flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ConvergenceError(f"no sign change on [{lo}, {hi}]: f={flo:.3g},{fhi:.3g}")
-    a, b = lo, hi
+    res = np.where(flo == 0.0, lo, hi)
+    live = ~((flo == 0.0) | (fhi == 0.0))
+    bad = live & (flo * fhi > 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConvergenceError(
+            f"no sign change on [{lo[i]}, {hi[i]}]: f={flo[i]:.3g},{fhi[i]:.3g}"
+        )
+    # a bracket can collapse only once it is within 4 ulp of its largest magnitude
+    near = 4.0 * np.spacing(np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0))
+    a, b, flo = lo.copy(), hi.copy(), np.array(flo, dtype=float)
     for _ in range(max_iter):
+        if not np.count_nonzero(live):
+            return _result(res, scalar)
         mid = 0.5 * (a + b)
         fm = f(mid)
-        if abs(fm) < residual_tol:
-            return mid
-        if fm * flo < 0.0:
-            b = mid
-        else:
-            a, flo = mid, fm
-        if (b - a) <= 4.0 * math.ulp(max(abs(a), abs(b), 1.0)):
+        hit = live & (np.abs(fm) < residual_tol)
+        if np.count_nonzero(hit):
+            np.copyto(res, mid, where=hit)
+            live &= ~hit
+        neg = fm * flo < 0.0
+        np.copyto(b, mid, where=live & neg)
+        moved = live & ~neg
+        np.copyto(a, mid, where=moved)
+        np.copyto(flo, fm, where=moved)
+        width = b - a
+        if not np.count_nonzero(width <= near):
+            continue
+        # np.spacing is math.ulp for these positive magnitudes
+        shut = live & (width <= 4.0 * np.spacing(np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)))
+        if np.count_nonzero(shut):
             mid = 0.5 * (a + b)
-            if abs(f(mid)) < residual_tol:
-                return mid
-            raise ConvergenceError(
-                f"bisection bracket collapsed at {mid} with residual {f(mid):.3g}"
-            )
-    raise ConvergenceError("bisection exceeded max iterations")
+            fm = f(mid)
+            fail = shut & ~(np.abs(fm) < residual_tol)
+            if fail.any():
+                i = int(np.argmax(fail))
+                raise ConvergenceError(
+                    f"bisection bracket collapsed at {mid[i]} with residual {fm[i]:.3g}"
+                )
+            np.copyto(res, mid, where=shut)
+            live &= ~shut
+    if live.any():
+        raise ConvergenceError("bisection exceeded max iterations")
+    return _result(res, scalar)
 
 
 def bisect_boundary(
-    pred: Callable[[float], bool],
-    lo: float,
-    hi: float,
+    pred: Callable,
+    lo: float | np.ndarray,
+    hi: float | np.ndarray,
     x_tol: float = 1e-12,
-) -> float:
-    """Boundary of a monotone predicate: smallest x in [lo, hi] with pred(x).
+) -> float | np.ndarray:
+    """Boundary of a monotone predicate per lane: smallest x in [lo, hi] with pred(x).
 
-    Requires pred(hi) true. If pred(lo) holds, returns lo.
+    Requires pred(hi) true. A lane where pred(lo) holds returns lo.
     """
-    if pred(lo):
-        return lo
-    if not pred(hi):
-        raise ConvergenceError(f"predicate false on all of [{lo}, {hi}]")
-    a, b = lo, hi  # invariant: pred(a) false, pred(b) true
-    while (b - a) > x_tol:
+    scalar, lo, hi = _lanes(lo, hi)
+    at_lo = np.asarray(pred(lo), dtype=bool)
+    if at_lo.all():
+        return _result(lo, scalar)
+    bad = ~at_lo & ~np.asarray(pred(hi), dtype=bool)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConvergenceError(f"predicate false on all of [{lo[i]}, {hi[i]}]")
+    a, b = lo.copy(), np.where(at_lo, lo, hi)  # invariant: pred(a) false, pred(b) true
+    live = (b - a) > x_tol
+    while np.count_nonzero(live):
         mid = 0.5 * (a + b)
-        if pred(mid):
-            b = mid
-        else:
-            a = mid
-    return b
+        hit = np.asarray(pred(mid), dtype=bool)
+        np.copyto(b, mid, where=live & hit)
+        np.copyto(a, mid, where=live & ~hit)
+        live = (b - a) > x_tol
+    return _result(b, scalar)

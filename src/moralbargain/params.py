@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -53,6 +56,24 @@ class PreferenceParams:
             raise ValidationError(f"lam must lie in [0, 1], got {self.lam}")
 
 
+class ParamLanes(NamedTuple):
+    """Preference parameters as arrays of shape (L,), one entry per lane of a
+    batched search; the objectives read it where they read a PreferenceParams.
+
+    Not validated itself: build it from validated values, such as a list of
+    PreferenceParams with of().
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    kappa: np.ndarray
+
+    @classmethod
+    def of(cls, params) -> "ParamLanes":
+        params = list(params)
+        return cls(*(np.array([getattr(p, f) for p in params], dtype=float) for f in cls._fields))
+
+
 @dataclass(frozen=True)
 class Strategy:
     """Ultimatum strategy: offer x1 and rejection threshold x2, both in [0, w]."""
@@ -75,8 +96,6 @@ class GridSpec:
             raise ValidationError(f"grid kind must be 'square' or 'line'")
 
     def axis(self, w: float, hi: float | None = None):
-        import numpy as np
-
         top = w if hi is None else hi
         n = int(round(top / self.step))
         return np.linspace(0.0, top, n + 1)

@@ -15,11 +15,13 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .beliefs import BeliefDistribution
 from .curves import PayoffCurve
 from .errors import IndeterminateError, ValidationError
 from .numerics import bisect_boundary, bisect_root, scan_then_golden
-from .params import PreferenceParams, Strategy, validate_endowment
+from .params import ParamLanes, PreferenceParams, Strategy, validate_endowment
 from .utility import TailIntegrals, eval_expected_utility
 
 REGIONS = ("R1", "R2", "R3")
@@ -54,53 +56,77 @@ def selfish_offer(curve: PayoffCurve, thresholds: BeliefDistribution, w: float) 
     return scan_then_golden(f, 0.0, 0.5 * w)
 
 
-def constrained_offer(kappa: float, curve: PayoffCurve, thresholds: BeliefDistribution, w: float) -> float:
+def constrained_offer(
+    kappa: float | np.ndarray, curve: PayoffCurve, thresholds: BeliefDistribution, w: float
+) -> float | np.ndarray:
     """Offer maximizing (1-kappa) v(w-x) F(x) + kappa [v(w-x) + v(x)].
 
     The universalization term pulls the offer toward the equal split;
-    at kappa = 1 it is exactly w/2.
+    at kappa = 1 it is exactly w/2. A 1-D array of kappa is one search
+    lane per entry and gives an array.
     """
     validate_endowment(w)
-    if not (0.0 <= kappa <= 1.0):
-        raise ValidationError(f"kappa must lie in [0, 1], got {kappa}")
-    f = lambda x: (1.0 - kappa) * curve.value(w - x) * thresholds.cdf(x) + kappa * (
-        curve.value(w - x) + curve.value(x)
-    )
-    return scan_then_golden(f, 0.0, 0.5 * w)
+    k = np.asarray(kappa, dtype=float)
+    out_of_range = ~((0.0 <= k) & (k <= 1.0))
+    if out_of_range.any():
+        raise ValidationError(f"kappa must lie in [0, 1], got {_first_bad(k, out_of_range)}")
+    own = 1.0 - k
+
+    def f(x):
+        v_keep = curve.value(w - x)
+        return own * v_keep * thresholds.cdf(x) + k * (v_keep + curve.value(x))
+
+    zero = np.zeros(k.shape)
+    return scan_then_golden(f, zero, zero + 0.5 * w)
 
 
-def constrained_threshold(kappa: float, alpha: float, curve: PayoffCurve, w: float) -> float:
+def constrained_threshold(
+    kappa: float | np.ndarray, alpha: float | np.ndarray, curve: PayoffCurve, w: float
+) -> float | np.ndarray:
     """Rejection threshold: zero of (1+alpha-kappa) v(x) - alpha v(w-x) on (0, w/2).
 
     Below it, accepting costs more in disadvantage-weighted terms than the
     payoff is worth. Returns 0 for alpha <= 0; kappa = 1 leaves the
-    responder problem degenerate and is signalled.
+    responder problem degenerate and is signalled. Arrays of kappa and
+    alpha broadcast to one root per entry, found in one lane search.
     """
     validate_endowment(w)
-    if not (0.0 <= kappa <= 1.0):
-        raise ValidationError(f"kappa must lie in [0, 1], got {kappa}")
-    if not math.isfinite(alpha):
-        raise ValidationError(f"alpha must be finite, got {alpha}")
-    if alpha <= 0.0:
-        return 0.0
-    if kappa == 1.0:
+    k, a = np.broadcast_arrays(np.asarray(kappa, dtype=float), np.asarray(alpha, dtype=float))
+    out_of_range = ~((0.0 <= k) & (k <= 1.0))
+    if out_of_range.any():
+        raise ValidationError(f"kappa must lie in [0, 1], got {_first_bad(k, out_of_range)}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"alpha must be finite, got {_first_bad(a, ~np.isfinite(a))}")
+    pos = a > 0.0
+    if np.any(pos & (k == 1.0)):
         raise IndeterminateError("threshold indeterminate at kappa = 1")
-    g = lambda x: (1.0 + alpha - kappa) * curve.value(x) - alpha * curve.value(w - x)
-    return bisect_root(g, 0.0, 0.5 * w, residual_tol=1e-10)
+    out = np.zeros(k.shape)
+    if pos.any():
+        ap = a[pos]
+        coef = 1.0 + ap - k[pos]
+        g = lambda x: coef * curve.value(x) - ap * curve.value(w - x)
+        out[pos] = bisect_root(g, np.zeros(ap.shape), np.full(ap.shape, 0.5 * w), residual_tol=1e-10)
+    return float(out) if out.ndim == 0 else out
+
+
+def _first_bad(values: np.ndarray, mask: np.ndarray) -> float:
+    """The first entry of values where mask holds, for an error message."""
+    return float(values[mask][0])
 
 
 def _fast_u(p, curve, thresholds, tails, x1, x2, w: float):
     """Expected utility via the precomputed tail table; mirrors eval_expected_utility.
 
-    Broadcasts over arrays of x1 and x2: the indicator of x1 >= x2
-    multiplies the universalization term instead of branching on it.
+    Broadcasts over arrays of x1 and x2, and over ParamLanes parameters: the
+    indicator of x1 >= x2 multiplies the universalization term instead of
+    branching on it.
     """
     v_keep = curve.value(w - x1)
     base = (1.0 - p.kappa) * v_keep * thresholds.cdf(x1) + tails.responder_term(p, x2)
     return base + p.kappa * (v_keep + curve.value(x1)) * (x1 >= x2)
 
 
-def _diag_opt(p, curve, thresholds, tails, w: float, lo: float, hi: float) -> float:
+def _diag_opt(p, curve, thresholds, tails, w: float, lo, hi):
     f = lambda y: _fast_u(p, curve, thresholds, tails, y, y, w)
     return scan_then_golden(f, lo, hi, tol=1e-6)
 
@@ -164,9 +190,10 @@ def kappa_tilde(
 
     Root of u(x_s, threshold) - u(symmetric, symmetric) in kappa; defined
     for alpha above alpha_bar (returns None otherwise). See
-    _CachedProblem.kappa_tilde.
+    _CachedProblem.kappa_tildes.
     """
-    return _CachedProblem(curve, thresholds, offers, w).kappa_tilde(alpha, n_scan, tol)
+    (out,) = _CachedProblem(curve, thresholds, offers, w).kappa_tildes([alpha], n_scan, tol)
+    return out
 
 
 def optimal_strategy(
@@ -210,7 +237,7 @@ class RegionMapResult:
 
 class _CachedProblem:
     """One configuration's selfish offer, alpha-bar, tail table and per-kappa
-    caches, shared by one solve, kappa_tilde and the sweeps.
+    and per-alpha caches, shared by one solve, kappa_tilde and the sweeps.
 
     The tail table is built on first use: R1 decisions never need it.
     """
@@ -231,64 +258,119 @@ class _CachedProblem:
     def tails(self) -> TailIntegrals:
         return TailIntegrals(self.offers, self.curve, self.w)
 
-    def offer_and_tilde(self, kappa: float) -> tuple[float, float]:
-        hit = self._by_kappa.get(kappa)
-        if hit is None:
-            x1c = constrained_offer(kappa, self.curve, self.thresholds, self.w)
-            hit = (x1c, _indifference_alpha(self.curve, x1c, self.w, 1.0 - kappa))
-            self._by_kappa[kappa] = hit
-        return hit
+    def offers_and_tildes(self, kappas) -> list[tuple[float, float]]:
+        """(constrained offer, alpha-tilde) at each kappa; one lane search for the uncached ones."""
+        kappas = [float(k) for k in kappas]
+        new = list(dict.fromkeys(k for k in kappas if k not in self._by_kappa))
+        if new:
+            x1cs = constrained_offer(np.array(new), self.curve, self.thresholds, self.w)
+            for k, x1c in zip(new, x1cs.tolist()):
+                self._by_kappa[k] = (x1c, _indifference_alpha(self.curve, x1c, self.w, 1.0 - k))
+        return [self._by_kappa[k] for k in kappas]
 
-    def kappa_tilde(self, alpha: float, n_scan: int = 100, tol: float = 1e-8) -> float | None:
-        """Root in kappa of u(x_s, threshold) - u(symmetric, symmetric), for alpha > alpha_bar.
+    def _gap(self, alpha: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+        """u(x_s, threshold) - u(symmetric, symmetric) per lane (alpha > alpha-bar)."""
+        curve, thresholds, w, tails = self.curve, self.thresholds, self.w, self.tails
+        p = ParamLanes(alpha, 0.0 * alpha, kappa)
+        x2 = constrained_threshold(kappa, alpha, curve, w)
+        u_split = _fast_u(p, curve, thresholds, tails, self.x_s, x2, w)
+        x1c = np.array([x for x, _ in self.offers_and_tildes(kappa.tolist())])
+        x_hat = _diag_opt(p, curve, thresholds, tails, w, np.where(x2 < x1c, x2, x1c), x2)
+        return u_split - _fast_u(p, curve, thresholds, tails, x_hat, x_hat, w)
+
+    def kappa_tildes(self, alphas, n_scan: int = 100, tol: float = 1e-8) -> list[float | None]:
+        """Root in kappa of u(x_s, threshold) - u(symmetric, symmetric) at each alpha > alpha-bar.
 
         The first utility is strictly decreasing in kappa and the second
         convex, so the first sign change on an n_scan-point kappa grid,
-        refined by bisection, is the single crossing.
+        refined by bisection, is the single crossing. All alphas scan in
+        lockstep, every lane at the same kappa, and a lane leaves the scan
+        at its first gap <= 0; the bisections then run as one lane search.
+        None for alpha <= alpha-bar.
         """
-        if not alpha > self.abar:
-            return None
-        curve, thresholds, w = self.curve, self.thresholds, self.w
-        tails = self.tails
-
-        def gap(kappa: float) -> float:
-            p = PreferenceParams(alpha=alpha, kappa=kappa)
-            x2 = constrained_threshold(kappa, alpha, curve, w)
-            u_split = _fast_u(p, curve, thresholds, tails, self.x_s, x2, w)
-            lo = self.offer_and_tilde(kappa)[0]
-            x_hat = _diag_opt(p, curve, thresholds, tails, w, min(lo, x2), x2)
-            u_sym = _fast_u(p, curve, thresholds, tails, x_hat, x_hat, w)
-            return u_split - u_sym
-
+        alphas = [float(a) for a in alphas]
+        out: list[float | None] = [None] * len(alphas)
+        scan = [i for i, a in enumerate(alphas) if a > self.abar]
         hi_scan = 1.0 - 1e-9  # kappa = 1 leaves the threshold undefined
-        prev_k, prev_g = 0.0, gap(0.0)
-        if prev_g <= 0.0:
-            return 0.0
-        for i in range(1, n_scan + 1):
-            k = min(i / n_scan, hi_scan)
-            g = gap(k)
-            if g <= 0.0:
-                return bisect_boundary(lambda x: gap(x) <= 0.0, prev_k, k, x_tol=tol)
-            prev_k, prev_g = k, g
-        warnings.warn("indifference never reached on [0, 1); returning 0", stacklevel=3)
-        return 0.0
+        brackets = []  # (lane, prev kappa, kappa) of each first sign change
+        prev_k = 0.0
+        for step in range(n_scan + 1):
+            if not scan:
+                break
+            k = min(step / n_scan, hi_scan) if step else 0.0
+            g = self._gap(np.array([alphas[i] for i in scan]), np.full(len(scan), k))
+            crossed = (g <= 0.0).tolist()
+            for i, hit in zip(scan, crossed):
+                if hit and step == 0:
+                    out[i] = 0.0
+                elif hit:
+                    brackets.append((i, prev_k, k))
+            scan = [i for i, hit in zip(scan, crossed) if not hit]
+            prev_k = k
+        for i in scan:
+            warnings.warn("indifference never reached on [0, 1); returning 0", stacklevel=3)
+            out[i] = 0.0
+        if brackets:
+            lanes, lo, hi = (np.array(col) for col in zip(*brackets))
+            al = np.array([alphas[i] for i in lanes.tolist()])
+            roots = bisect_boundary(lambda ks: self._gap(al, ks) <= 0.0, lo, hi, x_tol=tol)
+            for i, root in zip(lanes.tolist(), roots.tolist()):
+                out[i] = root
+        return out
 
-    def ktil(self, alpha: float) -> float | None:
-        if alpha not in self._ktil:
-            self._ktil[alpha] = self.kappa_tilde(alpha)
-        return self._ktil[alpha]
+    def ktils(self, alphas) -> list[float | None]:
+        """kappa_tildes with default settings, cached per alpha."""
+        alphas = [float(a) for a in alphas]
+        new = list(dict.fromkeys(a for a in alphas if a not in self._ktil))
+        if new:
+            self._ktil.update(zip(new, self.kappa_tildes(new)))
+        return [self._ktil[a] for a in alphas]
 
     def solve_many(self, pairs) -> tuple[SolverOutputs, ...]:
         """The region decision and optimal strategy at each (alpha, kappa), in order.
 
         This is the one decision path: optimal_strategy, the sweeps and the
-        brute-force oracle runner all go through it. At kappa = 1 the
-        universalization term dominates: the offer is the equal split and
-        the threshold is not pinned down (flagged, reported as 0).
+        brute-force oracle runner all go through it. It runs in stages, each
+        one lane search over the points that need it: the constrained offers
+        of the distinct kappa, the threshold roots, kappa-tilde of the
+        distinct alpha whose decision needs it, then the R2 diagonal optima.
+        At kappa = 1 the universalization term dominates: the offer is the
+        equal split and the threshold is not pinned down (flagged, reported
+        as 0).
         """
-        return tuple(self._solve(float(a), float(k)) for a, k in pairs)
+        pairs = [(float(a), float(k)) for a, k in pairs]
+        inner = [i for i, (_, k) in enumerate(pairs) if k != 1.0]
+        tilde = dict(zip(inner, self.offers_and_tildes(pairs[i][1] for i in inner)))
+        spite = [i for i in inner if not pairs[i][0] <= 0.0]
+        x2 = dict.fromkeys(inner, 0.0)
+        if spite:
+            roots = constrained_threshold(
+                np.array([pairs[i][1] for i in spite]), np.array([pairs[i][0] for i in spite]),
+                self.curve, self.w,
+            )
+            x2.update(zip(spite, roots.tolist()))
+        above = [i for i in spite if not pairs[i][0] <= tilde[i][1]]
+        ktil = dict.fromkeys(above)
+        need = [i for i in above if not pairs[i][0] < self.abar]
+        ktil.update(zip(need, self.ktils(pairs[i][0] for i in need)))
+        r2 = [i for i in above if ktil[i] is None or pairs[i][1] > ktil[i]]
+        x_hat: dict[int, float] = {}
+        if r2:
+            # just above alpha-tilde the threshold root can land a few
+            # 1e-11 below the constrained offer; the bracket then is [x2, x2]
+            hi = np.array([x2[i] for i in r2])
+            lo = np.array([min(tilde[i][0], x2[i]) for i in r2])
+            alpha = np.array([pairs[i][0] for i in r2])
+            p = ParamLanes(alpha, 0.0 * alpha, np.array([pairs[i][1] for i in r2]))
+            opt = _diag_opt(p, self.curve, self.thresholds, self.tails, self.w, lo, hi)
+            x_hat.update(zip(r2, opt.tolist()))
+        return tuple(
+            self._output(a, k, tilde.get(i), x2.get(i), x_hat.get(i), ktil.get(i))
+            for i, (a, k) in enumerate(pairs)
+        )
 
-    def _solve(self, alpha: float, kappa: float) -> SolverOutputs:
+    def _output(self, alpha, kappa, tilde, x2, x_hat, ktil) -> SolverOutputs:
+        """One point's SolverOutputs from the values the stages of solve_many found."""
         if kappa == 1.0:
             half = 0.5 * self.w
             return SolverOutputs(
@@ -303,29 +385,13 @@ class _CachedProblem:
                 optimal=Strategy(half, 0.0),
                 flags=self.flags + ("threshold-indeterminate",),
             )
-        x1c, atil = self.offer_and_tilde(kappa)
-        x2, x_hat, ktil = 0.0, None, None
-        if alpha <= 0.0:
-            region, optimal = "R1", Strategy(x1c, 0.0)
+        x1c, atil = tilde
+        if alpha <= 0.0 or alpha <= atil:
+            region, optimal = "R1", Strategy(x1c, x2)
+        elif x_hat is not None:
+            region, optimal = "R2", Strategy(x_hat, x_hat)
         else:
-            x2 = constrained_threshold(kappa, alpha, self.curve, self.w)
-            if alpha <= atil:
-                region, optimal = "R1", Strategy(x1c, x2)
-            else:
-                in_r2 = alpha < self.abar
-                if not in_r2:
-                    ktil = self.ktil(alpha)
-                    in_r2 = ktil is None or kappa > ktil
-                if in_r2:
-                    # just above alpha-tilde the threshold root can land a few
-                    # 1e-11 below the constrained offer; the bracket then is [x2, x2]
-                    p = PreferenceParams(alpha=alpha, kappa=kappa)
-                    x_hat = _diag_opt(
-                        p, self.curve, self.thresholds, self.tails, self.w, min(x1c, x2), x2
-                    )
-                    region, optimal = "R2", Strategy(x_hat, x_hat)
-                else:
-                    region, optimal = "R3", Strategy(self.x_s, x2)
+            region, optimal = "R3", Strategy(self.x_s, x2)
         return SolverOutputs(
             x_selfish=self.x_s,
             x_constrained=x1c,
@@ -349,10 +415,6 @@ class _CachedProblem:
             RegionCell(a, k, o.region, o.optimal.x1, o.optimal.x2) for (a, k), o in zip(pairs, outs)
         )
 
-    def classify(self, alpha: float, kappa: float) -> tuple[str, Strategy]:
-        (cell,) = self.cells([(alpha, kappa)])
-        return cell.region, Strategy(cell.x1_star, cell.x2_star)
-
 
 def region_map(
     alphas,
@@ -363,13 +425,13 @@ def region_map(
     w: float,
 ) -> RegionMapResult:
     """Classify every (alpha, kappa) cell and collect boundary curves."""
+    alphas, kappas = [float(a) for a in alphas], [float(k) for k in kappas]
     prob = _CachedProblem(curve, thresholds, offers, w)
     cells = prob.cells((a, k) for a in alphas for k in kappas)
-    atil_series = tuple((float(k), prob.offer_and_tilde(float(k))[1]) for k in kappas)
+    atil_series = tuple((k, atil) for k, (_, atil) in zip(kappas, prob.offers_and_tildes(kappas)))
+    spiteful = [a for a in alphas if a > prob.abar]
     ktil_series = tuple(
-        (float(a), kt)
-        for a in alphas
-        if float(a) > prob.abar and (kt := prob.ktil(float(a))) is not None
+        (a, kt) for a, kt in zip(spiteful, prob.ktils(spiteful)) if kt is not None
     )
     return RegionMapResult(cells, prob.abar, atil_series, ktil_series)
 
@@ -423,33 +485,45 @@ def comparative_statics(
     switch_tol: float = 1e-4,
 ) -> StaticsResult:
     """Optimal strategy along a kappa grid, with region switches located
-    by bisection between adjacent grid points."""
+    by bisection between adjacent grid points.
+
+    The grid rows are one batch solve; the switches are bisected together,
+    one lane each.
+    """
     prob = _CachedProblem(curve, thresholds, offers, w)
-    rows = []
-    for k in kappas:
-        region, s = prob.classify(alpha, float(k))
-        rows.append(StaticsRow(float(k), s.x1, s.x2, region))
-    switches = []
-    for left, right in zip(rows, rows[1:]):
-        if left.region == right.region:
-            continue
-        base = left.region
-        k_star = bisect_boundary(
-            lambda k: prob.classify(alpha, k)[0] != base,
-            left.kappa,
-            right.kappa,
-            x_tol=switch_tol,
+    rows = [
+        StaticsRow(c.kappa, c.x1_star, c.x2_star, c.region)
+        for c in prob.cells((alpha, k) for k in kappas)
+    ]
+    pairs = [(left, right) for left, right in zip(rows, rows[1:]) if left.region != right.region]
+    if not pairs:
+        return StaticsResult(alpha, tuple(rows), ())
+    bases = [left.region for left, _ in pairs]
+
+    def left_base(ks):
+        cells = prob.cells((alpha, k) for k in ks.tolist())
+        return np.array([c.region != base for c, base in zip(cells, bases)])
+
+    k_stars = bisect_boundary(
+        left_base,
+        np.array([left.kappa for left, _ in pairs]),
+        np.array([right.kappa for _, right in pairs]),
+        x_tol=switch_tol,
+    ).tolist()
+    eps = max(switch_tol, 1e-4)
+    ends = prob.cells(
+        [(alpha, max(k - eps, 0.0)) for k in k_stars] + [(alpha, k + eps) for k in k_stars]
+    )
+    switches = tuple(
+        RegionSwitch(
+            kappa=k_star,
+            from_region=left.region,
+            to_region=right.region,
+            x1_jump=s_hi.x1_star - s_lo.x1_star,
+            x2_jump=s_hi.x2_star - s_lo.x2_star,
         )
-        eps = max(switch_tol, 1e-4)
-        _, s_lo = prob.classify(alpha, max(k_star - eps, 0.0))
-        _, s_hi = prob.classify(alpha, k_star + eps)
-        switches.append(
-            RegionSwitch(
-                kappa=k_star,
-                from_region=left.region,
-                to_region=right.region,
-                x1_jump=s_hi.x1 - s_lo.x1,
-                x2_jump=s_hi.x2 - s_lo.x2,
-            )
+        for k_star, (left, right), s_lo, s_hi in zip(
+            k_stars, pairs, ends[: len(k_stars)], ends[len(k_stars):]
         )
-    return StaticsResult(alpha, tuple(rows), tuple(switches))
+    )
+    return StaticsResult(alpha, tuple(rows), switches)

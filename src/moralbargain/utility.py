@@ -10,7 +10,7 @@ from .beliefs import BeliefDistribution
 from .curves import PayoffCurve
 from .errors import ValidationError
 from .numerics import scan_then_golden
-from .params import PreferenceParams, Strategy, validate_endowment
+from .params import ParamLanes, PreferenceParams, Strategy, validate_endowment
 
 
 def _check_strategy(s: Strategy, w: float) -> None:
@@ -135,7 +135,7 @@ class TailIntegrals:
         else:
             tail = self._tail_own if own else self._tail_oth
             out = np.interp(xa, self._grid, tail, left=tail[0], right=0.0)
-        return float(out) if np.isscalar(x) else out
+        return float(out) if xa.ndim == 0 else out
 
     def own(self, x):
         return self._eval(x, True)
@@ -148,8 +148,11 @@ class TailIntegrals:
         return (1.0 - p.kappa + p.alpha) * self.own(x2) - p.alpha * self.other(x2)
 
 
-def dg_objective(p: PreferenceParams, curve: PayoffCurve, x, w: float):
-    """Dictator objective at transfer x (half-weight on each role's term); broadcasts."""
+def dg_objective(p: PreferenceParams | ParamLanes, curve: PayoffCurve, x, w: float):
+    """Dictator objective at transfer x (half-weight on each role's term).
+
+    Broadcasts over x and over ParamLanes parameters.
+    """
     v_keep = curve.value(w - x)
     v_give = curve.value(x)
     out = 0.5 * (
@@ -161,19 +164,25 @@ def dg_objective(p: PreferenceParams, curve: PayoffCurve, x, w: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def dg_transfer(p: PreferenceParams, curve: PayoffCurve, w: float, n_scan: int = 200) -> float:
+def dg_transfer(
+    p: PreferenceParams | ParamLanes, curve: PayoffCurve, w: float, n_scan: int = 200
+) -> float | np.ndarray:
     """Argmax of the dictator objective over [0, w].
 
     The objective is kinked at w/2, so each branch is searched separately
-    (coarse scan + golden section) and the better branch wins.
+    (coarse scan + golden section) and the better branch wins. p is a
+    PreferenceParams, or a ParamLanes for one transfer per lane (an array).
     """
     validate_endowment(w)
     half = 0.5 * w
     f = lambda x: dg_objective(p, curve, x, w)
-    lo_best = scan_then_golden(f, 0.0, half, n_scan=n_scan)
-    hi_best = scan_then_golden(f, half, w, n_scan=n_scan)
-    best = lo_best if f(lo_best) >= f(hi_best) else hi_best
-    return min(max(best, 0.0), w)
+    zero = np.zeros(np.shape(p.alpha))
+    lo_best = scan_then_golden(f, zero, zero + half, n_scan=n_scan)
+    hi_best = scan_then_golden(f, zero + half, zero + w, n_scan=n_scan)
+    best = np.where(f(lo_best) >= f(hi_best), lo_best, hi_best)
+    best = np.where(0.0 > best, 0.0, best)
+    best = np.where(w < best, w, best)
+    return float(best) if best.ndim == 0 else best
 
 
 def dg_transfer_shiftedlog_interior(p: PreferenceParams, w: float) -> float:

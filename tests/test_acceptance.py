@@ -1,9 +1,9 @@
 """Acceptance gate: the eight headline checks, one printed line per check.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see every line; the
-whole gate takes about 20 seconds on a 2-vCPU machine, most of it in the
-brute-force equivalence sweep (about 13 s, mostly the solver's kappa-tilde
-root inside each of its 300 draws) and the mixture estimation check. Two
+whole gate takes about 11 seconds on a 2-vCPU machine, most of it in the
+brute-force equivalence sweep (about 5 s) and the mixture estimation check
+(about 4 s). Two
 reference values are known divergences, and both are asserted the same
 way: the model value is checked (against the brute-force grid oracle where
 one applies) and the reference is confirmed unreachable.
@@ -207,12 +207,11 @@ def test_criterion_6_oracle_equivalence(crra, thresholds, offers, shifted_log):
     check(bad, "500 draws: threshold positive iff alpha > 0", sign_ok)
 
     # high spite with enough universalization weight: offer >= threshold;
-    # one problem solves each kappa-tilde once for the scan and the cells
+    # one problem solves the 63 kappa-tilde in one lane search, and the cells reuse them
     prob = _CachedProblem(crra, thresholds, offers, W)
     alphas = np.linspace(ALPHA_BAR + 1e-3, 2.0, 63)
     cor2_pairs = []
-    for a in alphas:
-        kt = prob.ktil(float(a))
+    for a, kt in zip(alphas, prob.ktils(alphas)):
         for k in np.linspace(kt + 1e-3, 0.95, 8):
             cor2_pairs.append((float(a), float(k)))
     cells2 = prob.cells(cor2_pairs)

@@ -480,6 +480,17 @@ class TestCliErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["region-map"], ["statics", "--alpha", "0.5"]])
+    def test_kappa_grid_reaching_one_names_the_config_exit_2(self, command, tmp_path, capsys):
+        # the config is valid (kappa in [0, 1]); only the region commands need kappa < 1
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"alpha_grid": [0.0, 1.0, 3], "kappa_grid": [0.5, 1.0, 3]}))
+        code, out, err = run_cli(command + ["--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert str(cfg) in err and "kappa = 1.0" in err and command[0] in err
+        code, out, _ = run_cli(["oracle-check", "--draws", "2", "--config", str(cfg)], capsys)
+        assert code == 0 and "all checks passed" in out
+
     @pytest.mark.parametrize(
         "command", [["nash", "--kappa", "0.6", "--alpha", "0.5"], ["oracle-check"]]
     )

@@ -1,4 +1,4 @@
-"""Scalar search primitives: the array coarse scan against a scalar reference."""
+"""Scalar search primitives: the coarse scan against a scalar reference, and lanes against one-lane calls."""
 
 import math
 
@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moralbargain import numerics
 from moralbargain.errors import ConvergenceError
-from moralbargain.numerics import golden_section_max, scan_then_golden
+from moralbargain.numerics import bisect_boundary, bisect_root, golden_section_max, scan_then_golden
 
 
 def _reference_scan(f, lo, hi, n_scan=200, tol=1e-9):
@@ -58,18 +59,40 @@ def test_scan_matches_scalar_reference_bitwise(lo, span, n_scan, centres, height
     assert got == _reference_scan(f, lo, hi, n_scan=n_scan)
 
 
-def test_scan_is_one_array_call_then_scalars():
+def test_scan_is_one_block_call_then_one_lane_call_per_step():
+    centres = np.array([1.3, 2.2, 0.4])
     calls = []
 
     def f(x):
-        calls.append(x)
-        return -((x - 1.3) ** 2)
+        calls.append(np.shape(x))
+        return -((x - centres) ** 2)
 
-    x = scan_then_golden(f, 0.0, 5.0, n_scan=200)
-    assert x == pytest.approx(1.3, abs=1e-8)
-    assert isinstance(calls[0], np.ndarray) and calls[0].shape == (201,)
-    assert all(isinstance(c, float) for c in calls[1:])
+    x = scan_then_golden(f, np.zeros(3), np.full(3, 5.0), n_scan=200)
+    assert isinstance(x, np.ndarray) and x == pytest.approx(centres, abs=1e-8)
+    assert calls[0] == (201, 3)
+    assert all(shape == (3,) for shape in calls[1:])
+    # a scalar bracket is a one-lane call: the same protocol, and a float back
+    calls.clear()
+    x = scan_then_golden(lambda x: f(x)[..., :1], 0.0, 5.0, n_scan=200)
+    assert type(x) is float and x == pytest.approx(1.3, abs=1e-8)
+    assert calls[0] == (201, 1) and all(shape == (1,) for shape in calls[1:])
     assert len(calls) < 50
+
+
+def test_wide_scans_are_split_into_capped_blocks():
+    lanes = numerics._SCAN_CELLS // 50
+    centres = np.linspace(0.5, 4.5, lanes)
+    shapes = []
+
+    def f(x):
+        shapes.append(np.shape(x))
+        return -((x - centres) ** 2)
+
+    x = scan_then_golden(f, np.zeros(lanes), np.full(lanes, 5.0), n_scan=200)
+    scan = [s for s in shapes if len(s) == 2]
+    assert sum(s[0] for s in scan) == 201 and all(s[0] * s[1] <= numerics._SCAN_CELLS for s in scan)
+    assert len(scan) > 1
+    assert x == pytest.approx(centres, abs=1e-8)
 
 
 def test_forced_tie_first_index_wins():
@@ -115,3 +138,186 @@ def test_golden_section_reaches_tolerance():
     assert golden_section_max(f, 1.0, 2.0, tol=1e-9) == pytest.approx(math.pi / 2, abs=1e-8)
     with pytest.raises(ValueError):
         golden_section_max(f, 2.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# lanes: each lane of a batched call equals the same problem alone, bit for bit
+
+
+def _lane_bumps(centres, heights, width, quantum):
+    """Per-lane sums of quartic bumps; lane i's parameters sit in row i.
+
+    Broadcasts over x of shape (L,) or (rows, L); quantized versions have
+    plateaus, so scans and golden steps see exact ties.
+    """
+
+    def f(x):
+        out = 0.0 * x
+        for c, h in zip(centres.T, heights.T):
+            u = np.maximum(1.0 - ((x - c) / width) ** 2, 0.0)
+            out = out + h * u * u
+        return np.floor(out / quantum) * quantum if quantum else out
+
+    return f
+
+
+def _one_lane(make, i, *arrays):
+    return make(*(a[i:i + 1] for a in arrays))
+
+
+_lane_count = st.integers(1, 6)
+
+
+@st.composite
+def _bump_lanes(draw, allow_empty):
+    n = draw(_lane_count)
+    lo = np.array(draw(st.lists(st.floats(-20.0, 20.0, **_finite), min_size=n, max_size=n)))
+    spans = draw(st.lists(
+        st.one_of(st.floats(1e-6, 30.0, **_finite), st.sampled_from([0.0, 1e-10, 5e-10, 1e-9])
+                  | (st.floats(-5.0, 0.0, **_finite) if allow_empty else st.just(0.0))),
+        min_size=n, max_size=n))
+    hi = lo + np.array(spans)
+    centres = lo[:, None] + np.array(draw(st.lists(
+        st.lists(st.floats(-0.1, 1.1, **_finite), min_size=3, max_size=3), min_size=n, max_size=n,
+    ))) * np.maximum(np.abs(np.array(spans)), 1.0)[:, None]
+    heights = np.array(draw(st.lists(
+        st.lists(st.floats(0.1, 5.0, **_finite), min_size=3, max_size=3), min_size=n, max_size=n,
+    )))
+    width = np.array(draw(st.lists(st.floats(0.05, 3.0, **_finite), min_size=n, max_size=n)))
+    quantum = draw(st.sampled_from([0.0, 0.25, 1.0]))
+    return lo, hi, centres, heights, width, quantum
+
+
+@settings(max_examples=80, deadline=None)
+@given(lanes=_bump_lanes(allow_empty=False), tol=st.sampled_from([1e-9, 1e-6]))
+def test_golden_lanes_equal_one_lane_calls_bitwise(lanes, tol):
+    lo, hi, centres, heights, width, quantum = lanes
+    f = _lane_bumps(centres, heights, width, quantum)
+    got = golden_section_max(f, lo, hi, tol=tol)
+    assert isinstance(got, np.ndarray) and got.shape == lo.shape
+    for i in range(lo.size):
+        g = _one_lane(lambda c, h, wd: _lane_bumps(c, h, wd, quantum), i, centres, heights, width)
+        alone = golden_section_max(g, float(lo[i]), float(hi[i]), tol=tol)
+        assert type(alone) is float and got[i] == alone
+
+
+@settings(max_examples=80, deadline=None)
+@given(lanes=_bump_lanes(allow_empty=True), n_scan=st.integers(1, 120))
+def test_scan_lanes_equal_one_lane_calls_bitwise(lanes, n_scan):
+    lo, hi, centres, heights, width, quantum = lanes
+    f = _lane_bumps(centres, heights, width, quantum)
+    got = scan_then_golden(f, lo, hi, n_scan=n_scan)
+    for i in range(lo.size):
+        g = _one_lane(lambda c, h, wd: _lane_bumps(c, h, wd, quantum), i, centres, heights, width)
+        assert got[i] == scan_then_golden(g, float(lo[i]), float(hi[i]), n_scan=n_scan)
+        if hi[i] <= lo[i]:
+            assert got[i] == lo[i]
+
+
+def test_scan_nan_in_one_lane_raises_naming_its_bracket():
+    lo, hi = np.array([0.0, 1.0, 2.0]), np.array([5.0, 6.0, 7.0])
+    nan_lane = np.array([False, True, False])
+    f = lambda x: np.where(nan_lane & (x > 3.0), np.nan, -((x - 2.5) ** 2))
+    with pytest.raises(ConvergenceError, match=r"scan of \[1.0, 6.0\]"):
+        scan_then_golden(f, lo, hi)
+    # a NaN beside an empty bracket's lo is never scanned, so it does not raise
+    f = lambda x: np.where(nan_lane & (x == 1.0), np.nan, -((x - 2.5) ** 2))
+    got = scan_then_golden(f, lo, np.array([5.0, 1.0, 7.0]))
+    assert got[1] == 1.0
+
+
+@st.composite
+def _root_lanes(draw):
+    n = draw(_lane_count)
+    lo = np.array(draw(st.lists(st.floats(-10.0, 10.0, **_finite), min_size=n, max_size=n)))
+    hi = lo + np.array(draw(st.lists(st.floats(1e-3, 20.0, **_finite), min_size=n, max_size=n)))
+    # a root anywhere inside, or exactly on an endpoint
+    where = draw(st.lists(st.one_of(st.floats(0.0, 1.0, **_finite), st.sampled_from([0.0, 1.0])),
+                          min_size=n, max_size=n))
+    roots = np.where(np.array(where) == 0.0, lo, np.where(np.array(where) == 1.0, hi,
+                                                          lo + np.array(where) * (hi - lo)))
+    slopes = np.array(draw(st.lists(st.sampled_from([-3.0, -0.5, 1e-3, 1.0, 7.0]),
+                                    min_size=n, max_size=n)))
+    cubic = draw(st.booleans())
+    tol = draw(st.sampled_from([1e-10, 1e-6, 1e-3]))
+    return lo, hi, roots, slopes, cubic, tol
+
+
+def _root_fn(roots, slopes, cubic):
+    def f(x):
+        d = x - roots
+        return slopes * (d * d * d + 1e-3 * d if cubic else d)
+
+    return f
+
+
+@settings(max_examples=120, deadline=None)
+@given(lanes=_root_lanes())
+def test_bisect_root_lanes_equal_one_lane_calls_bitwise(lanes):
+    lo, hi, roots, slopes, cubic, tol = lanes
+    got = bisect_root(_root_fn(roots, slopes, cubic), lo, hi, residual_tol=tol)
+    for i in range(lo.size):
+        alone = bisect_root(_one_lane(lambda r, s: _root_fn(r, s, cubic), i, roots, slopes),
+                            float(lo[i]), float(hi[i]), residual_tol=tol)
+        assert type(alone) is float and got[i] == alone
+
+
+def test_bisect_root_lanes_stop_at_different_iterations():
+    # lanes need 1, about 10 and about 33 halvings to reach the residual
+    roots = np.array([2.5, 2.5 + 5 / 1024, 1.0 / 3.0])
+    f = lambda x: x - roots
+    calls = []
+    got = bisect_root(lambda x: (calls.append(x.copy()), f(x))[1], np.zeros(3), np.full(3, 5.0))
+    assert got[0] == 2.5 and got[1] == roots[1]
+    assert abs(got[2] - 1.0 / 3.0) < 1e-10
+    # the first lane is frozen at its root while the others keep bisecting
+    assert all(c[0] == 2.5 for c in calls[3:])
+    # zero endpoints: the root is returned without a step
+    assert bisect_root(lambda x: x - 1.0, 1.0, 4.0) == 1.0
+    got = bisect_root(lambda x: x - np.array([1.0, 4.0]), np.ones(2), np.full(2, 4.0))
+    assert list(got) == [1.0, 4.0]
+
+
+def test_bisect_root_no_sign_change_in_one_lane_raises():
+    f = lambda x: x - np.array([1.0, 9.0])
+    with pytest.raises(ConvergenceError, match=r"no sign change on \[0.0, 5.0\]"):
+        bisect_root(f, np.zeros(2), np.full(2, 5.0))
+
+
+@st.composite
+def _boundary_lanes(draw):
+    n = draw(_lane_count)
+    lo = np.array(draw(st.lists(st.floats(-10.0, 10.0, **_finite), min_size=n, max_size=n)))
+    hi = lo + np.array(draw(st.lists(st.floats(0.0, 20.0, **_finite), min_size=n, max_size=n)))
+    # the boundary at lo (pred holds on all of the bracket), inside, or at hi
+    where = np.array(draw(st.lists(st.one_of(st.floats(0.0, 1.0, **_finite),
+                                             st.sampled_from([-1.0, 0.0, 1.0])),
+                                   min_size=n, max_size=n)))
+    cut = lo + where * (hi - lo)
+    x_tol = draw(st.sampled_from([1e-12, 1e-8, 1e-4, 1.0]))
+    return lo, hi, cut, x_tol
+
+
+@settings(max_examples=120, deadline=None)
+@given(lanes=_boundary_lanes())
+def test_bisect_boundary_lanes_equal_one_lane_calls_bitwise(lanes):
+    lo, hi, cut, x_tol = lanes
+    got = bisect_boundary(lambda x: x >= cut, lo, hi, x_tol=x_tol)
+    for i in range(lo.size):
+        alone = bisect_boundary(lambda x: x >= cut[i:i + 1], float(lo[i]), float(hi[i]), x_tol=x_tol)
+        assert type(alone) is float and got[i] == alone
+        if cut[i] <= lo[i]:
+            assert alone == lo[i]
+
+
+def test_bisect_boundary_false_predicate_in_one_lane_raises():
+    with pytest.raises(ConvergenceError, match=r"predicate false on all of \[1.0, 2.0\]"):
+        bisect_boundary(lambda x: x >= np.array([0.5, 3.0]), np.ones(2), np.full(2, 2.0))
+
+
+def test_zero_lanes_return_empty_arrays():
+    none = np.empty(0)
+    for search in (golden_section_max, scan_then_golden, bisect_root):
+        got = search(lambda x: -x * x, none, none)
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+    assert bisect_boundary(lambda x: x >= 0.0, none, none).shape == (0,)

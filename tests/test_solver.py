@@ -6,6 +6,8 @@ indifference gap) and frozen; the w=10 configuration is crra(0.05) with
 Beta(2,4) beliefs on both sides.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,41 @@ def test_solve_many_equals_pointwise_optimal_strategy(crra, thresholds, offers):
     out = optimal_strategy(p, crra, thresholds, offers, W)
     assert out.region == "R2" and out.x_constrained > out.threshold
     assert out.optimal == Strategy(out.threshold, out.threshold)
+
+
+_LANE_CONFIGS = {
+    "crra/beta24/beta24": (PayoffCurve.crra(0.05), (2.0, 4.0), (2.0, 4.0)),
+    "shifted_log/uniform/beta42": (PayoffCurve.shifted_log(), None, (4.0, 2.0)),
+    "linear/beta22/uniform": (PayoffCurve.linear(), (2.0, 2.0), None),
+}
+
+
+def _belief(shape):
+    return BeliefDistribution.uniform_on_half(W) if shape is None else BeliefDistribution.scaled_beta(*shape, W)
+
+
+@pytest.mark.parametrize("name", sorted(_LANE_CONFIGS))
+def test_mixed_batch_equals_one_point_solves_by_repr(name):
+    # every stage of solve_many is one lane search over the batch; each point
+    # must come out as its own one-point solve, flags and kappa-tilde included
+    curve, th_shape, of_shape = _LANE_CONFIGS[name]
+    th, of = _belief(th_shape), _belief(of_shape)
+    prob = _CachedProblem(curve, th, of, W)
+    rng = np.random.default_rng(1212)
+    pairs = [(a, k) for a in (-0.5, 0.0, 0.3, 0.8, 1.2, 2.0, 3.0) for k in (0.0, 0.005, 0.02, 0.3, 1.0)]
+    pairs += [(float(rng.uniform(-1.0, 3.5)), float(rng.uniform(0.0, 0.99))) for _ in range(25)]
+    if math.isfinite(prob.abar):
+        pairs += [(prob.abar, 0.3), (float(np.nextafter(prob.abar, np.inf)), 0.001)]
+    outs = prob.solve_many(pairs)
+    for (a, k), out in zip(pairs, outs):
+        alone = optimal_strategy(PreferenceParams(alpha=a, kappa=k), curve, th, of, W)
+        assert repr(out) == repr(alone), (a, k)
+    regions = {o.region for o in outs}
+    assert {"R1", "R2"} <= regions
+    assert any("threshold-indeterminate" in o.flags for o in outs)
+    if math.isfinite(prob.abar):  # beliefs with a selfish offer below w/2
+        assert "R3" in regions
+        assert any(a > prob.abar for a, _ in pairs) and any(0.0 < a < prob.abar for a, _ in pairs)
 
 
 def test_region_map_structure(crra, thresholds, offers):

@@ -13,7 +13,9 @@ replaced by the sha256 of its bytes. The set:
 - the TestEmFit fits in tests/test_mixture.py (simulation seeds 101, 402,
   9 with fit seeds 0-2, and 17);
 - bootstrap_se(b=3, seed=2) on the seed-400 k=2 fit, as raw bytes;
-- the logit k=1 fit of the benchmark (seed-400 sample, fit seed 2).
+- the logit k=1 fit of the benchmark (seed-400 sample, fit seed 2);
+- a logit k=2 fit on that sample (fit seed 2, max_iter=3, restarts=2), so
+  the multi-type logit E-step is in the set.
 
 Output depends on numpy's SIMD dispatch: transcendental ufuncs may round
 differently under another target, so compare runs on one machine.
@@ -80,6 +82,10 @@ def main() -> None:
 
     logit = em_fit(recs400, games, curve, k=1, seed=2, choice_model="logit")
     print(fit_line("sim400 logit k=1 seed=2", logit))
+    logit2 = em_fit(
+        recs400, games, curve, k=2, seed=2, choice_model="logit", max_iter=3, restarts=2
+    )
+    print(fit_line("sim400 logit k=2 seed=2 max_iter=3 restarts=2", logit2))
 
 
 if __name__ == "__main__":

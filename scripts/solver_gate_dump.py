@@ -19,7 +19,12 @@ Beta(2, 4) beliefs on both sides):
   `statics --alpha 3` with kappa_grid [0, 0.05, 6];
 - the sha256 of the `repr` of classify_many over the 96 subjects of
   data/test_sample.csv, one cell per line;
-- the sha256 of the JSON and of the CSV of CLI `predict` on that file.
+- the sha256 of the JSON and of the CSV of CLI `predict` on that file;
+- the `repr` of nash_set at (kappa, alpha) = (1, 0.5), (0.6, 0), (0.6, 0.5)
+  and (0.3, 1);
+- per curve (linear, CRRA(0.05), shifted log), the sha256 of the bytes of
+  dg_transfer over 300 ParamLanes at w = 58.8 (rng seed 1300: alpha, beta
+  and kappa drawn per lane).
 
 Output depends on numpy's SIMD dispatch: transcendental ufuncs may round
 differently under another target, so compare runs on one machine.
@@ -45,12 +50,15 @@ from moralbargain import (  # noqa: E402
     PayoffCurve,
     PreferenceParams,
     classify_many,
+    dg_transfer,
     kappa_tilde,
+    nash_set,
     optimal_strategy,
 )
 from moralbargain.io import load_estimates  # noqa: E402
 from moralbargain.cli import main as cli_main  # noqa: E402
 from moralbargain.oracle import optimal_vs_brute  # noqa: E402
+from moralbargain.params import ParamLanes  # noqa: E402
 
 W = 10.0
 ALPHA_BAR = 0.908812520585837  # as in tests/test_acceptance.py
@@ -115,6 +123,17 @@ def main() -> None:
         code, text = cli_output(["predict", "--estimates", str(SAMPLE), "--format", fmt],
                                 f"predict.{fmt}")
         print(f"predict on the sample: exit={code} {fmt} sha256={sha(text)}")
+
+    for kappa, alpha in ((1.0, 0.5), (0.6, 0.0), (0.6, 0.5), (0.3, 1.0)):
+        print(f"nash_set({kappa!r}, {alpha!r}): {nash_set(kappa, alpha, curve, W)!r}")
+
+    rng = np.random.default_rng(1300)
+    lanes = ParamLanes(
+        rng.uniform(-1.0, 3.0, 300), rng.uniform(-1.0, 1.0, 300), rng.uniform(0.0, 1.0, 300)
+    )
+    for dg_curve in (PayoffCurve.linear(), curve, PayoffCurve.shifted_log()):
+        digest = hashlib.sha256(dg_transfer(lanes, dg_curve, 58.8).tobytes()).hexdigest()
+        print(f"dg_transfer over 300 lanes, {dg_curve.label()}: sha256={digest}")
 
 
 if __name__ == "__main__":

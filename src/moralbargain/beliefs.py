@@ -30,7 +30,6 @@ class BeliefDistribution:
     a: float | None = None
     b: float | None = None
     sample: tuple[float, ...] | None = None
-    hist_bin_width: float | None = None
 
     def __post_init__(self):
         validate_endowment(self.w)
@@ -62,9 +61,9 @@ class BeliefDistribution:
         return cls("always_accept", w=w)
 
     @classmethod
-    def empirical(cls, sample, w: float, hist_bin_width: float | None = None) -> "BeliefDistribution":
+    def empirical(cls, sample, w: float) -> "BeliefDistribution":
         pts = tuple(sorted(float(s) for s in sample))
-        return cls("empirical", w=w, sample=pts, hist_bin_width=hist_bin_width)
+        return cls("empirical", w=w, sample=pts)
 
     # -- properties --------------------------------------------------------
 
@@ -110,7 +109,8 @@ class BeliefDistribution:
         return float(out) if arr.ndim == 0 else out
 
     def pdf(self, x):
-        """Density on [0, w/2]; 0 outside and at NaN. Empirical uses a histogram density.
+        """Density on [0, w/2]; 0 outside and at NaN. Empirical uses a histogram
+        density with bins of width w/100.
 
         A float (other than for empirical beliefs) takes a short path: for
         scaled_beta it calls the Beta kernel that scipy's pdf reaches with
@@ -134,7 +134,7 @@ class BeliefDistribution:
         elif self.kind == "always_accept":
             out = np.zeros_like(arr)  # atom at 0 carries the mass, no density
         else:
-            width = self.hist_bin_width or self.w / 100.0
+            width = self.w / 100.0
             edges = np.arange(0.0, self.half + width, width)
             if edges[-1] < self.half:
                 edges = np.append(edges, self.half)

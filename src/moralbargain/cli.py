@@ -96,6 +96,18 @@ _CURVE_FLAGS = {
 }
 
 
+def _estimation_curve(args, cfg: mio.RunConfig) -> PayoffCurve:
+    """The --curve flag, then an explicit --config, then the shifted log.
+
+    The built-in config's curve is theory-side, so it is not a default here.
+    """
+    if args.curve is not None:
+        return _CURVE_FLAGS[args.curve](args.rho)
+    if args.config is not None:
+        return cfg.curve
+    return PayoffCurve.shifted_log()
+
+
 def _prediction_setup(args, cfg: mio.RunConfig) -> tuple[float, PayoffCurve]:
     """Endowment and curve for DG/UG prediction commands.
 
@@ -103,12 +115,7 @@ def _prediction_setup(args, cfg: mio.RunConfig) -> tuple[float, PayoffCurve]:
     defaults (w = 58.8, shifted log); the built-in config is theory-side
     and would silently change the predicted scale.
     """
-    if args.curve is not None:
-        curve = _CURVE_FLAGS[args.curve](args.rho)
-    elif args.config is not None:
-        curve = cfg.curve
-    else:
-        curve = PayoffCurve.shifted_log()
+    curve = _estimation_curve(args, cfg)
     if args.w is not None:
         w = args.w
     elif args.config is not None:
@@ -273,12 +280,7 @@ def _cmd_estimate(args, cfg, seed, out_dir, fmt) -> int:
     games = list(default_games())
     if args.games is not None:
         games.extend(mio.load_games_config(args.games))
-    if args.curve is not None:
-        curve = _CURVE_FLAGS[args.curve](args.rho)
-    elif args.config is not None:
-        curve = cfg.curve
-    else:
-        curve = PayoffCurve.shifted_log()
+    curve = _estimation_curve(args, cfg)
     fit = em_fit(
         data,
         games,

@@ -65,11 +65,6 @@ def json_text(payload: dict) -> str:
     return json.dumps(body, indent=2) + "\n"
 
 
-def write_json(path: str | Path, payload: dict) -> None:
-    """JSON with a schema-version field first, atomic replace on write."""
-    _atomic_write(path, json_text(payload))
-
-
 def csv_text(header: list[str], rows) -> str:
     out = [",".join(header)]
     for row in rows:
@@ -396,16 +391,6 @@ def save_choices(records, path: str | Path) -> None:
 # game configs
 
 
-def _game_payload(g: BinaryGame) -> dict:
-    return {
-        "game_id": g.game_id,
-        "payoff_a": [[list(cell) for cell in row] for row in np.asarray(g.payoff_a).tolist()],
-        "payoff_b": [[list(cell) for cell in row] for row in np.asarray(g.payoff_b).tolist()],
-        "belief_a": g.belief_a,
-        "belief_b": g.belief_b,
-    }
-
-
 def _game_from_payload(entry: dict, where: str) -> BinaryGame:
     if "mini_ug" in entry:
         spec = entry["mini_ug"]
@@ -448,10 +433,6 @@ def load_games_config(path: str | Path) -> tuple[BinaryGame, ...]:
     if len(set(ids)) != len(ids):
         raise ValidationError(f"{path}: duplicate game ids in config")
     return games
-
-
-def save_games_config(games, path: str | Path) -> None:
-    write_json(path, {"games": [_game_payload(g) for g in games]})
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +478,6 @@ def fit_payload(fit: MixtureFit, se: BootstrapSE | None = None) -> dict:
             ],
         }
     return body
-
-
-def write_fit_report(fit: MixtureFit, path: str | Path, se: BootstrapSE | None = None) -> None:
-    write_json(path, fit_payload(fit, se))
 
 
 def fit_summary_table(

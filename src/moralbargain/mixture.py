@@ -31,7 +31,6 @@ ROLES = ("P", "R")
 CHOICE_MODELS = ("constant", "logit")
 
 _TIE_TOL = 1e-12
-_STRATEGY_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 _LOGIT_LAM_GRID = np.array([0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 0.99])
 
 
@@ -189,31 +188,38 @@ def logit_choice_prob(lam: float, u_chosen: float, u_other: float) -> float:
     return float(np.exp(log_expit((u_chosen - u_other) / lam)))
 
 
-def _pattern_and_margin(p: PreferenceParams, coeffs):
-    """Preferred action and utility margin per game and role.
+def _structure(coeffs: np.ndarray, theta: np.ndarray):
+    """Preferred patterns and margins per point, game and role.
 
-    coeffs holds one game_coefficients table per game. The off-role
-    component is pinned at the joint argmax, so each entry reduces to a
-    binary comparison between the two veil strategies that differ in that
-    role's action alone. Margin = U(action 1) - U(action 0).
+    coeffs stacks one game_coefficients table per game; theta holds
+    (alpha, beta, kappa) rows. The off-role action is pinned at the joint
+    argmax, so each entry reduces to a binary comparison between the two
+    veil strategies that differ in that role's action alone. Margin =
+    U(action 1) - U(action 0); the pattern is the preferred action, or 2
+    for a tie. Both come out with shape (T, G, 2).
     """
-    basis = _basis(p)
-    pat = np.zeros((len(coeffs), 2), dtype=np.int8)
-    margin = np.zeros((len(coeffs), 2))
-    for g, table in enumerate(coeffs):
-        u = table @ basis
-        a_star, b_star = _STRATEGY_ORDER[int(np.argmax(u.ravel()))]
-        d_p = u[1, b_star] - u[0, b_star]
-        d_r = u[a_star, 1] - u[a_star, 0]
-        margin[g] = (d_p, d_r)
-        pat[g, 0] = 2 if abs(d_p) <= _TIE_TOL else int(d_p > 0)
-        pat[g, 1] = 2 if abs(d_r) <= _TIE_TOL else int(d_r > 0)
-    return pat, margin
+    basis = np.column_stack([np.ones(len(theta)), theta[:, 2], theta[:, 0], theta[:, 1]])
+    u = np.einsum("gabc,tc->tgab", coeffs, basis)
+    joint = u.reshape(len(theta), len(coeffs), 4).argmax(axis=2)
+    # u at the joint argmax's b (over a) and at its a (over b); a
+    # two-way select is exact and cheaper than a gather
+    u_b = np.where((joint % 2 == 1)[..., None], u[..., 1], u[..., 0])
+    d_p = u_b[:, :, 1] - u_b[:, :, 0]
+    u_a = np.where((joint // 2 == 1)[..., None], u[:, :, 1], u[:, :, 0])
+    d_r = u_a[:, :, 1] - u_a[:, :, 0]
+    margins = np.stack([d_p, d_r], axis=2)
+    patterns = np.where(np.abs(margins) <= _TIE_TOL, 2, (margins > 0).astype(np.int8))
+    return patterns.astype(np.int8), margins
+
+
+def _theta_of(params) -> np.ndarray:
+    return np.array([[p.alpha, p.beta, p.kappa] for p in params])
 
 
 def preferred_pattern(p: PreferenceParams, curve: PayoffCurve, games) -> np.ndarray:
     """Per-game, per-role preferred action (0, 1, or 2 for a tie)."""
-    return _pattern_and_margin(p, [game_coefficients(g, curve) for g in games])[0]
+    coeffs = np.stack([game_coefficients(g, curve) for g in games])
+    return _structure(coeffs, _theta_of([p]))[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -242,37 +248,46 @@ def _encode(data, games):
     return subjects, cnt
 
 
-def _count_mdt(cnt: np.ndarray, pattern: np.ndarray):
-    """Split each subject's records into matches, mismatches, ties for a pattern."""
-    n, n_games = cnt.shape[:2]
-    m = np.zeros(n)
-    t = np.zeros(n)
-    for g in range(n_games):
+def _match_tie(patterns: np.ndarray, counts: np.ndarray):
+    """Matched and tied action weight of counts under preferred patterns.
+
+    patterns (..., G, 2) and counts (..., G, 2, 2) broadcast over their
+    leading axes: (T, G, 2) patterns against one table in the M-step,
+    (K, 1, G, 2) patterns against (N, G, 2, 2) subject counts in the E-step.
+    The sums add one game and role at a time, games outer, so every
+    leading shape gets the same bits.
+    """
+    c0, c1 = counts[..., 0], counts[..., 1]
+    tied = patterns == 2
+    both = np.stack(
+        [np.where(tied, 0.0, np.where(patterns == 1, c1, c0)), np.where(tied, c0 + c1, 0.0)]
+    )
+    acc = np.zeros(both.shape[:-2])
+    for g in range(both.shape[-2]):
         for ro in range(2):
-            pref = pattern[g, ro]
-            if pref == 2:
-                t += cnt[:, g, ro, 0] + cnt[:, g, ro, 1]
-            else:
-                m += cnt[:, g, ro, pref]
-    d = cnt.sum(axis=(1, 2, 3)) - m - t
-    return m, d, t
+            acc += both[..., g, ro]
+    return acc[0], acc[1]
 
 
 def _loglik_matrix(cnt, params, coeffs, choice_model):
     """Per-subject log-likelihood column for each type."""
-    cols = []
-    for p in params:
-        pat, margin = _pattern_and_margin(p, coeffs)
-        if choice_model == "constant":
-            m, d, t = _count_mdt(cnt, pat)
-            cols.append(
-                m * math.log1p(-0.5 * p.lam) + d * math.log(0.5 * p.lam) + t * math.log(0.5)
-            )
-        else:
+    patterns, margins = _structure(coeffs, _theta_of(params))
+    if choice_model == "constant":
+        matched, tied = _match_tie(patterns[:, None], cnt)
+        missed = cnt.sum(axis=(1, 2, 3)) - matched - tied
+        cols = [
+            m * math.log1p(-0.5 * p.lam) + d * math.log(0.5 * p.lam) + t * math.log(0.5)
+            for p, m, d, t in zip(params, matched, missed, tied)
+        ]
+    else:
+        cols = []
+        for p, margin in zip(params, margins):
             z = margin / p.lam
             lp1 = log_expit(z)
             lp0 = log_expit(-z)
-            cols.append(np.einsum("ngr,gr->n", cnt[..., 1], lp1) + np.einsum("ngr,gr->n", cnt[..., 0], lp0))
+            cols.append(
+                np.einsum("ngr,gr->n", cnt[..., 1], lp1) + np.einsum("ngr,gr->n", cnt[..., 0], lp0)
+            )
     return np.column_stack(cols)
 
 
@@ -307,31 +322,12 @@ class _Lattice:
         )
         self.theta = np.column_stack([aa.ravel(), bb.ravel(), kk.ravel()])
         self.step = step
-        self.patterns, self.margins = self._structure_at(self.theta)
+        self.patterns, self.margins = _structure(self.coeffs, self.theta)
         # one void scalar per int8 pattern row; np.unique(axis=0) takes ~30x as long
         flat = self.patterns.reshape(len(self.theta), -1)
         rows = flat.view(np.dtype((np.void, flat.shape[1]))).ravel()
         _, first, self.pattern_id = np.unique(rows, return_index=True, return_inverse=True)
         self.unique_patterns = self.patterns[first]
-
-    def _structure_at(self, theta: np.ndarray):
-        """Vectorized preferred patterns and margins at arbitrary points."""
-        basis = np.column_stack(
-            [np.ones(len(theta)), theta[:, 2], theta[:, 0], theta[:, 1]]
-        )
-        u = np.einsum("gabc,tc->tgab", self.coeffs, basis)
-        joint = u.reshape(len(theta), len(self.games), 4).argmax(axis=2)
-        # u at the joint argmax's b (over a) and at its a (over b); a
-        # two-way select is exact and cheaper than a gather
-        u_b = np.where((joint % 2 == 1)[..., None], u[..., 1], u[..., 0])
-        d_p = u_b[:, :, 1] - u_b[:, :, 0]
-        u_a = np.where((joint // 2 == 1)[..., None], u[:, :, 1], u[:, :, 0])
-        d_r = u_a[:, :, 1] - u_a[:, :, 0]
-        margins = np.stack([d_p, d_r], axis=2)
-        patterns = np.where(
-            np.abs(margins) <= _TIE_TOL, 2, (margins > 0).astype(np.int8)
-        ).astype(np.int8)
-        return patterns, margins
 
     def _objective_constant(self, patterns: np.ndarray, weights3: np.ndarray):
         """Profiled-lambda weighted log-likelihood for a block of patterns.
@@ -339,16 +335,7 @@ class _Lattice:
         weights3 is the (G, 2, 2) responsibility-weighted action count table.
         The inner maximizer is lambda* = 2D / (M + D), clipped to its box.
         """
-        n_pts = len(patterns)
-        m = np.zeros(n_pts)
-        t = np.zeros(n_pts)
-        for g in range(len(self.games)):
-            for ro in range(2):
-                pref = patterns[:, g, ro]
-                w0, w1 = weights3[g, ro, 0], weights3[g, ro, 1]
-                tied = pref == 2
-                m += np.where(tied, 0.0, np.where(pref == 1, w1, w0))
-                t += np.where(tied, w0 + w1, 0.0)
+        m, t = _match_tie(patterns, weights3)
         d = weights3.sum() - m - t
         lam = np.clip(2.0 * d / np.maximum(m + d, 1e-300), *LAMBDA_BOUNDS)
         obj = m * np.log1p(-0.5 * lam) + d * np.log(0.5 * lam) + t * math.log(0.5)
@@ -385,9 +372,9 @@ class _Lattice:
             if coarse:
                 obj, lam = self._objective_constant(self.unique_patterns, weights3)
                 return obj[self.pattern_id], lam[self.pattern_id]
-            return self._objective_constant(self._structure_at(theta)[0], weights3)
+            return self._objective_constant(_structure(self.coeffs, theta)[0], weights3)
         values, index = (
-            self.distinct_margins if coarse else _distinct(self._structure_at(theta)[1])
+            self.distinct_margins if coarse else _distinct(_structure(self.coeffs, theta)[1])
         )
         return self._objective_logit(values, index, weights3, lam_grid)
 
@@ -477,7 +464,7 @@ def _polish_logit_lam(lattice, theta, weights3, lam0, obj0):
     """Golden refinement of the logit temperature at a fixed lattice point."""
     from scipy.optimize import minimize_scalar
 
-    _, margins = lattice._structure_at(theta[None, :])
+    _, margins = _structure(lattice.coeffs, theta[None, :])
     w1, w0 = weights3[:, :, 1], weights3[:, :, 0]
 
     def neg(lam):

@@ -18,9 +18,9 @@ from .beliefs import BeliefDistribution  # noqa: F401  (re-exported context type
 from .curves import PayoffCurve
 from .errors import ValidationError
 from .numerics import bisect_boundary
-from .params import PreferenceParams, Strategy, validate_endowment
+from .params import PreferenceParams, Strategy, grid_step_of, validate_endowment
 from .solver import constrained_threshold
-from .utility import eval_expost_symmetric
+from .utility import eval_expost_symmetric, social_utility
 
 SET_KINDS = ("SymmetricSegment", "SegmentPlusAsymmetricStub")
 
@@ -54,14 +54,6 @@ class NashBounds:
     formula_segment: tuple[float, float] | None
     asymmetric_stub: tuple[float, tuple[float, float]] | None
     flags: tuple[str, ...]
-
-
-def _check_step(grid_step: float | None, w: float) -> float:
-    if grid_step is None:
-        return w / _DEFAULT_GRID_DIVISOR
-    if not 0.0 < grid_step <= 0.5 * w:  # also rejects nan and inf
-        raise ValidationError("grid_step must lie in (0, w/2]")
-    return float(grid_step)
 
 
 def tau_of_kappa(kappa: float, curve: PayoffCurve, w: float) -> float:
@@ -122,21 +114,11 @@ def _verify(
 
     v_keep = curve.value(w - axis)
     v_give = curve.value(axis)
-    pa = (
-        (1.0 - kappa) * v_keep
-        - alpha * np.maximum(v_give - v_keep, 0.0)
-        - p.beta * np.maximum(v_keep - v_give, 0.0)
-    )
+    pa = social_utility(p, v_keep, v_give)
     c = kappa * (v_keep + v_give)
     y1 = np.array([s.x1 for s in profiles], dtype=float)
     y2 = np.array([s.x2 for s in profiles], dtype=float)
-    vo_own = curve.value(y1)
-    vo_oth = curve.value(w - y1)
-    racc = (
-        (1.0 - kappa) * vo_own
-        - alpha * np.maximum(vo_oth - vo_own, 0.0)
-        - p.beta * np.maximum(vo_own - vo_oth, 0.0)
-    )
+    racc = social_utility(p, curve.value(y1), curve.value(w - y1))
 
     # lanes are independent, so chunks of profiles concatenate to the one-call result
     rows = max(1, _VERIFY_CELLS // len(axis))
@@ -170,7 +152,8 @@ def verify_nash(
     Passes iff no deviation raises the ex-post utility by more than tol.
     """
     validate_endowment(w)
-    return _verify([profile], kappa, alpha, curve, w, _check_step(grid_step, w), tol)[0]
+    step = grid_step_of(w / _DEFAULT_GRID_DIVISOR if grid_step is None else grid_step, w)
+    return _verify([profile], kappa, alpha, curve, w, step, tol)[0]
 
 
 def rho_of_kappa(
@@ -183,7 +166,7 @@ def rho_of_kappa(
     Returns nan (with a warning) if nothing on the grid passes.
     """
     validate_endowment(w)
-    step = _check_step(grid_step, w)
+    step = grid_step_of(w / _DEFAULT_GRID_DIVISOR if grid_step is None else grid_step, w)
     half = 0.5 * w
     n = int(round((w - half) / step))
     xs = np.linspace(w, half, n + 1).tolist()
@@ -216,7 +199,7 @@ def nash_set(
         raise ValidationError("nash_set needs kappa in (0, 1]")
     if alpha < 0.0:
         raise ValidationError("nash_set needs alpha >= 0")
-    step = _check_step(grid_step, w)
+    step = grid_step_of(w / _DEFAULT_GRID_DIVISOR if grid_step is None else grid_step, w)
     flags: list[str] = []
 
     tau = tau_of_kappa(kappa, curve, w)

@@ -155,7 +155,9 @@ def bisect_root(
     flo, fhi = f(lo), f(hi)
     res = np.where(flo == 0.0, lo, hi)
     live = ~((flo == 0.0) | (fhi == 0.0))
-    bad = live & (flo * fhi > 0.0)
+    # signs are compared through np.sign: a product of two tiny values
+    # underflows to zero and would read as no sign information
+    bad = live & (np.sign(flo) * np.sign(fhi) > 0.0)
     if bad.any():
         i = int(np.argmax(bad))
         raise ConvergenceError(
@@ -173,7 +175,7 @@ def bisect_root(
         if np.count_nonzero(hit):
             np.copyto(res, mid, where=hit)
             live &= ~hit
-        neg = fm * flo < 0.0
+        neg = np.sign(fm) * np.sign(flo) < 0.0
         np.copyto(b, mid, where=live & neg)
         moved = live & ~neg
         np.copyto(a, mid, where=moved)

@@ -13,16 +13,12 @@ from .beliefs import BeliefDistribution
 from .curves import PayoffCurve
 from .errors import IndeterminateError, ValidationError
 from .kernels import grid_argmax
-from .params import GridSpec, PreferenceParams, Strategy, validate_endowment
+from .params import GridSpec, PreferenceParams, Strategy, grid_step_of, validate_endowment
 from .solver import _CachedProblem
 from .utility import dg_objective, eval_expected_utility
 
-
-def _as_step(grid: float | GridSpec, w: float) -> float:
-    step = grid.step if isinstance(grid, GridSpec) else float(grid)
-    if not 0.0 < step <= 0.5 * w:  # also rejects nan and inf
-        raise ValidationError("grid_step must lie in (0, w/2]")
-    return step
+# midpoint-sum resolution of expected_utility_riemann's responder integral
+_RIEMANN_STEP = 1e-4
 
 
 def riemann_tail_pair(
@@ -75,7 +71,6 @@ def brute_force_ug(
     offers: BeliefDistribution,
     w: float,
     grid_step: float | GridSpec,
-    fine_factor: int = 100,
 ) -> tuple[Strategy, float]:
     """Exhaustive grid argmax of the expected utility over [0, w]^2.
 
@@ -83,13 +78,13 @@ def brute_force_ug(
     diagonal, so x1 = x2 cells are evaluated explicitly.
     """
     validate_endowment(w)
-    step = _as_step(grid_step, w)
+    step = grid_step_of(grid_step, w)
     n = int(round(w / step))
     xs = np.linspace(0.0, w, n + 1)
     ka = p.kappa
     v_keep = curve.value(w - xs)
     a = (1.0 - ka) * v_keep * thresholds.cdf(xs)
-    i1, i2 = riemann_tail_pair(offers, curve, w, xs, fine_factor)
+    i1, i2 = riemann_tail_pair(offers, curve, w, xs)
     b = (1.0 - ka + p.alpha) * i1 - p.alpha * i2
     c = ka * (v_keep + curve.value(xs))
     i, j, u = grid_argmax(a, b, c, xs, xs)
@@ -103,21 +98,17 @@ def brute_force_symmetric(
     offers: BeliefDistribution,
     w: float,
     grid_step: float | GridSpec,
-    lo: float = 0.0,
-    hi: float | None = None,
-    fine_factor: int = 100,
 ) -> tuple[float, float]:
-    """Grid argmax of u(y, y) on the diagonal segment [lo, hi]."""
+    """Grid argmax of u(y, y) on the diagonal segment [0, w/2]."""
     validate_endowment(w)
-    step = _as_step(grid_step, w)
-    top = 0.5 * w if hi is None else hi
-    n = max(1, int(round((top - lo) / step)))
-    ys = np.linspace(lo, top, n + 1)
+    step = grid_step_of(grid_step, w)
+    n = max(1, int(round(0.5 * w / step)))
+    ys = np.linspace(0.0, 0.5 * w, n + 1)
     ka = p.kappa
     v_keep = curve.value(w - ys)
     v_give = curve.value(ys)
     a = (1.0 - ka) * v_keep * thresholds.cdf(ys)
-    i1, i2 = riemann_tail_pair(offers, curve, w, ys, fine_factor)
+    i1, i2 = riemann_tail_pair(offers, curve, w, ys)
     b = (1.0 - ka + p.alpha) * i1 - p.alpha * i2
     u = a + b + ka * (v_keep + v_give)  # diagonal indicator is always on
     k = int(np.argmax(u))
@@ -129,7 +120,7 @@ def brute_force_dg(
 ) -> tuple[float, float]:
     """Exhaustive scan of the dictator objective on [0, w]."""
     validate_endowment(w)
-    n = int(round(w / _as_step(grid_step, w)))
+    n = int(round(w / grid_step_of(grid_step, w)))
     xs = np.linspace(0.0, w, n + 1)
     vals = dg_objective(p, curve, xs, w)
     k = int(np.argmax(vals))
@@ -143,17 +134,16 @@ def expected_utility_riemann(
     offers: BeliefDistribution,
     s: Strategy,
     w: float,
-    fine_step: float = 1e-4,
 ) -> float:
     """Expected utility with the responder integral done by midpoint Riemann
-    sum at `fine_step` resolution; the oracle counterpart of the adaptive
+    sum at _RIEMANN_STEP resolution; the oracle counterpart of the adaptive
     quadrature evaluation."""
     validate_endowment(w)
     half = 0.5 * w
     ka = p.kappa
     proposer = (1.0 - ka) * curve.value(w - s.x1) * thresholds.cdf(s.x1)
     if s.x2 < half and offers.kind not in ("empirical", "always_accept"):
-        m = max(1, int(round((half - s.x2) / fine_step)))
+        m = max(1, int(round((half - s.x2) / _RIEMANN_STEP)))
         mids = np.linspace(s.x2, half, m, endpoint=False) + (half - s.x2) / (2 * m)
         wts = offers.pdf(mids) * (half - s.x2) / m
         i1 = float(np.sum(curve.value(mids) * wts))
@@ -207,12 +197,12 @@ def foc_residual(
     offers: BeliefDistribution,
     s: Strategy,
     w: float,
-    fd_step: float | None = None,
 ) -> tuple[float, float]:
-    """Central finite-difference gradient minus the analytic first-order
-    expressions; returns both components. Undefined on the diagonal."""
+    """Central finite-difference gradient, step 1e-5 w, minus the analytic
+    first-order expressions; returns both components. Undefined on the
+    diagonal."""
     validate_endowment(w)
-    h = fd_step if fd_step is not None else 1e-5 * w
+    h = 1e-5 * w
     if abs(s.x1 - s.x2) <= 2.0 * h:
         raise IndeterminateError("gradient undefined at the x1 = x2 kink")
     if not (h < s.x1 < w - h and h < s.x2 < w - h):

@@ -84,18 +84,19 @@ class Strategy:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid step over [0, w] (square lattice or diagonal line)."""
+    """Uniform grid step over [0, w]."""
 
     step: float
-    kind: str = "square"
 
     def __post_init__(self):
         if not (self.step > 0.0):
             raise ValidationError(f"grid step must be positive, got {self.step}")
-        if self.kind not in ("square", "line"):
-            raise ValidationError(f"grid kind must be 'square' or 'line'")
 
-    def axis(self, w: float, hi: float | None = None):
-        top = w if hi is None else hi
-        n = int(round(top / self.step))
-        return np.linspace(0.0, top, n + 1)
+
+def grid_step_of(grid: float | GridSpec, w: float) -> float:
+    """The step of a brute-force or verifier lattice on [0, w]; it must lie in
+    (0, w/2], since a wider step collapses the lattice."""
+    step = float(grid.step if isinstance(grid, GridSpec) else grid)
+    if not 0.0 < step <= 0.5 * w:  # also rejects nan and inf
+        raise ValidationError("grid_step must lie in (0, w/2]")
+    return step

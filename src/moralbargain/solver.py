@@ -31,6 +31,9 @@ REGIONS = ("R1", "R2", "R3")
 # there and leave v(w - x) - v(x) near 1e-8 of the scale of v. A difference
 # below this fraction of |v(w - x)| + |v(x)| is read as the equal split.
 _DENOM_RTOL = 1e-7
+# kappa-tilde scans kappa = i / _KTIL_SCAN, then bisects the crossing to _KTIL_TOL
+_KTIL_SCAN = 100
+_KTIL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -183,8 +186,6 @@ def kappa_tilde(
     thresholds: BeliefDistribution,
     offers: BeliefDistribution,
     w: float,
-    n_scan: int = 100,
-    tol: float = 1e-8,
 ) -> float | None:
     """Universalization level where the selfish combination stops paying.
 
@@ -192,7 +193,7 @@ def kappa_tilde(
     for alpha above alpha_bar (returns None otherwise). See
     _CachedProblem.kappa_tildes.
     """
-    (out,) = _CachedProblem(curve, thresholds, offers, w).kappa_tildes([alpha], n_scan, tol)
+    (out,) = _CachedProblem(curve, thresholds, offers, w).kappa_tildes([alpha])
     return out
 
 
@@ -278,15 +279,15 @@ class _CachedProblem:
         x_hat = _diag_opt(p, curve, thresholds, tails, w, np.where(x2 < x1c, x2, x1c), x2)
         return u_split - _fast_u(p, curve, thresholds, tails, x_hat, x_hat, w)
 
-    def kappa_tildes(self, alphas, n_scan: int = 100, tol: float = 1e-8) -> list[float | None]:
+    def kappa_tildes(self, alphas) -> list[float | None]:
         """Root in kappa of u(x_s, threshold) - u(symmetric, symmetric) at each alpha > alpha-bar.
 
         The first utility is strictly decreasing in kappa and the second
-        convex, so the first sign change on an n_scan-point kappa grid,
-        refined by bisection, is the single crossing. All alphas scan in
-        lockstep, every lane at the same kappa, and a lane leaves the scan
-        at its first gap <= 0; the bisections then run as one lane search.
-        None for alpha <= alpha-bar.
+        convex, so the first sign change on the kappa grid i / _KTIL_SCAN,
+        refined by bisection to _KTIL_TOL, is the single crossing. All
+        alphas scan in lockstep, every lane at the same kappa, and a lane
+        leaves the scan at its first gap <= 0; the bisections then run as
+        one lane search. None for alpha <= alpha-bar.
         """
         alphas = [float(a) for a in alphas]
         out: list[float | None] = [None] * len(alphas)
@@ -294,10 +295,10 @@ class _CachedProblem:
         hi_scan = 1.0 - 1e-9  # kappa = 1 leaves the threshold undefined
         brackets = []  # (lane, prev kappa, kappa) of each first sign change
         prev_k = 0.0
-        for step in range(n_scan + 1):
+        for step in range(_KTIL_SCAN + 1):
             if not scan:
                 break
-            k = min(step / n_scan, hi_scan) if step else 0.0
+            k = min(step / _KTIL_SCAN, hi_scan) if step else 0.0
             g = self._gap(np.array([alphas[i] for i in scan]), np.full(len(scan), k))
             crossed = (g <= 0.0).tolist()
             for i, hit in zip(scan, crossed):
@@ -313,13 +314,13 @@ class _CachedProblem:
         if brackets:
             lanes, lo, hi = (np.array(col) for col in zip(*brackets))
             al = np.array([alphas[i] for i in lanes.tolist()])
-            roots = bisect_boundary(lambda ks: self._gap(al, ks) <= 0.0, lo, hi, x_tol=tol)
+            roots = bisect_boundary(lambda ks: self._gap(al, ks) <= 0.0, lo, hi, x_tol=_KTIL_TOL)
             for i, root in zip(lanes.tolist(), roots.tolist()):
                 out[i] = root
         return out
 
     def ktils(self, alphas) -> list[float | None]:
-        """kappa_tildes with default settings, cached per alpha."""
+        """kappa_tildes, cached per alpha."""
         alphas = [float(a) for a in alphas]
         new = list(dict.fromkeys(a for a in alphas if a not in self._ktil))
         if new:

@@ -18,15 +18,23 @@ def _check_strategy(s: Strategy, w: float) -> None:
         raise ValidationError(f"strategy {s} outside [0, {w}]^2")
 
 
-def social_expost(p: PreferenceParams, curve: PayoffCurve, own_money: float, other_money: float) -> float:
-    """Ex-post social utility of one realized split, universalization excluded."""
-    v_own = curve.value(own_money)
-    v_oth = curve.value(other_money)
-    return (
+def social_utility(p: PreferenceParams | ParamLanes, v_own, v_oth):
+    """Ex-post social utility from the payoff values of one's own and the
+    other's money, universalization excluded.
+
+    Broadcasts over arrays and over ParamLanes parameters; a float for 0-d input.
+    """
+    out = (
         (1.0 - p.kappa) * v_own
-        - p.alpha * max(v_oth - v_own, 0.0)
-        - p.beta * max(v_own - v_oth, 0.0)
+        - p.alpha * np.maximum(v_oth - v_own, 0.0)
+        - p.beta * np.maximum(v_own - v_oth, 0.0)
     )
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def social_expost(p: PreferenceParams, curve: PayoffCurve, own_money, other_money):
+    """Ex-post social utility of one realized split, universalization excluded."""
+    return social_utility(p, curve.value(own_money), curve.value(other_money))
 
 
 def eval_expected_utility(
@@ -85,6 +93,10 @@ def eval_expost_symmetric(
     return total
 
 
+# nodes of the cumulative-trapezoid tail table on [0, w/2]
+_TAIL_NODES = 100_001
+
+
 class TailIntegrals:
     """Precomputed tail integrals of v(y) and v(w-y) under an offer distribution.
 
@@ -95,7 +107,7 @@ class TailIntegrals:
     always-accept belief is a point mass at zero.
     """
 
-    def __init__(self, offers: BeliefDistribution, curve: PayoffCurve, w: float, n_fine: int = 100_001):
+    def __init__(self, offers: BeliefDistribution, curve: PayoffCurve, w: float):
         validate_endowment(w)
         if offers.w != w:
             raise ValidationError("belief endowment does not match w")
@@ -115,7 +127,7 @@ class TailIntegrals:
         else:
             from scipy.integrate import cumulative_trapezoid
 
-            grid = np.linspace(0.0, half, n_fine)
+            grid = np.linspace(0.0, half, _TAIL_NODES)
             dens = offers.pdf(grid)
             cum_own = cumulative_trapezoid(curve.value(grid) * dens, grid, initial=0.0)
             cum_oth = cumulative_trapezoid(curve.value(w - grid) * dens, grid, initial=0.0)
@@ -155,17 +167,12 @@ def dg_objective(p: PreferenceParams | ParamLanes, curve: PayoffCurve, x, w: flo
     """
     v_keep = curve.value(w - x)
     v_give = curve.value(x)
-    out = 0.5 * (
-        (1.0 - p.kappa) * v_keep
-        - p.alpha * np.maximum(v_give - v_keep, 0.0)
-        - p.beta * np.maximum(v_keep - v_give, 0.0)
-        + p.kappa * (v_keep + v_give)
-    )
+    out = 0.5 * (social_utility(p, v_keep, v_give) + p.kappa * (v_keep + v_give))
     return float(out) if np.ndim(out) == 0 else out
 
 
 def dg_transfer(
-    p: PreferenceParams | ParamLanes, curve: PayoffCurve, w: float, n_scan: int = 200
+    p: PreferenceParams | ParamLanes, curve: PayoffCurve, w: float
 ) -> float | np.ndarray:
     """Argmax of the dictator objective over [0, w].
 
@@ -177,8 +184,8 @@ def dg_transfer(
     half = 0.5 * w
     f = lambda x: dg_objective(p, curve, x, w)
     zero = np.zeros(np.shape(p.alpha))
-    lo_best = scan_then_golden(f, zero, zero + half, n_scan=n_scan)
-    hi_best = scan_then_golden(f, zero + half, zero + w, n_scan=n_scan)
+    lo_best = scan_then_golden(f, zero, zero + half)
+    hi_best = scan_then_golden(f, zero + half, zero + w)
     best = np.where(f(lo_best) >= f(hi_best), lo_best, hi_best)
     best = np.where(0.0 > best, 0.0, best)
     best = np.where(w < best, w, best)

@@ -349,6 +349,67 @@ class TestEmFit:
         assert np.isfinite(fit.loglik)
 
 
+def _estep_reference(records, games, curve, params, model):
+    """Per-subject log-likelihood columns, built record by record.
+
+    Each type's margins come from strategy_utilities, with the off-role
+    action pinned at the joint argmax and |margin| <= _TIE_TOL a tie. The
+    constant model counts matches, mismatches and ties per record; the
+    logit model sums its count table with the E-step's own einsum, so the
+    check can be bitwise.
+    """
+    subjects = sorted({r.subject_id for r in records})
+    gidx = {g.game_id: i for i, g in enumerate(games)}
+    cnt = np.zeros((len(subjects), len(games), 2, 2), dtype=np.int64)
+    for r in records:
+        cnt[subjects.index(r.subject_id), gidx[r.game_id], mx.ROLES.index(r.role), r.action] += 1
+    cols, n_ties = [], 0
+    for p in params:
+        margin = np.zeros((len(games), 2))
+        for g, game in enumerate(games):
+            u = strategy_utilities(p, curve, game)
+            a_star, b_star = divmod(int(np.argmax(u.ravel())), 2)
+            margin[g] = (u[1, b_star] - u[0, b_star], u[a_star, 1] - u[a_star, 0])
+        if model == "logit":
+            z = margin / p.lam
+            cols.append(
+                np.einsum("ngr,gr->n", cnt[..., 1], log_expit(z))
+                + np.einsum("ngr,gr->n", cnt[..., 0], log_expit(-z))
+            )
+            continue
+        m, d, t = np.zeros(len(subjects)), np.zeros(len(subjects)), np.zeros(len(subjects))
+        for r in records:
+            s, g, ro = subjects.index(r.subject_id), gidx[r.game_id], mx.ROLES.index(r.role)
+            if abs(margin[g, ro]) <= mx._TIE_TOL:
+                t[s] += 1
+                n_ties += 1
+            elif r.action == int(margin[g, ro] > 0):
+                m[s] += 1
+            else:
+                d[s] += 1
+        cols.append(m * math.log1p(-0.5 * p.lam) + d * math.log(0.5 * p.lam) + t * math.log(0.5))
+    return np.column_stack(cols), n_ties
+
+
+class TestEStep:
+    def test_loglik_columns_match_per_record_reference(self, games9, shifted_log):
+        types = [
+            PreferenceParams(alpha=0.05, beta=0.08, kappa=0.25, lam=0.28),
+            PreferenceParams(alpha=0.28, beta=-0.30, kappa=0.19, lam=0.16),
+            # a lattice point whose pattern carries ties
+            PreferenceParams(alpha=0.0, beta=0.4, kappa=1.0, lam=0.3),
+        ]
+        recs, _ = simulate_choices(types, [0.4, 0.3, 0.3], games9, shifted_log, 30, seed=12)
+        _, cnt = mx._encode(recs, games9)
+        coeffs = np.stack([mx.game_coefficients(g, shifted_log) for g in games9])
+        for k in (2, 3):
+            for model in mx.CHOICE_MODELS:
+                got = mx._loglik_matrix(cnt, types[-k:], coeffs, model)
+                want, n_ties = _estep_reference(recs, games9, shifted_log, types[-k:], model)
+                assert np.array_equal(_bits(got), _bits(want))
+                assert model == "logit" or n_ties > 0
+
+
 # ---------------------------------------------------------------------------
 # lattice M-step over distinct choice patterns
 
@@ -458,7 +519,8 @@ class TestLogitScan:
         )
         weights3 = rng.uniform(0.0, 30.0, size=(len(lat.games), 2, 2))
         obj, lam = lat._score(theta, weights3, "logit", mx._LOGIT_LAM_GRID)
-        want = _logit_every_entry(lat._structure_at(theta)[1], weights3, mx._LOGIT_LAM_GRID)
+        margins = mx._structure(lat.coeffs, theta)[1]
+        want = _logit_every_entry(margins, weights3, mx._LOGIT_LAM_GRID)
         assert np.array_equal(_bits(obj), _bits(want[0]))
         assert np.array_equal(_bits(lam), _bits(want[1]))
 
@@ -592,7 +654,7 @@ class TestStructureAt:
         tied = lat.theta[(lat.patterns == 2).any(axis=(1, 2))]
         corners = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [-2.0, 2.0, 0.5]])
         for theta in (random_theta, tied, corners):
-            pat, margins = lat._structure_at(theta)
+            pat, margins = mx._structure(lat.coeffs, theta)
             want_pat, want_margins = _structure_by_gather(lat, theta)
             assert np.array_equal(pat, want_pat)
             assert np.array_equal(_bits(margins), _bits(want_margins))

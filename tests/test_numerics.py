@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moralbargain import numerics
@@ -253,6 +253,9 @@ def _root_fn(roots, slopes, cubic):
 
 @settings(max_examples=120, deadline=None)
 @given(lanes=_root_lanes())
+# a subnormal root next to lo: f(lo) * f(mid) underflows to zero
+@example(lanes=(np.zeros(1), np.full(1, 1e-3), np.full(1, 1.11253693e-311), np.full(1, 1e-3),
+                False, 1e-10))
 def test_bisect_root_lanes_equal_one_lane_calls_bitwise(lanes):
     lo, hi, roots, slopes, cubic, tol = lanes
     got = bisect_root(_root_fn(roots, slopes, cubic), lo, hi, residual_tol=tol)

@@ -213,7 +213,11 @@ def test_dg_objective_broadcasts_bitwise(shifted_log, crra, rng):
             PreferenceParams(alpha=0.3, beta=0.4, kappa=0.2),
             PreferenceParams(alpha=-0.5, beta=-0.2, kappa=0.7),
         ):
-            vec = dg_objective(p, curve, xs, w)
-            scal = [dg_objective(p, curve, x, w) for x in xs.tolist()]
-            assert all(type(v) is float for v in scal)
-            assert np.array_equal(np.array(scal), vec)
+            for f in (
+                lambda x: dg_objective(p, curve, x, w),
+                lambda x: social_expost(p, curve, w - x, x),
+            ):
+                vec = f(xs)
+                scal = [f(x) for x in xs.tolist()]
+                assert all(type(v) is float for v in scal)
+                assert np.array_equal(np.array(scal), vec)

@@ -308,6 +308,10 @@ class _Lattice:
     preferred pattern, and the lattice carries few distinct patterns
     (209 of 137,781 points on the nine-game design), so the coarse scan
     scores unique_patterns and gathers the result through pattern_id.
+    maximize draws its seeds from seed_pool and scores its refinement
+    candidates by their distinct patterns; each seed box's patterns are
+    computed once per lattice and kept in _boxes as int8 rows and a small
+    integer inverse, while the box points are rebuilt by _local_box.
     The logit coarse scan likewise scores the distinct margin values
     (103,431 of 2,480,058 entries on that design) and gathers them through
     an index built on its first call.
@@ -323,11 +327,18 @@ class _Lattice:
         self.theta = np.column_stack([aa.ravel(), bb.ravel(), kk.ravel()])
         self.step = step
         self.patterns, self.margins = _structure(self.coeffs, self.theta)
-        # one void scalar per int8 pattern row; np.unique(axis=0) takes ~30x as long
-        flat = self.patterns.reshape(len(self.theta), -1)
-        rows = flat.view(np.dtype((np.void, flat.shape[1]))).ravel()
-        _, first, self.pattern_id = np.unique(rows, return_index=True, return_inverse=True)
+        first, self.pattern_id = _distinct_patterns(self.patterns)
         self.unique_patterns = self.patterns[first]
+        # each pattern's three lowest lattice indices, in index order: the
+        # coarse top three always lie among them (see maximize)
+        counts = np.bincount(self.pattern_id)
+        # a small integer dtype lets the stable sort run as a radix sort
+        small_id = self.pattern_id.astype(np.min_scalar_type(len(counts) - 1))
+        by_pattern = np.argsort(small_id, kind="stable")
+        rank = np.arange(len(by_pattern)) - np.repeat(np.cumsum(counts) - counts, counts)
+        self.seed_pool = np.sort(by_pattern[rank < 3])
+        # refinement box patterns by seed index: (distinct rows, inverse)
+        self._boxes = {}
 
     def _objective_constant(self, patterns: np.ndarray, weights3: np.ndarray):
         """Profiled-lambda weighted log-likelihood for a block of patterns.
@@ -367,16 +378,62 @@ class _Lattice:
         return best_obj, best_lam
 
     def _score(self, theta, weights3, model, lam_grid):
-        coarse = theta is self.theta
+        """Objective and lambda at each row of theta."""
         if model == "constant":
-            if coarse:
-                obj, lam = self._objective_constant(self.unique_patterns, weights3)
-                return obj[self.pattern_id], lam[self.pattern_id]
             return self._objective_constant(_structure(self.coeffs, theta)[0], weights3)
         values, index = (
-            self.distinct_margins if coarse else _distinct(_structure(self.coeffs, theta)[1])
+            self.distinct_margins
+            if theta is self.theta
+            else _distinct(_structure(self.coeffs, theta)[1])
         )
         return self._objective_logit(values, index, weights3, lam_grid)
+
+    def _coarse(self, weights3, model, lam_grid):
+        """Coarse scan as (obj, unit, pool): obj[unit] is the value at every
+        lattice point, and pool holds the indices the seeds are drawn from.
+
+        Under the constant model the units are unique_patterns and the pool
+        is seed_pool; under logit every point is its own unit.
+        """
+        if model == "constant":
+            obj, _ = self._objective_constant(self.unique_patterns, weights3)
+            return obj, self.pattern_id, self.seed_pool
+        obj, _ = self._score(self.theta, weights3, model, lam_grid)
+        every = np.arange(len(self.theta))
+        return obj, every, every
+
+    def _box_patterns(self, idx: int):
+        """Distinct pattern rows of the refinement box at seed idx, and the
+        small-integer inverse that rebuilds the box's pattern table."""
+        hit = self._boxes.get(idx)
+        if hit is None:
+            box = _local_box(self.theta[idx], self.step, 0.01)
+            patterns = _structure(self.coeffs, box)[0]
+            first, inverse = _distinct_patterns(patterns)
+            hit = (patterns[first], inverse.astype(np.min_scalar_type(len(first) - 1)))
+            self._boxes[idx] = hit
+        return hit
+
+    def _score_candidates(self, cand, keep, seeds, weights3, model, lam_grid):
+        """Objective and lambda at cand[keep].
+
+        cand stacks the seed points, their boxes in seed order, then the
+        incumbent if any. Under the constant model each row's pattern comes
+        from the coarse table, the box memo or one _structure call for the
+        rows after the boxes, and each block's distinct patterns are scored
+        rather than every row. Under logit the kept rows get their margins
+        from one _structure call.
+        """
+        if model != "constant":
+            return self._score(cand[keep], weights3, model, lam_grid)
+        blocks = [(self.unique_patterns[self.pattern_id[seeds]], np.arange(len(seeds)))]
+        blocks += [self._box_patterns(int(idx)) for idx in seeds]
+        rest = cand[sum(len(ids) for _, ids in blocks):]
+        blocks.append((_structure(self.coeffs, rest)[0], np.arange(len(rest))))
+        offsets = np.cumsum([0] + [len(rows) for rows, _ in blocks[:-1]])
+        ids = np.concatenate([ids.astype(np.intp) + off for (_, ids), off in zip(blocks, offsets)])
+        obj, lam = self._objective_constant(np.concatenate([rows for rows, _ in blocks]), weights3)
+        return obj[ids[keep]], lam[ids[keep]]
 
     def maximize(self, weights3: np.ndarray, current: PreferenceParams | None, model: str):
         """Best (alpha, beta, kappa, lambda) for one type's weighted counts.
@@ -388,27 +445,32 @@ class _Lattice:
         The seeds are the three largest coarse values; among equal values,
         the lowest lattice indices (_top_three). The rule fixes the seeds on
         a plateau of tied points, where an unstable sort's order would
-        depend on numpy's SIMD target.
+        depend on numpy's SIMD target. Each of those three points is among
+        its own unit's three lowest indices, since its unit's lower indices
+        tie with it and rank ahead; so _top_three over the index-sorted pool
+        picks them from a few hundred values instead of every point.
         """
         lam_grid = _LOGIT_LAM_GRID
         if current is not None:
             lam_grid = np.unique(np.append(lam_grid, current.lam))
-        obj, _ = self._score(self.theta, weights3, model, lam_grid)
-        seeds = _top_three(obj)
+        obj, unit, pool = self._coarse(weights3, model, lam_grid)
+        seeds = pool[_top_three(obj[unit[pool]])]
         cand = [self.theta[seeds]]
         for idx in seeds:
             cand.append(_local_box(self.theta[idx], self.step, 0.01))
         if current is not None:
             cand.append(np.array([[current.alpha, current.beta, current.kappa]]))
-        theta = _unique_rows(np.vstack(cand))
-        obj_f, lam_f = self._score(theta, weights3, model, lam_grid)
+        cand = np.vstack(cand)
+        keep = _unique_rows(cand)
+        theta = cand[keep]
+        obj_f, lam_f = self._score_candidates(cand, keep, seeds, weights3, model, lam_grid)
         best = obj_f.max()
         at_max = obj_f >= best - 1e-12
         # Argmax ties form a plateau under the constant-error model.  The
         # coarse lattice samples it uniformly, so its tied points give an
         # unbiased plateau centroid; refinement points cluster around the
         # top coarse cells and would drag the mean toward them.
-        coarse_at_max = obj >= best - 1e-12
+        coarse_at_max = (obj >= best - 1e-12)[unit]
         if coarse_at_max.any():
             centroid = self.theta[coarse_at_max].mean(axis=0)[None, :]
         else:
@@ -448,16 +510,28 @@ def _distinct(margins: np.ndarray):
 
 
 def _unique_rows(theta: np.ndarray) -> np.ndarray:
-    """np.unique(theta, axis=0) for an (n, 3) float array, by one lexsort.
+    """Selection with theta[sel] == np.unique(theta, axis=0) for an (n, 3)
+    float array, by one lexsort.
 
     Rows come out in the same lexicographic order (column 0 first), which
     maximize's first-tied-candidate pick relies on.
     """
-    theta = theta[np.lexsort(theta.T[::-1])]
-    keep = np.empty(len(theta), dtype=bool)
+    order = np.lexsort(theta.T[::-1])
+    rows = theta[order]
+    keep = np.empty(len(rows), dtype=bool)
     keep[:1] = True
-    keep[1:] = (theta[1:] != theta[:-1]).any(axis=1)
-    return theta[keep]
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return order[keep]
+
+
+def _distinct_patterns(patterns: np.ndarray):
+    """(first, inverse): patterns[first] holds the distinct (G, 2) rows and
+    patterns[first][inverse] == patterns."""
+    # one void scalar per int8 pattern row; np.unique(axis=0) takes ~30x as long
+    flat = patterns.reshape(len(patterns), -1)
+    rows = flat.view(np.dtype((np.void, flat.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 def _polish_logit_lam(lattice, theta, weights3, lam0, obj0):
@@ -526,7 +600,8 @@ def em_fit(
 
     lattice_step is the coarse lattice spacing and the radius of each
     0.01-step refinement box. It must lie in LATTICE_STEP_BOUNDS, [0.04, 0.2]:
-    a k=1 fit on nine games peaks near 400 MB at 0.04 and 260 MB at 0.2.
+    a k=1 fit on nine games peaks near 400 MB at 0.04, 257 MB at 0.05 and
+    189 MB at 0.2.
     Memory grows as 1/step**3 below the range and with the box volume above
     it; a step of 2 makes every box the whole grid, about 4.7 GB.
 

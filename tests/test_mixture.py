@@ -442,10 +442,10 @@ class TestLatticePatterns:
                 weights3[rng.choice(n_games, size=3, replace=False)] = 0.0
             if draw % 3 == 2:
                 weights3[..., 1] = weights3[..., 0]  # equal action counts everywhere
-            obj, lam = lat._score(lat.theta, weights3, "constant", None)
-            want_obj, want_lam = lat._objective_constant(lat.patterns, weights3)
-            assert np.array_equal(obj, want_obj)
-            assert np.array_equal(lam, want_lam)
+            obj, unit, _ = lat._coarse(weights3, "constant", None)
+            assert unit is lat.pattern_id
+            want_obj, _ = lat._objective_constant(lat.patterns, weights3)
+            assert np.array_equal(obj[unit], want_obj)
 
     def test_coarse_scan_scores_distinct_patterns_only(self, lattice9, monkeypatch):
         rows = []
@@ -565,7 +565,7 @@ class TestCandidateRows:
         rows = np.vstack([rows, rows[[i % len(rows) for i in repeats]]])
         box = mx._local_box(np.array(center), 0.05, 0.01)
         cand = np.vstack([rows, box, box[incumbent % len(box)][None, :]])
-        got = mx._unique_rows(cand)
+        got = cand[mx._unique_rows(cand)]
         want = np.unique(cand, axis=0)
         assert np.array_equal(_bits(got), _bits(want))
 
@@ -641,6 +641,126 @@ def test_mstep_picks_do_not_depend_on_simd_target(lattice9):
         return [[f"{x:.12g}" for x in row] for row in picks]
 
     assert sig12(here) == sig12(there)
+
+
+def _maximize_reference(lat, weights3, current, model):
+    """The point-level M-step search, kept as maximize's reference:
+    _top_three over every lattice point's coarse value, one _structure call
+    on the deduplicated candidates, the plateau mask over every point."""
+    lam_grid = mx._LOGIT_LAM_GRID
+    if current is not None:
+        lam_grid = np.unique(np.append(lam_grid, current.lam))
+
+    def score(theta):
+        if model == "constant":
+            if theta is lat.theta:
+                obj, lam = lat._objective_constant(lat.unique_patterns, weights3)
+                return obj[lat.pattern_id], lam[lat.pattern_id]
+            return lat._objective_constant(mx._structure(lat.coeffs, theta)[0], weights3)
+        values, index = (
+            lat.distinct_margins
+            if theta is lat.theta
+            else mx._distinct(mx._structure(lat.coeffs, theta)[1])
+        )
+        return lat._objective_logit(values, index, weights3, lam_grid)
+
+    obj, _ = score(lat.theta)
+    seeds = mx._top_three(obj)
+    cand = [lat.theta[seeds]] + [mx._local_box(lat.theta[i], lat.step, 0.01) for i in seeds]
+    if current is not None:
+        cand.append(np.array([[current.alpha, current.beta, current.kappa]]))
+    theta = np.vstack(cand)
+    theta = theta[np.lexsort(theta.T[::-1])]
+    theta = theta[np.r_[True, (theta[1:] != theta[:-1]).any(axis=1)]]
+    obj_f, lam_f = score(theta)
+    best = obj_f.max()
+    at_max = obj_f >= best - 1e-12
+    coarse_at_max = obj >= best - 1e-12
+    if coarse_at_max.any():
+        centroid = lat.theta[coarse_at_max].mean(axis=0)[None, :]
+    else:
+        centroid = theta[at_max].mean(axis=0)[None, :]
+    c_obj, c_lam = score(centroid)
+    if c_obj[0] >= best - 1e-12:
+        pick, pick_lam, best = centroid[0], c_lam[0], c_obj[0]
+    else:
+        first = int(np.argmax(at_max))
+        pick, pick_lam = theta[first], lam_f[first]
+    if model == "logit":
+        pick_lam, best = mx._polish_logit_lam(lat, pick, weights3, float(pick_lam), float(best))
+    return (float(pick[0]), float(pick[1]), float(pick[2]), float(pick_lam)), float(best)
+
+
+def _recipe_tables(n):
+    """The first n weight tables of _recipe_picks's seeded recipe."""
+    rng = np.random.default_rng(7)
+    return [
+        rng.uniform(0, 30, size=(9, 2, 2)) * (rng.uniform(size=(9, 1, 1)) < 0.8)
+        for _ in range(n)
+    ]
+
+
+_OFF_LATTICE = PreferenceParams(alpha=0.1234, beta=-0.0567, kappa=0.3141, lam=0.17)
+
+
+def _as_bits(p, obj):
+    return _bits([p.alpha, p.beta, p.kappa, p.lam, obj]).tolist()
+
+
+class TestPatternLevelMaximize:
+    def test_constant_picks_match_reference_on_recipe_tables(self, lattice9):
+        for weights3 in _recipe_tables(300):
+            for current in (None, _OFF_LATTICE):
+                want_p, want_obj = _maximize_reference(lattice9, weights3, current, "constant")
+                p, obj = lattice9.maximize(weights3, current, "constant")
+                assert _as_bits(p, obj) == _bits([*want_p, want_obj]).tolist()
+
+    def test_logit_picks_match_reference(self, games9, shifted_log):
+        # a 0.1 lattice keeps the logit scans short; the first recipe tables
+        lat = mx._Lattice(games9, shifted_log, 0.1)
+        for weights3 in _recipe_tables(3):
+            for current in (None, _OFF_LATTICE):
+                want_p, want_obj = _maximize_reference(lat, weights3, current, "logit")
+                p, obj = lat.maximize(weights3, current, "logit")
+                assert _as_bits(p, obj) == _bits([*want_p, want_obj]).tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 3), min_size=36, max_size=36),
+        zero_games=st.lists(st.integers(0, 8), max_size=9),
+    )
+    @example(counts=[0] * 36, zero_games=[])
+    @example(counts=[1] * 36, zero_games=[0, 1, 2, 3, 4, 5, 6, 7])
+    def test_pool_seeds_equal_top_three_over_every_point(self, lattice9, counts, zero_games):
+        # small integer counts and empty games make wide plateaus of tied values
+        weights3 = np.array(counts, dtype=float).reshape(9, 2, 2)
+        weights3[zero_games] = 0.0
+        obj, unit, pool = lattice9._coarse(weights3, "constant", None)
+        want = mx._top_three(obj[unit])
+        assert np.array_equal(pool[mx._top_three(obj[unit[pool]])], want)
+
+    def test_second_call_hits_the_box_memo(self, games9, shifted_log, monkeypatch):
+        lat = mx._Lattice(games9, shifted_log, 0.1)
+        (weights3,) = _recipe_tables(1)
+        first = [lat.maximize(weights3, cur, "constant") for cur in (None, _OFF_LATTICE)]
+        memo = dict(lat._boxes)
+        assert 1 <= len(memo) <= 3
+        misses = []
+        original = mx._distinct_patterns
+
+        def spy(patterns):
+            misses.append(len(patterns))
+            return original(patterns)
+
+        monkeypatch.setattr(mx, "_distinct_patterns", spy)
+        again = [lat.maximize(weights3, cur, "constant") for cur in (None, _OFF_LATTICE)]
+        assert misses == []
+        assert lat._boxes.keys() == memo.keys()
+        assert all(lat._boxes[k] is memo[k] for k in memo)
+        assert [_as_bits(*r) for r in again] == [_as_bits(*r) for r in first]
+        # the memo holds int8 pattern rows and small integer inverses only
+        for rows, inverse in memo.values():
+            assert rows.dtype == np.int8 and inverse.dtype.itemsize <= 2
 
 
 class TestStructureAt:

@@ -333,6 +333,23 @@ def test_statics_switch_location_mild_spite(crra, thresholds, offers):
     assert sw.kappa == pytest.approx(0.46045, abs=2e-3)
 
 
+# the Beta(a, b) shapes of scripts/offer_belief_scan.py
+_OFFER_SHAPES = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
+
+
+def test_mild_spite_switch_ignores_the_offer_belief(crra, thresholds, offers):
+    # the offer belief moves the alpha = 3 switch (README, Known divergences)
+    # but not the alpha = 0.5 one: the constrained offer reads only thresholds
+    grid = np.linspace(0.40, 0.52, 4)
+    (anchor,) = comparative_statics(0.5, grid, crra, thresholds, offers, W).switches
+    assert anchor.kappa == pytest.approx(0.4604, abs=1e-4)
+    for a in _OFFER_SHAPES:
+        for b in _OFFER_SHAPES:
+            other = BeliefDistribution.scaled_beta(a, b, W)
+            (sw,) = comparative_statics(0.5, grid, crra, thresholds, other, W).switches
+            assert sw.kappa == anchor.kappa, (a, b)
+
+
 def test_statics_switch_jumps_strong_spite(crra, thresholds, offers):
     # leaving the spiteful region the offer jumps up and the threshold down
     res = comparative_statics(

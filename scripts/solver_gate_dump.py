@@ -21,7 +21,14 @@ Beta(2, 4) beliefs on both sides):
   data/test_sample.csv, one cell per line;
 - the sha256 of the JSON and of the CSV of CLI `predict` on that file;
 - the `repr` of nash_set at (kappa, alpha) = (1, 0.5), (0.6, 0), (0.6, 0.5)
-  and (0.3, 1);
+  and (0.3, 1), and the sha256 of the `repr` of nash_set over the
+  benchmark's lattice kappa in {0.05, ..., 0.95} x alpha in {0, 0.25, ..., 2.5},
+  one line per pair;
+- the `repr` of optimal_vs_brute's worst margin on the 12 configurations
+  of tests/test_oracle.py's _WIDE (linear, shifted log and CRRA(0.3) curves,
+  uniform and Beta(2, 2) beliefs, w = 10 and 58.8; 12 draws, rng seed 8000
+  plus the index, step w/400), and on 40 draws with empirical and with
+  always-accept offer beliefs (rng seeds 9101 and 9102);
 - per curve (linear, CRRA(0.05), shifted log), the sha256 of the bytes of
   dg_transfer over 300 ParamLanes at w = 58.8 (rng seed 1300: alpha, beta
   and kappa drawn per lane).
@@ -35,6 +42,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 import tempfile
@@ -126,6 +134,26 @@ def main() -> None:
 
     for kappa, alpha in ((1.0, 0.5), (0.6, 0.0), (0.6, 0.5), (0.3, 1.0)):
         print(f"nash_set({kappa!r}, {alpha!r}): {nash_set(kappa, alpha, curve, W)!r}")
+    lattice = "\n".join(
+        repr(nash_set(round(0.05 * i, 2), round(0.25 * j, 2), curve, W))
+        for i in range(1, 20) for j in range(11)
+    )
+    print(f"nash_set over the 19 x 11 (kappa, alpha) lattice: repr sha256={sha(lattice)}")
+
+    wide_curves = {"linear": PayoffCurve.linear(), "shifted-log": PayoffCurve.shifted_log(),
+                   "crra(0.3)": PayoffCurve.crra(0.3)}
+    wide = itertools.product(wide_curves, ("uniform", "beta(2,2)"), (W, 58.8))
+    for k, (name, belief, w) in enumerate(wide):
+        dist = (BeliefDistribution.uniform_on_half(w) if belief == "uniform"
+                else BeliefDistribution.scaled_beta(2.0, 2.0, w))
+        worst = optimal_vs_brute(np.random.default_rng(8000 + k), 12, wide_curves[name],
+                                 dist, dist, w, w / 400)
+        print(f"optimal_vs_brute {name} {belief} w={w!r}: {worst!r}")
+    sample = [0.5, 1.0, 1.0, 1.5, 2.0, 2.5, 2.5, 3.0, 4.0, 5.0]
+    for seed, name, offers in ((9101, "empirical", BeliefDistribution.empirical(sample, W)),
+                               (9102, "always-accept", BeliefDistribution.always_accept(W))):
+        worst = optimal_vs_brute(np.random.default_rng(seed), 40, curve, beliefs, offers, W, W / 400)
+        print(f"optimal_vs_brute {name} offers: {worst!r}")
 
     rng = np.random.default_rng(1300)
     lanes = ParamLanes(

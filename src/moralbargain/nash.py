@@ -20,7 +20,7 @@ from .errors import ValidationError
 from .numerics import bisect_boundary
 from .params import PreferenceParams, Strategy, grid_step_of, validate_endowment
 from .solver import constrained_threshold
-from .utility import eval_expost_symmetric, social_utility
+from .utility import social_utility
 
 SET_KINDS = ("SymmetricSegment", "SegmentPlusAsymmetricStub")
 
@@ -108,6 +108,11 @@ def _verify(
     tol: float = _NASH_TOL,
 ) -> list[NashCheck]:
     """verify_nash for many profiles: one deviation lattice, kernel calls of bounded size."""
+    y1 = np.array([s.x1 for s in profiles], dtype=float)
+    y2 = np.array([s.x2 for s in profiles], dtype=float)
+    inside = (0.0 <= y1) & (y1 <= w) & (0.0 <= y2) & (y2 <= w)
+    if not inside.all():
+        raise ValidationError(f"strategy {profiles[int(np.argmin(inside))]} outside [0, {w}]^2")
     p = PreferenceParams(alpha=alpha, kappa=kappa)
     n = int(round(w / step))
     axis = np.linspace(0.0, w, n + 1)
@@ -116,9 +121,14 @@ def _verify(
     v_give = curve.value(axis)
     pa = social_utility(p, v_keep, v_give)
     c = kappa * (v_keep + v_give)
-    y1 = np.array([s.x1 for s in profiles], dtype=float)
-    y2 = np.array([s.x2 for s in profiles], dtype=float)
-    racc = social_utility(p, curve.value(y1), curve.value(w - y1))
+    r_keep, r_give = curve.value(w - y1), curve.value(y1)
+    racc = social_utility(p, r_give, r_keep)
+    # eval_expost_symmetric(p, curve, s, s, w) per profile: against itself all
+    # three indicators are x1 >= x2; the terms are summed in its order from 0.0
+    on = y1 >= y2
+    own = 0.0 + np.where(on, social_utility(p, r_keep, r_give), 0.0)
+    own = own + np.where(on, racc, 0.0)
+    own = own + np.where(on, p.kappa * (r_keep + r_give), 0.0)
 
     # lanes are independent, so chunks of profiles concatenate to the one-call result
     rows = max(1, _VERIFY_CELLS // len(axis))
@@ -128,8 +138,7 @@ def _verify(
     ]
     u_best, i, j = (np.concatenate(arrs) for arrs in zip(*parts))
     checks = []
-    for s, u, di, dj in zip(profiles, u_best.tolist(), i, j):
-        gain = u - eval_expost_symmetric(p, curve, s, s, w)
+    for gain, di, dj in zip((u_best - own).tolist(), i.tolist(), j.tolist()):
         if gain <= tol:
             checks.append(NashCheck(True, gain, None))
         else:

@@ -64,6 +64,36 @@ def riemann_tail_pair(
     return acc1[idx], acc2[idx]
 
 
+def _ug_tables(
+    curve: PayoffCurve,
+    thresholds: BeliefDistribution,
+    offers: BeliefDistribution,
+    w: float,
+    grid_step: float | GridSpec,
+) -> tuple[np.ndarray, ...]:
+    """The parameter-free tables of the brute-force grid: the axis xs,
+    v(w - xs), F(xs), v(xs) and the Riemann tail pair at xs."""
+    validate_endowment(w)
+    step = grid_step_of(grid_step, w)
+    n = int(round(w / step))
+    xs = np.linspace(0.0, w, n + 1)
+    v_keep = curve.value(w - xs)
+    cdf = thresholds.cdf(xs)
+    i1, i2 = riemann_tail_pair(offers, curve, w, xs)
+    return xs, v_keep, cdf, curve.value(xs), i1, i2
+
+
+def _ug_argmax(p: PreferenceParams, tables: tuple[np.ndarray, ...]) -> tuple[Strategy, float]:
+    """brute_force_ug's grid argmax on tables from _ug_tables."""
+    xs, v_keep, cdf, v_give, i1, i2 = tables
+    ka = p.kappa
+    a = (1.0 - ka) * v_keep * cdf
+    b = (1.0 - ka + p.alpha) * i1 - p.alpha * i2
+    c = ka * (v_keep + v_give)
+    i, j, u = grid_argmax(a, b, c, xs, xs)
+    return Strategy(float(xs[i]), float(xs[j])), float(u)
+
+
 def brute_force_ug(
     p: PreferenceParams,
     curve: PayoffCurve,
@@ -77,18 +107,7 @@ def brute_force_ug(
     Ties break to the lowest x1, then lowest x2. The grid contains the
     diagonal, so x1 = x2 cells are evaluated explicitly.
     """
-    validate_endowment(w)
-    step = grid_step_of(grid_step, w)
-    n = int(round(w / step))
-    xs = np.linspace(0.0, w, n + 1)
-    ka = p.kappa
-    v_keep = curve.value(w - xs)
-    a = (1.0 - ka) * v_keep * thresholds.cdf(xs)
-    i1, i2 = riemann_tail_pair(offers, curve, w, xs)
-    b = (1.0 - ka + p.alpha) * i1 - p.alpha * i2
-    c = ka * (v_keep + curve.value(xs))
-    i, j, u = grid_argmax(a, b, c, xs, xs)
-    return Strategy(float(xs[i]), float(xs[j])), float(u)
+    return _ug_argmax(p, _ug_tables(curve, thresholds, offers, w, grid_step))
 
 
 def brute_force_symmetric(
@@ -127,6 +146,43 @@ def brute_force_dg(
     return float(xs[k]), float(vals[k])
 
 
+def _riemann_tails(
+    curve: PayoffCurve, offers: BeliefDistribution, x2: float, w: float
+) -> tuple[float, float]:
+    """expected_utility_riemann's responder integrals of v(y) and v(w - y)
+    over offers y in [x2, w/2]."""
+    half = 0.5 * w
+    if x2 < half and offers.kind not in ("empirical", "always_accept"):
+        m = max(1, int(round((half - x2) / _RIEMANN_STEP)))
+        mids = np.linspace(x2, half, m, endpoint=False) + (half - x2) / (2 * m)
+        wts = offers.pdf(mids) * (half - x2) / m
+        return float(np.sum(curve.value(mids) * wts)), float(np.sum(curve.value(w - mids) * wts))
+    i1 = offers.tail_expectation(curve.value, x2)
+    i2 = offers.tail_expectation(lambda y: curve.value(w - y), x2)
+    return i1, i2
+
+
+def _riemann_utility(
+    p: PreferenceParams,
+    curve: PayoffCurve,
+    thresholds: BeliefDistribution,
+    offers: BeliefDistribution,
+    s: Strategy,
+    w: float,
+    tails: dict[float, tuple[float, float]],
+) -> float:
+    """expected_utility_riemann with the responder integrals memoized in
+    `tails`, keyed on x2; the integrals depend on nothing else."""
+    ka = p.kappa
+    proposer = (1.0 - ka) * curve.value(w - s.x1) * thresholds.cdf(s.x1)
+    if s.x2 not in tails:
+        tails[s.x2] = _riemann_tails(curve, offers, s.x2, w)
+    i1, i2 = tails[s.x2]
+    responder = (1.0 - ka + p.alpha) * i1 - p.alpha * i2
+    universal = ka * (curve.value(w - s.x1) + curve.value(s.x1)) if s.x1 >= s.x2 else 0.0
+    return proposer + responder + universal
+
+
 def expected_utility_riemann(
     p: PreferenceParams,
     curve: PayoffCurve,
@@ -139,21 +195,7 @@ def expected_utility_riemann(
     sum at _RIEMANN_STEP resolution; the oracle counterpart of the adaptive
     quadrature evaluation."""
     validate_endowment(w)
-    half = 0.5 * w
-    ka = p.kappa
-    proposer = (1.0 - ka) * curve.value(w - s.x1) * thresholds.cdf(s.x1)
-    if s.x2 < half and offers.kind not in ("empirical", "always_accept"):
-        m = max(1, int(round((half - s.x2) / _RIEMANN_STEP)))
-        mids = np.linspace(s.x2, half, m, endpoint=False) + (half - s.x2) / (2 * m)
-        wts = offers.pdf(mids) * (half - s.x2) / m
-        i1 = float(np.sum(curve.value(mids) * wts))
-        i2 = float(np.sum(curve.value(w - mids) * wts))
-    else:
-        i1 = offers.tail_expectation(curve.value, s.x2)
-        i2 = offers.tail_expectation(lambda y: curve.value(w - y), s.x2)
-    responder = (1.0 - ka + p.alpha) * i1 - p.alpha * i2
-    universal = ka * (curve.value(w - s.x1) + curve.value(s.x1)) if s.x1 >= s.x2 else 0.0
-    return proposer + responder + universal
+    return _riemann_utility(p, curve, thresholds, offers, s, w, {})
 
 
 def optimal_vs_brute(
@@ -171,9 +213,13 @@ def optimal_vs_brute(
     All draws are taken first, in that order (the grid oracle and the
     Riemann evaluator take nothing from `rng`), and solved by one shared
     _CachedProblem, so the selfish offer and the tail table are built once
-    per configuration. Both strategies are scored by the same Riemann
-    evaluator, so its integration error cancels from the margin. Returns
-    inf for no draws.
+    per configuration. The grid's parameter-free tables (axis, payoff
+    values, threshold cdf, Riemann tail pair) are built once per call, and
+    the Riemann responder integrals once per distinct x2, so each draw
+    costs its solve and one grid argmax. Every value is the one a per-draw
+    loop over brute_force_ug and expected_utility_riemann gives. Both
+    strategies are scored by the same Riemann evaluator, so its
+    integration error cancels from the margin. Returns inf for no draws.
     """
     params = [
         PreferenceParams(alpha=rng.uniform(-1.0, 3.0), kappa=rng.uniform(0.0, 0.95))
@@ -181,11 +227,14 @@ def optimal_vs_brute(
     ]
     prob = _CachedProblem(curve, thresholds, offers, w)
     outs = prob.solve_many((p.alpha, p.kappa) for p in params)
+    # zero draws score no grid, so they neither build nor validate one
+    tables = _ug_tables(curve, thresholds, offers, w, grid_step) if params else ()
+    tails: dict[float, tuple[float, float]] = {}
     worst = np.inf
     for p, out in zip(params, outs):
-        s_brute, _ = brute_force_ug(p, curve, thresholds, offers, w, grid_step)
-        u_opt = expected_utility_riemann(p, curve, thresholds, offers, out.optimal, w)
-        u_brute = expected_utility_riemann(p, curve, thresholds, offers, s_brute, w)
+        s_brute, _ = _ug_argmax(p, tables)
+        u_opt = _riemann_utility(p, curve, thresholds, offers, out.optimal, w, tails)
+        u_brute = _riemann_utility(p, curve, thresholds, offers, s_brute, w, tails)
         worst = min(worst, u_opt - u_brute)
     return worst
 

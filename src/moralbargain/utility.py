@@ -104,7 +104,8 @@ class TailIntegrals:
     v(w-y). Continuous beliefs use a dense cumulative-trapezoid table
     (adaptive quadrature in tail_expectation stays the reference route);
     empirical beliefs use exact suffix sums over the atoms; a degenerate
-    always-accept belief is a point mass at zero.
+    always-accept belief is a point mass at zero. A scaled Beta offer belief
+    with a shape parameter below 1 is a ValidationError.
     """
 
     def __init__(self, offers: BeliefDistribution, curve: PayoffCurve, w: float):
@@ -125,6 +126,13 @@ class TailIntegrals:
             self._mass_oth = float(curve.value(w))
             self._mode = "point"
         else:
+            if offers.kind == "scaled_beta" and min(offers.a, offers.b) < 1.0:
+                # the density is unbounded at an end of [0, w/2]; the trapezoid
+                # table would hold inf there and NaN tails everywhere
+                raise ValidationError(
+                    f"offer belief Beta({offers.a:g}, {offers.b:g}) has a shape parameter "
+                    "below 1; the tail table needs shapes >= 1"
+                )
             from scipy.integrate import cumulative_trapezoid
 
             grid = np.linspace(0.0, half, _TAIL_NODES)

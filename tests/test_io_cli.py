@@ -473,6 +473,13 @@ class TestCliErrors:
         )
         assert code == 2
 
+    def test_offer_beta_shape_below_one_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"offer_beliefs": {"kind": "scaled_beta", "a": 0.5, "b": 4}}))
+        argv = ["solve", "--alpha", "3", "--kappa", "0.3", "--config", str(cfg)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "" and "Beta(0.5, 4)" in err
+
     @pytest.mark.parametrize("command", [["region-map"], ["statics", "--alpha", "0.5"]])
     def test_kappa_grid_reaching_one_names_the_config_exit_2(self, command, tmp_path, capsys):
         # the config is valid (kappa in [0, 1]); only the region commands need kappa < 1

@@ -24,7 +24,8 @@ from moralbargain import (
 from moralbargain.errors import ValidationError
 import moralbargain.nash as nash_mod
 from moralbargain.nash import _verify
-from moralbargain.params import Strategy
+from moralbargain.params import PreferenceParams, Strategy
+from moralbargain.utility import eval_expost_symmetric
 
 W = 10.0
 X1_UPPER_SL = 5.461264910281898  # root of 1.09 ln(11-x) = ln(x+1)
@@ -164,6 +165,45 @@ class TestVerifier:
                 batch = _verify(profiles, k, a, curve, W, step)
                 assert batch == [verify_nash(s, k, a, curve, W, step) for s in profiles]
                 assert not all(chk.is_nash for chk in batch)
+
+    def test_own_utility_matches_expost_evaluator(self, crra, shifted_log, linear, rng, monkeypatch):
+        # each gain is the kernel's best deviation minus eval_expost_symmetric
+        # of the profile against itself, to the bit; the profiles include
+        # stub probes with x1 < x2, x1 = w and the lattice ends
+        step = W / 50
+        tau = tau_of_kappa(0.5, shifted_log, W)
+        profiles = [Strategy(tau, 0.5 * tau), Strategy(tau, 0.0), Strategy(tau, tau + 2 * step)]
+        profiles += [Strategy(W, 0.0), Strategy(W, 3.0), Strategy(W, W), Strategy(0.0, 0.0)]
+        profiles += [Strategy(0.0, W), Strategy(1.0, 4.0), Strategy(4.0, 4.0 + 1e-12)]
+        profiles += [Strategy(float(a), float(b)) for a, b in rng.uniform(0.0, W, size=(30, 2))]
+        best = []
+        real = nash_mod.kernels.deviation_best
+
+        def recorded(*args):
+            out = real(*args)
+            best.extend(out[0].tolist())
+            return out
+
+        monkeypatch.setattr(nash_mod.kernels, "deviation_best", recorded)
+        for curve in (crra, shifted_log, linear):
+            for k, a in ((0.5, 0.0), (0.6, 0.5), (0.3, 1.0), (1.0, 2.0)):
+                best.clear()
+                checks = _verify(profiles, k, a, curve, W, step)
+                p = PreferenceParams(alpha=a, kappa=k)
+                for s, u, chk in zip(profiles, best, checks):
+                    want = u - eval_expost_symmetric(p, curve, s, s, W)
+                    assert repr(chk.gain) == repr(want)
+                    assert chk.is_nash == (want <= 1e-9)
+
+    @pytest.mark.parametrize(
+        "bad", [(-0.1, 1.0), (1.0, -1e-9), (W + 1e-9, 5.0), (5.0, W + 0.1), (math.nan, 1.0), (1.0, math.nan)]
+    )
+    def test_profile_outside_the_square_rejected(self, crra, bad):
+        with pytest.raises(ValidationError):
+            verify_nash(Strategy(*bad), 0.6, 0.5, crra, W)
+        # one bad profile in a batch rejects the batch
+        with pytest.raises(ValidationError):
+            _verify([Strategy(5.0, 5.0), Strategy(*bad)], 0.6, 0.5, crra, W, W / 50)
 
     def test_chunked_batch_matches_one_call(self, crra, rng, monkeypatch):
         # a cell budget of four profiles on the 51-point lattice splits 51

@@ -15,6 +15,7 @@ from moralbargain import (
     optimal_strategy,
     symmetric_optimum,
 )
+import moralbargain.oracle as oracle_mod
 from moralbargain.errors import IndeterminateError, ValidationError
 from moralbargain.oracle import (
     brute_force_dg,
@@ -171,6 +172,70 @@ def test_solver_never_loses_to_grid_beyond_default_config(curve, belief, w):
         dist = BeliefDistribution.scaled_beta(2.0, 2.0, w)
     rng = np.random.default_rng(8000 + _WIDE.index((curve, belief, w)))
     worst = optimal_vs_brute(rng, 12, _CURVES[curve], dist, dist, w, w / 400)
+    assert worst >= -1e-6
+
+
+# offer beliefs of the runner checks: the default Beta(2, 4), and two kinds
+# that take expected_utility_riemann's tail_expectation branch; the other
+# inputs are CRRA(0.05) and Beta(2, 4) thresholds at w = 10
+_RUNNER_OFFERS = {
+    "default": BeliefDistribution.scaled_beta(2.0, 4.0, W),
+    "empirical": BeliefDistribution.empirical([0.5, 1.0, 1.0, 1.5, 2.0, 2.5, 2.5, 3.0, 4.0, 5.0], W),
+    "always-accept": BeliefDistribution.always_accept(W),
+}
+
+
+@pytest.mark.parametrize("setup", list(_RUNNER_OFFERS))
+def test_runner_equals_per_draw_public_oracles(setup, crra, thresholds, monkeypatch):
+    # the runner builds the grid tables once and memoizes the Riemann
+    # responder integrals by x2; every draw's brute strategy and both
+    # utilities must be the bits of the public one-draw functions
+    offers = _RUNNER_OFFERS[setup]
+    argmaxes, utils, tail_x2 = [], [], []
+    real_argmax, real_utility, real_tails = (
+        oracle_mod._ug_argmax, oracle_mod._riemann_utility, oracle_mod._riemann_tails
+    )
+
+    def argmax(p, tables):
+        argmaxes.append((p, real_argmax(p, tables)))
+        return argmaxes[-1][1]
+
+    def utility(p, curve, thr, off, s, w, tails):
+        utils.append((p, s, real_utility(p, curve, thr, off, s, w, tails)))
+        return utils[-1][2]
+
+    def tails_of(curve, off, x2, w):
+        tail_x2.append(x2)
+        return real_tails(curve, off, x2, w)
+
+    monkeypatch.setattr(oracle_mod, "_ug_argmax", argmax)
+    monkeypatch.setattr(oracle_mod, "_riemann_utility", utility)
+    monkeypatch.setattr(oracle_mod, "_riemann_tails", tails_of)
+    worst = optimal_vs_brute(np.random.default_rng(9000), 24, crra, thresholds, offers, W, W / 400)
+    monkeypatch.undo()
+
+    assert len(argmaxes) == 24 and len(utils) == 48
+    ref_worst = np.inf
+    for k, (p, got) in enumerate(argmaxes):
+        ref = brute_force_ug(p, crra, thresholds, offers, W, W / 400)
+        assert repr(got) == repr(ref)
+        (p_opt, s_opt, u_opt), (p_b, s_b, u_b) = utils[2 * k], utils[2 * k + 1]
+        assert p_opt is p and p_b is p and s_b == ref[0]
+        ref_opt = expected_utility_riemann(p, crra, thresholds, offers, s_opt, W)
+        ref_b = expected_utility_riemann(p, crra, thresholds, offers, s_b, W)
+        assert (repr(u_opt), repr(u_b)) == (repr(ref_opt), repr(ref_b))
+        ref_worst = min(ref_worst, ref_opt - ref_b)
+    assert repr(worst) == repr(ref_worst)
+    # one integral per distinct x2, and alpha <= 0 draws share the x2 = 0 entry
+    assert sorted(tail_x2) == sorted({s.x2 for _, s, _ in utils})
+    assert sum(s.x2 == 0.0 for _, s, _ in utils) > 1 and 0.0 in tail_x2
+
+
+@pytest.mark.parametrize("setup", ["empirical", "always-accept"])
+def test_solver_never_loses_to_grid_beyond_default_beliefs(setup, crra, thresholds):
+    # the acceptance gate and _WIDE cover continuous offer beliefs only
+    rng = np.random.default_rng(9100 + list(_RUNNER_OFFERS).index(setup))
+    worst = optimal_vs_brute(rng, 40, crra, thresholds, _RUNNER_OFFERS[setup], W, W / 400)
     assert worst >= -1e-6
 
 

@@ -201,6 +201,21 @@ def test_degenerate_belief_flagged(crra, offers):
     assert "degenerate-belief" in out.flags
 
 
+@pytest.mark.parametrize("shape", [(0.5, 4.0), (2.0, 0.5)])
+def test_offer_beta_shape_below_one_rejected_before_the_tail_table(crra, thresholds, shape):
+    # the density is unbounded at an end of [0, w/2]; the tail table would
+    # fill with NaN and the R2 scan then fail as a ConvergenceError
+    offers = BeliefDistribution.scaled_beta(*shape, W)
+    with pytest.raises(ValidationError, match=rf"Beta\({shape[0]:g}, {shape[1]:g}\)"):
+        optimal_strategy(PreferenceParams(alpha=3.0, kappa=0.3), crra, thresholds, offers, W)
+    with pytest.raises(ValidationError, match="below 1"):
+        kappa_tilde(3.0, crra, thresholds, offers, W)
+    # R1 decisions never build the table
+    for alpha in (-0.5, 0.2):
+        out = optimal_strategy(PreferenceParams(alpha=alpha, kappa=0.3), crra, thresholds, offers, W)
+        assert out.region == "R1"
+
+
 def test_no_rejection_without_spite(crra, thresholds, offers, rng):
     # alpha <= 0 pins the threshold at zero; any positive alpha lifts it
     # (reduced draw count here; the full 500-draw suite runs in acceptance)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.special import log_expit, logsumexp
 
 from .curves import PayoffCurve
@@ -312,9 +313,10 @@ class _Lattice:
     candidates by their distinct patterns; each seed box's patterns are
     computed once per lattice and kept in _boxes as int8 rows and a small
     integer inverse, while the box points are rebuilt by _local_box.
-    The logit coarse scan likewise scores the distinct margin values
-    (103,431 of 2,480,058 entries on that design) and gathers them through
-    an index built on its first call.
+    The logit coarse scan scores the distinct margin values of each
+    (game, role) column (103,443 values for 2,480,058 entries on that
+    design), built on its first call, and sums them into the points with
+    two sparse row sums.
     """
 
     def __init__(self, games, curve, step: float = 0.05):
@@ -354,24 +356,37 @@ class _Lattice:
 
     @cached_property
     def distinct_margins(self):
-        """(values, index) with values[index] == self.margins; logit scans only."""
+        """(values, index) with values[index] == self.margins; logit scans only.
+
+        values holds each (g, r) column's sorted distinct margins, one block
+        per column in (g, r) order, and index is int32 (see _distinct).
+        """
         return _distinct(self.margins)
 
     def _objective_logit(self, values, index, weights3: np.ndarray, lams: np.ndarray):
         """Weighted logit log-likelihood, maximized over the lam grid.
 
-        values[index] is the (T, G, 2) margin table. Division and log_expit
-        are elementwise, so scoring the distinct values and gathering gives
-        the bits that scoring every entry would.
+        values[index] is the (T, G, 2) margin table. Each point's sum is one
+        row of two CSR matrices over the distinct values: row t stores the
+        G * 2 entries of index[t] in (g, r) order, with w1 (or w0) as data
+        and zero weights kept. Per lam the objective is
+        A1 @ log_expit(z) + A0 @ log_expit(-z). Division and log_expit are
+        elementwise, and a CSR row sum adds its stored entries in order from
+        0, as the per-entry einsum over (g, r) does; so the bits are those
+        of scoring every entry. Nothing may sort, merge or drop the stored
+        entries.
         """
-        w1, w0 = weights3[:, :, 1], weights3[:, :, 0]
-        best_obj = np.full(len(index), -np.inf)
-        best_lam = np.full(len(index), lams[0])
+        n = len(index)
+        indptr = np.arange(0, index.size + 1, index[0].size, dtype=np.int32)
+        a1, a0 = (
+            csr_array((np.tile(w.ravel(), n), index.reshape(-1), indptr), shape=(n, len(values)))
+            for w in (weights3[:, :, 1], weights3[:, :, 0])
+        )
+        best_obj = np.full(n, -np.inf)
+        best_lam = np.full(n, lams[0])
         for lam in lams:
             z = values / lam
-            obj = np.einsum("tgr,gr->t", log_expit(z)[index], w1) + np.einsum(
-                "tgr,gr->t", log_expit(-z)[index], w0
-            )
+            obj = a1 @ log_expit(z) + a0 @ log_expit(-z)
             improved = obj > best_obj
             best_obj = np.where(improved, obj, best_obj)
             best_lam = np.where(improved, lam, best_lam)
@@ -504,9 +519,24 @@ def _top_three(obj: np.ndarray) -> np.ndarray:
 
 
 def _distinct(margins: np.ndarray):
-    """Sorted distinct margins and the int32 index with values[index] == margins."""
-    values, index = np.unique(margins, return_inverse=True)
-    return values, index.astype(np.int32)
+    """(values, index) with values[index] == margins, for a (T, G, 2) table.
+
+    Each (g, r) column is deduplicated on its own: its sorted distinct
+    values form one block of values, blocks in (g, r) order, and index is
+    int32. A value shared by two columns is stored twice (103,443 values
+    against 103,431 for one np.unique over the nine-game lattice), but
+    sorting T values per column takes about half the time of sorting the
+    whole table.
+    """
+    flat = margins.reshape(len(margins), -1)
+    index = np.empty(flat.shape, dtype=np.int32)
+    blocks, offset = [], 0
+    for col in range(flat.shape[1]):
+        values, inverse = np.unique(flat[:, col], return_inverse=True)
+        index[:, col] = inverse + offset
+        blocks.append(values)
+        offset += len(values)
+    return np.concatenate(blocks), index.reshape(margins.shape)
 
 
 def _unique_rows(theta: np.ndarray) -> np.ndarray:

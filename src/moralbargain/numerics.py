@@ -147,9 +147,13 @@ def bisect_root(
 ) -> float | np.ndarray:
     """Find a sign change of f on [lo, hi] per lane by bisection.
 
-    A lane stops when |f(mid)| < residual_tol; a ConvergenceError names
-    the first lane whose endpoints share a sign, or whose bracket
-    collapses to machine width first.
+    A lane stops when |f(mid)| < residual_tol. A lane whose bracket
+    collapses to machine width first (4 ulp of its own magnitude) returns
+    the midpoint if the bracket still holds a sign change, as it does
+    around a steep root where adjacent floats differ by more than
+    residual_tol in f. A ConvergenceError names the first lane whose
+    endpoints share a sign, or that collapses onto a NaN: f NaN at the
+    midpoint or at an end, so that the sign change is not known.
     """
     scalar, lo, hi = _lanes(lo, hi)
     flo, fhi = f(lo), f(hi)
@@ -164,8 +168,9 @@ def bisect_root(
             f"no sign change on [{lo[i]}, {hi[i]}]: f={flo[i]:.3g},{fhi[i]:.3g}"
         )
     # a bracket can collapse only once it is within 4 ulp of its largest magnitude
-    near = 4.0 * np.spacing(np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0))
-    a, b, flo = lo.copy(), hi.copy(), np.array(flo, dtype=float)
+    near = 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+    a, b = lo.copy(), hi.copy()
+    flo, fhi = np.array(flo, dtype=float), np.array(fhi, dtype=float)
     for _ in range(max_iter):
         if not np.count_nonzero(live):
             return _result(res, scalar)
@@ -177,6 +182,7 @@ def bisect_root(
             live &= ~hit
         neg = np.sign(fm) * np.sign(flo) < 0.0
         np.copyto(b, mid, where=live & neg)
+        np.copyto(fhi, fm, where=live & neg)
         moved = live & ~neg
         np.copyto(a, mid, where=moved)
         np.copyto(flo, fm, where=moved)
@@ -184,11 +190,12 @@ def bisect_root(
         if not np.count_nonzero(width <= near):
             continue
         # np.spacing is math.ulp for these positive magnitudes
-        shut = live & (width <= 4.0 * np.spacing(np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)))
+        shut = live & (width <= 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
         if np.count_nonzero(shut):
             mid = 0.5 * (a + b)
             fm = f(mid)
-            fail = shut & ~(np.abs(fm) < residual_tol)
+            sign_change = (np.sign(flo) * np.sign(fhi) < 0.0) & ~np.isnan(fm)
+            fail = shut & ~(np.abs(fm) < residual_tol) & ~sign_change
             if fail.any():
                 i = int(np.argmax(fail))
                 raise ConvergenceError(
@@ -219,7 +226,15 @@ def bisect_boundary(
     if bad.any():
         i = int(np.argmax(bad))
         raise ConvergenceError(f"predicate false on all of [{lo[i]}, {hi[i]}]")
-    a, b = lo.copy(), np.where(at_lo, lo, hi)  # invariant: pred(a) false, pred(b) true
+    return _result(_halve_boundary(pred, lo, np.where(at_lo, lo, hi), x_tol), scalar)
+
+
+def _halve_boundary(pred: Callable, a: np.ndarray, b: np.ndarray, x_tol: float) -> np.ndarray:
+    """bisect_boundary's halving loop on lanes where pred(a) is false and
+    pred(b) true (or a == b); returns b once no lane is wider than x_tol.
+    A caller that has already evaluated pred at both ends calls it directly.
+    """
+    a, b = a.copy(), b.copy()
     live = (b - a) > x_tol
     while np.count_nonzero(live):
         mid = 0.5 * (a + b)
@@ -227,4 +242,4 @@ def bisect_boundary(
         np.copyto(b, mid, where=live & hit)
         np.copyto(a, mid, where=live & ~hit)
         live = (b - a) > x_tol
-    return _result(b, scalar)
+    return b

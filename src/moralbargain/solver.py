@@ -20,7 +20,7 @@ import numpy as np
 from .beliefs import BeliefDistribution
 from .curves import PayoffCurve
 from .errors import IndeterminateError, ValidationError
-from .numerics import bisect_boundary, bisect_root, scan_then_golden
+from .numerics import _halve_boundary, bisect_boundary, bisect_root, scan_then_golden
 from .params import ParamLanes, PreferenceParams, Strategy, validate_endowment
 from .utility import TailIntegrals, eval_expected_utility
 
@@ -314,7 +314,8 @@ class _CachedProblem:
         if brackets:
             lanes, lo, hi = (np.array(col) for col in zip(*brackets))
             al = np.array([alphas[i] for i in lanes.tolist()])
-            roots = bisect_boundary(lambda ks: self._gap(al, ks) <= 0.0, lo, hi, x_tol=_KTIL_TOL)
+            # the scan has already seen gap > 0 at lo and gap <= 0 at hi
+            roots = _halve_boundary(lambda ks: self._gap(al, ks) <= 0.0, lo, hi, _KTIL_TOL)
             for i, root in zip(lanes.tolist(), roots.tolist()):
                 out[i] = root
         return out

@@ -473,6 +473,17 @@ class TestCliErrors:
         )
         assert code == 2
 
+    def test_steep_crra_threshold_solves(self, tmp_path, capsys):
+        # the threshold root lies near 5e-12; a bracket width floored at 4 ulp
+        # of 1 used to stop short of the residual bound (exit 3)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"curve": {"kind": "crra", "rho": 0.9}}))
+        argv = ["solve", "--config", str(cfg), "--alpha", "0.05", "--kappa", "0.2"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        want = (0.05 / (1.0 + 0.05 - 0.2)) ** 10 * 10.0
+        assert json.loads(out)["threshold"] == pytest.approx(want, rel=1e-6)
+
     def test_offer_beta_shape_below_one_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"offer_beliefs": {"kind": "scaled_beta", "a": 0.5, "b": 4}}))

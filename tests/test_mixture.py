@@ -524,6 +524,26 @@ class TestLogitScan:
         assert np.array_equal(_bits(obj), _bits(want[0]))
         assert np.array_equal(_bits(lam), _bits(want[1]))
 
+    def test_candidate_path_one_row_and_zero_weight_games(self, lattice9, rng):
+        # maximize scores its centroid as a one-row candidate set, and an
+        # E-step can leave whole games without weight
+        lat = lattice9
+        rows = np.column_stack(
+            [rng.uniform(-2, 2, 300), rng.uniform(-2, 2, 300), rng.uniform(0, 1, 300)]
+        )
+        centroid = lat.theta[rng.choice(len(lat.theta), size=50)].mean(axis=0)[None, :]
+        lams = np.unique(np.append(mx._LOGIT_LAM_GRID, rng.uniform(0.011, 0.98)))
+        for theta in (centroid, rows):
+            for zeroed in (0, 3, len(lat.games)):
+                weights3 = rng.uniform(0.0, 30.0, size=(len(lat.games), 2, 2))
+                weights3[rng.choice(len(lat.games), size=zeroed, replace=False)] = 0.0
+                obj, lam = lat._score(theta, weights3, "logit", lams)
+                margins = mx._structure(lat.coeffs, theta)[1]
+                want = _logit_every_entry(margins, weights3, lams)
+                assert obj.shape == (len(theta),)
+                assert np.array_equal(_bits(obj), _bits(want[0]))
+                assert np.array_equal(_bits(lam), _bits(want[1]))
+
     def test_coarse_scan_scores_distinct_margins_only(self, lattice9, monkeypatch):
         lat = lattice9
         values, index = lat.distinct_margins
@@ -540,7 +560,8 @@ class TestLogitScan:
         weights3 = np.arange(len(lat.games) * 4, dtype=float).reshape(-1, 2, 2)
         lat._score(lat.theta, weights3, "logit", mx._LOGIT_LAM_GRID)
         assert sizes == [len(values)] * (2 * len(mx._LOGIT_LAM_GRID))
-        assert len(values) < lat.margins.size // 20  # 103,431 of 2,480,058
+        # 103,443 values (distinct per (g, r) column) for 2,480,058 entries
+        assert len(values) < lat.margins.size // 20
 
 
 class TestCandidateRows:
@@ -641,6 +662,46 @@ def test_mstep_picks_do_not_depend_on_simd_target(lattice9):
         return [[f"{x:.12g}" for x in row] for row in picks]
 
     assert sig12(here) == sig12(there)
+
+
+_LOGIT_SIMD_SCRIPT = """
+import sys
+sys.path.insert(0, {tests!r})
+import numpy as np
+import test_mixture as t
+games = tuple(t.default_games()) + t.load_games_config(t._CONFIG)
+lat = t.mx._Lattice(games, t.PayoffCurve.shifted_log())
+print(t._coarse_logit_is_bitwise(lat, np.random.default_rng(1616)))
+"""
+
+
+def _coarse_logit_is_bitwise(lat, rng) -> bool:
+    """One coarse logit scan against the per-entry path, on a weight table
+    with three zero-weight games and the grid plus an off-grid lam."""
+    weights3 = rng.uniform(0.0, 30.0, size=(len(lat.games), 2, 2))
+    weights3[rng.choice(len(lat.games), size=3, replace=False)] = 0.0
+    lams = np.unique(np.append(mx._LOGIT_LAM_GRID, rng.uniform(0.011, 0.98)))
+    got = lat._score(lat.theta, weights3, "logit", lams)
+    want = _logit_every_entry(lat.margins, weights3, lams)
+    return all(np.array_equal(_bits(g), _bits(w)) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("disabled", ["X86_V4", "X86_V3 X86_V4"])
+def test_coarse_logit_path_is_bitwise_under_lower_simd_targets(disabled):
+    # the sparse row sums against the einsum reference, each run under the
+    # same reduced numpy dispatch
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    if not all(__cpu_features__.get(target) for target in disabled.split()):
+        pytest.skip(f"host has no {disabled} target to disable")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled)
+    src = str(Path(mx.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = _LOGIT_SIMD_SCRIPT.format(tests=str(Path(__file__).parent))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "True"
 
 
 def _maximize_reference(lat, weights3, current, model):

@@ -287,6 +287,24 @@ def test_bisect_root_no_sign_change_in_one_lane_raises():
         bisect_root(f, np.zeros(2), np.full(2, 5.0))
 
 
+def test_bisect_root_collapse_on_a_sign_change_returns_the_midpoint():
+    # a jump never meets the residual: the bracket shuts around it at machine
+    # width, 4 ulp of each lane's own magnitude
+    jumps = np.array([1.0 / 3.0, 2.0, 6e-13])
+    f = lambda x: np.where(x < jumps, -1.0, 1.0)
+    got = bisect_root(f, np.zeros(3), np.full(3, 5.0))
+    assert np.all(np.abs(got - jumps) <= 2.0 * np.spacing(jumps))
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: np.where(x < 2.0, -1.0, np.nan),  # NaN at hi: no known sign change
+    lambda x: np.where(x < 1.0, -1.0, np.where(x < 2.0, np.nan, 1.0)),  # NaN inside
+])
+def test_bisect_root_collapse_onto_nan_raises(f):
+    with pytest.raises(ConvergenceError, match="collapsed"):
+        bisect_root(f, 0.0, 5.0)
+
+
 @st.composite
 def _boundary_lanes(draw):
     n = draw(_lane_count)

@@ -28,6 +28,7 @@ from moralbargain import (
     selfish_offer,
 )
 from moralbargain.errors import IndeterminateError, ValidationError
+from moralbargain.io import default_run_config
 from moralbargain.solver import _CachedProblem
 
 W = 10.0
@@ -72,6 +73,16 @@ def test_constrained_threshold_linear_closed_form(linear):
     assert constrained_threshold(0.3, 0.0, linear, W) == 0.0
     with pytest.raises(IndeterminateError):
         constrained_threshold(1.0, 0.5, linear, W)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.2])
+def test_constrained_threshold_steep_crra_root(kappa):
+    # v(x) = 10 x^0.1 puts the root at r w / (1 + r) with r = (alpha / (1 + alpha - kappa))^10,
+    # near 1e-12; g' is about 1e11 there, so a bracket width floored at 4 ulp of 1
+    # stopped with a residual near 3e-5
+    alpha = 0.05
+    got = constrained_threshold(kappa, alpha, PayoffCurve.crra(0.9), W)
+    assert got == pytest.approx((alpha / (1.0 + alpha - kappa)) ** 10 * W, rel=1e-6)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -285,6 +296,23 @@ def test_solve_many_equals_pointwise_optimal_strategy(crra, thresholds, offers):
     assert out.optimal == Strategy(out.threshold, out.threshold)
 
 
+def test_kappa_tilde_bisection_reuses_the_scan_endpoints(crra, thresholds, offers, monkeypatch):
+    # the scan has evaluated the gap at both ends of each bracket; the
+    # bisection evaluates only points strictly inside it
+    seen = []
+    gap = _CachedProblem._gap
+
+    def spy(self, alphas, kappas):
+        seen.extend(zip(alphas.tolist(), kappas.tolist()))
+        return gap(self, alphas, kappas)
+
+    monkeypatch.setattr(_CachedProblem, "_gap", spy)
+    prob = _CachedProblem(crra, thresholds, offers, W)
+    ktils = prob.kappa_tildes([2.0, 3.0])
+    assert all(0.0 < k < 1.0 for k in ktils)
+    assert len(seen) == len(set(seen))
+
+
 _LANE_CONFIGS = {
     "crra/beta24/beta24": (PayoffCurve.crra(0.05), (2.0, 4.0), (2.0, 4.0)),
     "shifted_log/uniform/beta42": (PayoffCurve.shifted_log(), None, (4.0, 2.0)),
@@ -336,6 +364,24 @@ def test_region_map_structure(crra, thresholds, offers):
     # boundary curves cover the requested grids
     assert len(res.alpha_tilde_by_kappa) == 7
     assert all(a > ALPHA_BAR for a, _ in res.kappa_tilde_by_alpha)
+
+
+@pytest.mark.parametrize("w", [1e6, 1e9])
+def test_constrained_threshold_at_large_endowments(linear, w):
+    # near w/3 one ulp of x moves g by more than the 1e-10 residual, so the
+    # bracket shuts on the sign change and returns its midpoint
+    assert constrained_threshold(0.0, 1.0, linear, w) == pytest.approx(w / 3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("rho", [0.9, 0.95])
+def test_region_map_on_steep_crra_curves(rho):
+    # at small alpha the threshold roots lie far below 1 (under 3e-16 for
+    # rho = 0.95), where a bracket width floored at 4 ulp of 1 stopped short
+    cfg = default_run_config()
+    res = region_map(cfg.alphas(), cfg.kappas(), PayoffCurve.crra(rho), cfg.thresholds,
+                     cfg.offers, cfg.w)
+    assert len(res.cells) == len(cfg.alphas()) * len(cfg.kappas())
+    assert all(0.0 <= c.x2_star <= c.x1_star <= cfg.w for c in res.cells)
 
 
 def test_statics_switch_location_mild_spite(crra, thresholds, offers):

@@ -31,7 +31,19 @@ Beta(2, 4) beliefs on both sides):
   always-accept offer beliefs (rng seeds 9101 and 9102);
 - per curve (linear, CRRA(0.05), shifted log), the sha256 of the bytes of
   dg_transfer over 300 ParamLanes at w = 58.8 (rng seed 1300: alpha, beta
-  and kappa drawn per lane).
+  and kappa drawn per lane);
+- per curve (linear, CRRA(0.05), shifted log), the sha256 of the `repr` of
+  the utility evaluators on one fixed set of cases (rng seed 1700), one
+  value per line:
+  - eval_expected_utility and expected_utility_riemann at 24 (params,
+    strategy) pairs, with x1 < x2, x1 = x2 and x1 > x2 strategies;
+  - eval_expost_symmetric at 40 (params, own, other) profile pairs, each
+    ordering of offer and threshold included;
+  - brute_force_symmetric at 8 params, step w/400;
+  and the sha256 of the bytes of dg_objective over 300 ParamLanes times
+  41 transfers on [0, w] at w = 58.8 (rng seed 1300), and of
+  constrained_offer over 50 kappa lanes (0, 1 and 48 drawn with rng seed
+  1700).
 
 Output depends on numpy's SIMD dispatch: transcendental ufuncs may round
 differently under another target, so compare runs on one machine.
@@ -57,16 +69,25 @@ from moralbargain import (  # noqa: E402
     BeliefDistribution,
     PayoffCurve,
     PreferenceParams,
+    Strategy,
     classify_many,
+    constrained_offer,
     dg_transfer,
+    eval_expected_utility,
+    eval_expost_symmetric,
     kappa_tilde,
     nash_set,
     optimal_strategy,
 )
 from moralbargain.io import load_estimates  # noqa: E402
 from moralbargain.cli import main as cli_main  # noqa: E402
-from moralbargain.oracle import optimal_vs_brute  # noqa: E402
+from moralbargain.oracle import (  # noqa: E402
+    brute_force_symmetric,
+    expected_utility_riemann,
+    optimal_vs_brute,
+)
 from moralbargain.params import ParamLanes  # noqa: E402
+from moralbargain.utility import dg_objective  # noqa: E402
 
 W = 10.0
 ALPHA_BAR = 0.908812520585837  # as in tests/test_acceptance.py
@@ -84,6 +105,33 @@ def cli_output(argv: list[str], name: str) -> tuple[int, str]:
 
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def utility_cases(rng: np.random.Generator, n: int, w: float):
+    """n (params, strategy) pairs: offers and thresholds drawn on [0, w/2],
+    every third pair put on the diagonal, so x1 < x2, x1 = x2 and x1 > x2 all occur."""
+    cases = []
+    for i in range(n):
+        p = PreferenceParams(alpha=rng.uniform(-1.0, 3.0), beta=rng.uniform(-1.0, 1.0),
+                             kappa=rng.uniform(0.0, 1.0))
+        x1, x2 = rng.uniform(0.0, 0.5 * w, 2)
+        cases.append((p, Strategy(x1, x1 if i % 3 == 0 else x2)))
+    return cases
+
+
+def utility_lines(curve, beliefs, w: float) -> str:
+    """The utility evaluators' values on utility_cases (rng seed 1700), one per line."""
+    rng = np.random.default_rng(1700)
+    lines = []
+    for p, s in utility_cases(rng, 24, w):
+        lines.append(repr(eval_expected_utility(p, curve, beliefs, beliefs, s, w)))
+        lines.append(repr(expected_utility_riemann(p, curve, beliefs, beliefs, s, w)))
+    pairs = utility_cases(rng, 80, w)
+    for (p, own), (_, other) in zip(pairs[::2], pairs[1::2]):
+        lines.append(repr(eval_expost_symmetric(p, curve, own, other, w)))
+    for p, _ in utility_cases(rng, 8, w):
+        lines.append(repr(brute_force_symmetric(p, curve, beliefs, beliefs, w, w / 400)))
+    return "\n".join(lines)
 
 
 def main() -> None:
@@ -162,6 +210,16 @@ def main() -> None:
     for dg_curve in (PayoffCurve.linear(), curve, PayoffCurve.shifted_log()):
         digest = hashlib.sha256(dg_transfer(lanes, dg_curve, 58.8).tobytes()).hexdigest()
         print(f"dg_transfer over 300 lanes, {dg_curve.label()}: sha256={digest}")
+
+    transfers = np.linspace(0.0, 58.8, 41)[:, None]
+    kappas = np.concatenate([[0.0, 1.0], np.random.default_rng(1700).uniform(0.0, 1.0, 48)])
+    for u_curve in (PayoffCurve.linear(), curve, PayoffCurve.shifted_log()):
+        name = u_curve.label()
+        print(f"utility evaluators, {name}: repr sha256={sha(utility_lines(u_curve, beliefs, W))}")
+        digest = hashlib.sha256(dg_objective(lanes, u_curve, transfers, 58.8).tobytes()).hexdigest()
+        print(f"dg_objective over 300 lanes x 41 transfers, {name}: sha256={digest}")
+        digest = hashlib.sha256(constrained_offer(kappas, u_curve, beliefs, W).tobytes()).hexdigest()
+        print(f"constrained_offer over 50 kappa lanes, {name}: sha256={digest}")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from .errors import (
 from .params import (
     ESTIMATION_ENDOWMENT,
     THEORY_ENDOWMENT,
-    GridSpec,
     PreferenceParams,
     Strategy,
 )
@@ -30,14 +29,12 @@ from .mixture import (
     PredictedBehavior,
     RejectionSummary,
     bootstrap_se,
-    choice_prob,
     default_games,
     em_fit,
     entropy,
     game_coefficients,
     icl,
     implicit_rejection_threshold,
-    logit_choice_prob,
     nec,
     predict_behavior,
     preferred_pattern,
@@ -68,12 +65,10 @@ from .solver import (
     optimal_strategy,
     region_map,
     selfish_offer,
-    symmetric_optimum,
 )
 from .utility import (
     TailIntegrals,
     dg_transfer,
-    dg_transfer_shiftedlog_interior,
     eval_expected_utility,
     eval_expost_symmetric,
 )
@@ -85,14 +80,12 @@ __all__ = [
     "PayoffCurve",
     "PreferenceParams",
     "Strategy",
-    "GridSpec",
     "ESTIMATION_ENDOWMENT",
     "THEORY_ENDOWMENT",
     "eval_expected_utility",
     "eval_expost_symmetric",
     "TailIntegrals",
     "dg_transfer",
-    "dg_transfer_shiftedlog_interior",
     "SolverOutputs",
     "RegionMapResult",
     "StaticsResult",
@@ -100,7 +93,6 @@ __all__ = [
     "selfish_offer",
     "constrained_offer",
     "constrained_threshold",
-    "symmetric_optimum",
     "alpha_bar",
     "alpha_tilde",
     "kappa_tilde",
@@ -125,8 +117,6 @@ __all__ = [
     "game_coefficients",
     "strategy_utilities",
     "preferred_pattern",
-    "choice_prob",
-    "logit_choice_prob",
     "em_fit",
     "bootstrap_se",
     "entropy",

@@ -170,25 +170,6 @@ def strategy_utilities(p: PreferenceParams, curve: PayoffCurve, game: BinaryGame
     return game_coefficients(game, curve) @ _basis(p)
 
 
-def choice_prob(lam: float, u_chosen: float, u_other: float) -> float:
-    """Constant-error choice probability: (1-lam) on the argmax plus lam/2.
-
-    Exact utility ties give 1/2 regardless of lam.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError("lambda must lie in [0, 1]")
-    if u_chosen == u_other:
-        return 0.5
-    return (1.0 - lam) + 0.5 * lam if u_chosen > u_other else 0.5 * lam
-
-
-def logit_choice_prob(lam: float, u_chosen: float, u_other: float) -> float:
-    """Logit alternative with lam acting as temperature (labeled, not default)."""
-    if not lam > 0.0:
-        raise ValidationError("logit temperature must be positive")
-    return float(np.exp(log_expit((u_chosen - u_other) / lam)))
-
-
 def _structure(coeffs: np.ndarray, theta: np.ndarray):
     """Preferred patterns and margins per point, game and role.
 

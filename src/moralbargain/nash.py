@@ -20,7 +20,7 @@ from .errors import ValidationError
 from .numerics import bisect_boundary
 from .params import PreferenceParams, Strategy, grid_step_of, validate_endowment
 from .solver import constrained_threshold
-from .utility import social_utility
+from .utility import _universal_term, social_utility
 
 SET_KINDS = ("SymmetricSegment", "SegmentPlusAsymmetricStub")
 
@@ -120,7 +120,7 @@ def _verify(
     v_keep = curve.value(w - axis)
     v_give = curve.value(axis)
     pa = social_utility(p, v_keep, v_give)
-    c = kappa * (v_keep + v_give)
+    c = _universal_term(kappa, v_keep, v_give)
     r_keep, r_give = curve.value(w - y1), curve.value(y1)
     racc = social_utility(p, r_give, r_keep)
     # eval_expost_symmetric(p, curve, s, s, w) per profile: against itself all
@@ -128,7 +128,7 @@ def _verify(
     on = y1 >= y2
     own = 0.0 + np.where(on, social_utility(p, r_keep, r_give), 0.0)
     own = own + np.where(on, racc, 0.0)
-    own = own + np.where(on, p.kappa * (r_keep + r_give), 0.0)
+    own = own + np.where(on, _universal_term(p.kappa, r_keep, r_give), 0.0)
 
     # lanes are independent, so chunks of profiles concatenate to the one-call result
     rows = max(1, _VERIFY_CELLS // len(axis))

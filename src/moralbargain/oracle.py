@@ -2,7 +2,9 @@
 
 The responder integral here is a midpoint Riemann sum on a refinement of
 the argmax grid, deliberately not the adaptive quadrature used by the
-analytic path, so the two routes cross-check each other.
+analytic path, so the two routes cross-check each other. The three utility
+terms are written out once here (_ug_terms), apart from the model's in
+utility.py, for the same reason.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from .beliefs import BeliefDistribution
 from .curves import PayoffCurve
 from .errors import IndeterminateError, ValidationError
 from .kernels import grid_argmax
-from .params import GridSpec, PreferenceParams, Strategy, grid_step_of, validate_endowment
+from .params import PreferenceParams, Strategy, grid_step_of, validate_endowment
 from .solver import _CachedProblem
 from .utility import dg_objective, eval_expected_utility
 
@@ -64,33 +66,49 @@ def riemann_tail_pair(
     return acc1[idx], acc2[idx]
 
 
+def _ug_columns(
+    curve: PayoffCurve,
+    thresholds: BeliefDistribution,
+    offers: BeliefDistribution,
+    w: float,
+    xs: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """The parameter-free columns on the axis xs: v(w - xs), F(xs), v(xs)
+    and the Riemann tail pair at xs."""
+    i1, i2 = riemann_tail_pair(offers, curve, w, xs)
+    return curve.value(w - xs), thresholds.cdf(xs), curve.value(xs), i1, i2
+
+
+def _ug_terms(p: PreferenceParams, v_keep, cdf, v_give, i1, i2):
+    """The proposer, responder and universalization terms (a, b, c) of the
+    expected utility, the last before its x1 >= x2 indicator."""
+    ka = p.kappa
+    a = (1.0 - ka) * v_keep * cdf
+    b = (1.0 - ka + p.alpha) * i1 - p.alpha * i2
+    c = ka * (v_keep + v_give)
+    return a, b, c
+
+
 def _ug_tables(
     curve: PayoffCurve,
     thresholds: BeliefDistribution,
     offers: BeliefDistribution,
     w: float,
-    grid_step: float | GridSpec,
+    grid_step: float,
 ) -> tuple[np.ndarray, ...]:
-    """The parameter-free tables of the brute-force grid: the axis xs,
-    v(w - xs), F(xs), v(xs) and the Riemann tail pair at xs."""
+    """The parameter-free tables of the brute-force grid: the axis xs and
+    its _ug_columns."""
     validate_endowment(w)
     step = grid_step_of(grid_step, w)
     n = int(round(w / step))
     xs = np.linspace(0.0, w, n + 1)
-    v_keep = curve.value(w - xs)
-    cdf = thresholds.cdf(xs)
-    i1, i2 = riemann_tail_pair(offers, curve, w, xs)
-    return xs, v_keep, cdf, curve.value(xs), i1, i2
+    return (xs,) + _ug_columns(curve, thresholds, offers, w, xs)
 
 
 def _ug_argmax(p: PreferenceParams, tables: tuple[np.ndarray, ...]) -> tuple[Strategy, float]:
     """brute_force_ug's grid argmax on tables from _ug_tables."""
-    xs, v_keep, cdf, v_give, i1, i2 = tables
-    ka = p.kappa
-    a = (1.0 - ka) * v_keep * cdf
-    b = (1.0 - ka + p.alpha) * i1 - p.alpha * i2
-    c = ka * (v_keep + v_give)
-    i, j, u = grid_argmax(a, b, c, xs, xs)
+    xs, *columns = tables
+    i, j, u = grid_argmax(*_ug_terms(p, *columns), xs, xs)
     return Strategy(float(xs[i]), float(xs[j])), float(u)
 
 
@@ -100,7 +118,7 @@ def brute_force_ug(
     thresholds: BeliefDistribution,
     offers: BeliefDistribution,
     w: float,
-    grid_step: float | GridSpec,
+    grid_step: float,
 ) -> tuple[Strategy, float]:
     """Exhaustive grid argmax of the expected utility over [0, w]^2.
 
@@ -116,26 +134,21 @@ def brute_force_symmetric(
     thresholds: BeliefDistribution,
     offers: BeliefDistribution,
     w: float,
-    grid_step: float | GridSpec,
+    grid_step: float,
 ) -> tuple[float, float]:
     """Grid argmax of u(y, y) on the diagonal segment [0, w/2]."""
     validate_endowment(w)
     step = grid_step_of(grid_step, w)
     n = max(1, int(round(0.5 * w / step)))
     ys = np.linspace(0.0, 0.5 * w, n + 1)
-    ka = p.kappa
-    v_keep = curve.value(w - ys)
-    v_give = curve.value(ys)
-    a = (1.0 - ka) * v_keep * thresholds.cdf(ys)
-    i1, i2 = riemann_tail_pair(offers, curve, w, ys)
-    b = (1.0 - ka + p.alpha) * i1 - p.alpha * i2
-    u = a + b + ka * (v_keep + v_give)  # diagonal indicator is always on
+    a, b, c = _ug_terms(p, *_ug_columns(curve, thresholds, offers, w, ys))
+    u = a + b + c  # diagonal indicator is always on
     k = int(np.argmax(u))
     return float(ys[k]), float(u[k])
 
 
 def brute_force_dg(
-    p: PreferenceParams, curve: PayoffCurve, w: float, grid_step: float | GridSpec
+    p: PreferenceParams, curve: PayoffCurve, w: float, grid_step: float
 ) -> tuple[float, float]:
     """Exhaustive scan of the dictator objective on [0, w]."""
     validate_endowment(w)
@@ -173,14 +186,12 @@ def _riemann_utility(
 ) -> float:
     """expected_utility_riemann with the responder integrals memoized in
     `tails`, keyed on x2; the integrals depend on nothing else."""
-    ka = p.kappa
-    proposer = (1.0 - ka) * curve.value(w - s.x1) * thresholds.cdf(s.x1)
     if s.x2 not in tails:
         tails[s.x2] = _riemann_tails(curve, offers, s.x2, w)
-    i1, i2 = tails[s.x2]
-    responder = (1.0 - ka + p.alpha) * i1 - p.alpha * i2
-    universal = ka * (curve.value(w - s.x1) + curve.value(s.x1)) if s.x1 >= s.x2 else 0.0
-    return proposer + responder + universal
+    a, b, c = _ug_terms(
+        p, curve.value(w - s.x1), thresholds.cdf(s.x1), curve.value(s.x1), *tails[s.x2]
+    )
+    return a + b + (c if s.x1 >= s.x2 else 0.0)
 
 
 def expected_utility_riemann(
@@ -205,7 +216,7 @@ def optimal_vs_brute(
     thresholds: BeliefDistribution,
     offers: BeliefDistribution,
     w: float,
-    grid_step: float | GridSpec,
+    grid_step: float,
 ) -> float:
     """Worst margin u(solver optimum) - u(grid optimum) over random draws.
 

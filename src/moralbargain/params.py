@@ -1,4 +1,4 @@
-"""Core domain types: preference parameters, strategies, grids."""
+"""Core domain types: preference parameters, strategies, the grid-step rule."""
 
 from __future__ import annotations
 
@@ -82,21 +82,10 @@ class Strategy:
     x2: float
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform grid step over [0, w]."""
-
-    step: float
-
-    def __post_init__(self):
-        if not (self.step > 0.0):
-            raise ValidationError(f"grid step must be positive, got {self.step}")
-
-
-def grid_step_of(grid: float | GridSpec, w: float) -> float:
+def grid_step_of(grid: float, w: float) -> float:
     """The step of a brute-force or verifier lattice on [0, w]; it must lie in
     (0, w/2], since a wider step collapses the lattice."""
-    step = float(grid.step if isinstance(grid, GridSpec) else grid)
+    step = float(grid)
     if not 0.0 < step <= 0.5 * w:  # also rejects nan and inf
         raise ValidationError("grid_step must lie in (0, w/2]")
     return step

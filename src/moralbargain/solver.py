@@ -22,7 +22,7 @@ from .curves import PayoffCurve
 from .errors import IndeterminateError, ValidationError
 from .numerics import _halve_boundary, bisect_boundary, bisect_root, scan_then_golden
 from .params import ParamLanes, PreferenceParams, Strategy, validate_endowment
-from .utility import TailIntegrals, eval_expected_utility
+from .utility import TailIntegrals, _proposer_term, _responder_term, _universal_term
 
 REGIONS = ("R1", "R2", "R3")
 
@@ -73,11 +73,11 @@ def constrained_offer(
     out_of_range = ~((0.0 <= k) & (k <= 1.0))
     if out_of_range.any():
         raise ValidationError(f"kappa must lie in [0, 1], got {_first_bad(k, out_of_range)}")
-    own = 1.0 - k
 
     def f(x):
         v_keep = curve.value(w - x)
-        return own * v_keep * thresholds.cdf(x) + k * (v_keep + curve.value(x))
+        accept = thresholds.cdf(x)
+        return _proposer_term(k, v_keep, accept) + _universal_term(k, v_keep, curve.value(x))
 
     zero = np.zeros(k.shape)
     return scan_then_golden(f, zero, zero + 0.5 * w)
@@ -125,31 +125,14 @@ def _fast_u(p, curve, thresholds, tails, x1, x2, w: float):
     branching on it.
     """
     v_keep = curve.value(w - x1)
-    base = (1.0 - p.kappa) * v_keep * thresholds.cdf(x1) + tails.responder_term(p, x2)
-    return base + p.kappa * (v_keep + curve.value(x1)) * (x1 >= x2)
+    proposer = _proposer_term(p.kappa, v_keep, thresholds.cdf(x1))
+    responder = _responder_term(p, tails.own(x2), tails.other(x2))
+    return proposer + responder + _universal_term(p.kappa, v_keep, curve.value(x1)) * (x1 >= x2)
 
 
 def _diag_opt(p, curve, thresholds, tails, w: float, lo, hi):
     f = lambda y: _fast_u(p, curve, thresholds, tails, y, y, w)
     return scan_then_golden(f, lo, hi, tol=1e-6)
-
-
-def symmetric_optimum(
-    p: PreferenceParams,
-    curve: PayoffCurve,
-    thresholds: BeliefDistribution,
-    offers: BeliefDistribution,
-    w: float,
-) -> float:
-    """Best diagonal strategy: argmax_y u(y, y) over [x_constrained, threshold]."""
-    lo = constrained_offer(p.kappa, curve, thresholds, w)
-    hi = constrained_threshold(p.kappa, p.alpha, curve, w)
-    if lo > hi:
-        raise IndeterminateError(
-            "bracket degenerate; region decision should not request a symmetric optimum"
-        )
-    tails = TailIntegrals(offers, curve, w)
-    return _diag_opt(p, curve, thresholds, tails, w, lo, hi)
 
 
 def _indifference_alpha(curve: PayoffCurve, x: float, w: float, weight: float = 1.0) -> float:
@@ -351,7 +334,9 @@ class _CachedProblem:
                 self.curve, self.w,
             )
             x2.update(zip(spite, roots.tolist()))
-        above = [i for i in spite if not pairs[i][0] <= tilde[i][1]]
+        # R1 also needs the threshold at or below the offer: near kappa = 1 the
+        # offer can stop short of w/2 with alpha-tilde read as infinite
+        above = [i for i in spite if not (pairs[i][0] <= tilde[i][1] and x2[i] <= tilde[i][0])]
         ktil = dict.fromkeys(above)
         need = [i for i in above if not pairs[i][0] < self.abar]
         ktil.update(zip(need, self.ktils(pairs[i][0] for i in need)))
@@ -388,7 +373,7 @@ class _CachedProblem:
                 flags=self.flags + ("threshold-indeterminate",),
             )
         x1c, atil = tilde
-        if alpha <= 0.0 or alpha <= atil:
+        if alpha <= 0.0 or (alpha <= atil and x2 <= x1c):
             region, optimal = "R1", Strategy(x1c, x2)
         elif x_hat is not None:
             region, optimal = "R2", Strategy(x_hat, x_hat)

@@ -1,5 +1,9 @@
 """Utility evaluation: veil-of-ignorance expected utility, ex-post payoffs,
 and the dictator transfer problem.
+
+Each utility term of the model (social utility and the proposer, responder
+and universalization terms) is written once here; the solver and the Nash
+verifier call these functions.
 """
 
 from __future__ import annotations
@@ -32,9 +36,21 @@ def social_utility(p: PreferenceParams | ParamLanes, v_own, v_oth):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def social_expost(p: PreferenceParams, curve: PayoffCurve, own_money, other_money):
-    """Ex-post social utility of one realized split, universalization excluded."""
-    return social_utility(p, curve.value(own_money), curve.value(other_money))
+def _proposer_term(kappa, v_keep, accept):
+    """Proposer-role expected utility (1 - kappa) v(w - x1) F(x1), from
+    v(w - x1) and the acceptance probability F(x1)."""
+    return (1.0 - kappa) * v_keep * accept
+
+
+def _responder_term(p: PreferenceParams | ParamLanes, i_own, i_oth):
+    """Responder-role expected utility (1 - kappa + alpha) I_own - alpha I_oth,
+    from the tail integrals of v(y) and v(w - y) over accepted offers y."""
+    return (1.0 - p.kappa + p.alpha) * i_own - p.alpha * i_oth
+
+
+def _universal_term(kappa, v_keep, v_give):
+    """Universalization term kappa (v(w - x1) + v(x1)), before its x1 >= x2 indicator."""
+    return kappa * (v_keep + v_give)
 
 
 def eval_expected_utility(
@@ -56,13 +72,12 @@ def eval_expected_utility(
     _check_strategy(s, w)
     if thresholds.w != w or offers.w != w:
         raise ValidationError("belief endowment does not match w")
-    ka = p.kappa
-    proposer = (1.0 - ka) * curve.value(w - s.x1) * thresholds.cdf(s.x1)
-    coef = 1.0 - ka + p.alpha
+    v_keep = curve.value(w - s.x1)
+    proposer = _proposer_term(p.kappa, v_keep, thresholds.cdf(s.x1))
     i_own = offers.tail_expectation(curve.value, s.x2)
     i_oth = offers.tail_expectation(lambda y: curve.value(w - y), s.x2)
-    responder = coef * i_own - p.alpha * i_oth
-    universal = ka * (curve.value(w - s.x1) + curve.value(s.x1)) if s.x1 >= s.x2 else 0.0
+    responder = _responder_term(p, i_own, i_oth)
+    universal = _universal_term(p.kappa, v_keep, curve.value(s.x1)) if s.x1 >= s.x2 else 0.0
     return proposer + responder + universal
 
 
@@ -83,13 +98,14 @@ def eval_expost_symmetric(
     validate_endowment(w)
     _check_strategy(own, w)
     _check_strategy(other, w)
+    v_keep, v_give = curve.value(w - own.x1), curve.value(own.x1)
     total = 0.0
     if own.x1 >= other.x2:  # own proposal accepted
-        total += social_expost(p, curve, w - own.x1, own.x1)
+        total += social_utility(p, v_keep, v_give)
     if other.x1 >= own.x2:  # own threshold accepts the incoming offer
-        total += social_expost(p, curve, other.x1, w - other.x1)
+        total += social_utility(p, curve.value(other.x1), curve.value(w - other.x1))
     if own.x1 >= own.x2:
-        total += p.kappa * (curve.value(w - own.x1) + curve.value(own.x1))
+        total += _universal_term(p.kappa, v_keep, v_give)
     return total
 
 
@@ -163,10 +179,6 @@ class TailIntegrals:
     def other(self, x):
         return self._eval(x, False)
 
-    def responder_term(self, p: PreferenceParams, x2):
-        """Responder-role expected utility at acceptance threshold x2."""
-        return (1.0 - p.kappa + p.alpha) * self.own(x2) - p.alpha * self.other(x2)
-
 
 def dg_objective(p: PreferenceParams | ParamLanes, curve: PayoffCurve, x, w: float):
     """Dictator objective at transfer x (half-weight on each role's term).
@@ -175,7 +187,7 @@ def dg_objective(p: PreferenceParams | ParamLanes, curve: PayoffCurve, x, w: flo
     """
     v_keep = curve.value(w - x)
     v_give = curve.value(x)
-    out = 0.5 * (social_utility(p, v_keep, v_give) + p.kappa * (v_keep + v_give))
+    out = 0.5 * (social_utility(p, v_keep, v_give) + _universal_term(p.kappa, v_keep, v_give))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -199,12 +211,3 @@ def dg_transfer(
     best = np.where(w < best, w, best)
     return float(best) if best.ndim == 0 else best
 
-
-def dg_transfer_shiftedlog_interior(p: PreferenceParams, w: float) -> float:
-    """Closed-form ShiftedLog transfer for an interior advantageous-region optimum.
-
-    max(0, ((beta+kappa)(w+1) - (1-beta)) / (1+kappa)), valid when the
-    advantageous branch (x <= w/2) governs; callers clamp to [0, w/2].
-    """
-    raw = ((p.beta + p.kappa) * (w + 1.0) - (1.0 - p.beta)) / (1.0 + p.kappa)
-    return max(0.0, raw)

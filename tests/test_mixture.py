@@ -30,13 +30,11 @@ from moralbargain import (
     PreferenceParams,
     ValidationError,
     bootstrap_se,
-    choice_prob,
     default_games,
     em_fit,
     entropy,
     icl,
     implicit_rejection_threshold,
-    logit_choice_prob,
     nec,
     predict_behavior,
     preferred_pattern,
@@ -149,46 +147,6 @@ class TestStrategyUtilities:
         g = BinaryGame("flat", (flat, flat), (flat, flat))
         p = PreferenceParams(alpha=0.3, beta=0.1, kappa=0.4, lam=0.1)
         assert (preferred_pattern(p, shifted_log, [g]) == 2).all()
-
-
-# ---------------------------------------------------------------------------
-# choice model
-
-
-class TestChoiceProb:
-    def test_named_values(self):
-        assert choice_prob(1.0, 2.0, 1.0) == 0.5
-        assert choice_prob(0.0, 2.0, 1.0) == 1.0
-        assert choice_prob(0.16, 2.0, 1.0) == pytest.approx(0.92, rel=1e-12)
-
-    def test_ties_are_half_regardless_of_lambda(self):
-        for lam in (0.0, 0.2, 1.0):
-            assert choice_prob(lam, 3.0, 3.0) == 0.5
-
-    def test_sums_to_one_exactly(self, rng):
-        for lam in rng.uniform(0.0, 1.0, 500):
-            assert choice_prob(lam, 2.0, 1.0) + choice_prob(lam, 1.0, 2.0) == 1.0
-
-    def test_bounds(self, rng):
-        for _ in range(500):
-            lam = float(rng.uniform(0.0, 1.0))
-            u1, u2 = rng.normal(size=2)
-            p = choice_prob(lam, u1, u2)
-            assert 0.5 * lam <= p <= 1.0 - 0.5 * lam
-
-    def test_validates_lambda(self):
-        with pytest.raises(ValidationError):
-            choice_prob(1.2, 1.0, 0.0)
-
-    def test_logit_variant(self):
-        with pytest.raises(ValidationError):
-            logit_choice_prob(0.0, 1.0, 0.0)
-        assert logit_choice_prob(1.0, 1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
-        p_big = logit_choice_prob(0.5, 2.0, 0.0)
-        p_small = logit_choice_prob(0.5, 1.0, 0.0)
-        assert p_big > p_small > 0.5
-        total = logit_choice_prob(0.5, 2.0, 0.0) + logit_choice_prob(0.5, 0.0, 2.0)
-        assert total == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -646,17 +604,38 @@ def _has_avx512() -> bool:
     return bool(__cpu_features__.get("AVX512_SKX"))
 
 
+# numpy reports the AVX-512 dispatch targets above X86_V4 as enabled unless
+# they are disabled by name
+_AVX512_ABOVE_V4 = ("AVX512_ICL", "AVX512_SPR")
+
+_CHECK_DISABLED = """
+from numpy._core._multiarray_umath import __cpu_features__
+still_on = [t for t in {disabled!r} if __cpu_features__.get(t)]
+assert not still_on, f"dispatch targets still enabled: {{still_on}}"
+"""
+
+
+def _run_without_targets(script: str, targets) -> str:
+    """stdout of script in a subprocess with the host's listed numpy dispatch
+    targets disabled; the subprocess first asserts that none reads as enabled."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    disabled = [t for t in targets if __cpu_features__.get(t)]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
+    src = str(Path(mx.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _CHECK_DISABLED.format(disabled=disabled) + script],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return out.stdout
+
+
 @pytest.mark.skipif(not _has_avx512(), reason="host has no AVX-512 target to disable")
 def test_mstep_picks_do_not_depend_on_simd_target(lattice9):
     here = _recipe_picks(lattice9, _SIMD_DRAWS)
     script = _SIMD_PICKS_SCRIPT.format(tests=str(Path(__file__).parent), draws=_SIMD_DRAWS)
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4")
-    src = str(Path(mx.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    there = json.loads(out.stdout)
+    there = json.loads(_run_without_targets(script, ("X86_V4",) + _AVX512_ABOVE_V4))
 
     def sig12(picks):
         return [[f"{x:.12g}" for x in row] for row in picks]
@@ -694,14 +673,9 @@ def test_coarse_logit_path_is_bitwise_under_lower_simd_targets(disabled):
 
     if not all(__cpu_features__.get(target) for target in disabled.split()):
         pytest.skip(f"host has no {disabled} target to disable")
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled)
-    src = str(Path(mx.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = _LOGIT_SIMD_SCRIPT.format(tests=str(Path(__file__).parent))
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "True"
+    out = _run_without_targets(script, disabled.split() + list(_AVX512_ABOVE_V4))
+    assert out.strip() == "True"
 
 
 def _maximize_reference(lat, weights3, current, model):

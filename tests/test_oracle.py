@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from moralbargain import (
     BeliefDistribution,
-    GridSpec,
     PayoffCurve,
     PreferenceParams,
     optimal_strategy,
-    symmetric_optimum,
 )
 import moralbargain.oracle as oracle_mod
 from moralbargain.errors import IndeterminateError, ValidationError
@@ -140,7 +138,7 @@ def test_brute_ug_diagonal_argmax_matches_symmetric_optimum(crra, thresholds, of
     p = PreferenceParams(alpha=0.5, kappa=0.6)
     step = 0.01
     s, _ = brute_force_ug(p, crra, thresholds, offers, W, step)
-    x_hat = symmetric_optimum(p, crra, thresholds, offers, W)
+    x_hat = optimal_strategy(p, crra, thresholds, offers, W).symmetric
     assert s.x1 == pytest.approx(s.x2, abs=1e-12)
     assert s.x1 == pytest.approx(x_hat, abs=step)
 
@@ -239,15 +237,11 @@ def test_solver_never_loses_to_grid_beyond_default_beliefs(setup, crra, threshol
     assert worst >= -1e-6
 
 
-def test_brute_ug_accepts_gridspec(crra, thresholds, offers):
+def test_brute_ug_rejects_a_non_positive_grid_step(crra, thresholds, offers):
     p = PreferenceParams(alpha=0.2, kappa=0.3)
-    a = brute_force_ug(p, crra, thresholds, offers, W, 0.5)
-    b = brute_force_ug(p, crra, thresholds, offers, W, GridSpec(step=0.5))
-    assert a == b
-    with pytest.raises(ValidationError):
-        brute_force_ug(p, crra, thresholds, offers, W, -0.5)
-    with pytest.raises(ValidationError):
-        GridSpec(step=0.0)
+    for step in (-0.5, 0.0):
+        with pytest.raises(ValidationError):
+            brute_force_ug(p, crra, thresholds, offers, W, step)
 
 
 @pytest.mark.parametrize("step", [np.inf, np.nan, W / 2 + 1e-9, 2 * W])

@@ -29,6 +29,7 @@ from moralbargain import (
 )
 from moralbargain.errors import IndeterminateError, ValidationError
 from moralbargain.io import default_run_config
+from moralbargain.oracle import brute_force_ug, expected_utility_riemann
 from moralbargain.solver import _CachedProblem
 
 W = 10.0
@@ -94,7 +95,7 @@ def test_constrained_threshold_rejects_non_finite_alpha(linear, bad):
 
 def test_diagonal_utility_broadcasts_bitwise(crra, thresholds, offers):
     from moralbargain.solver import _fast_u
-    from moralbargain.utility import TailIntegrals
+    from moralbargain.utility import TailIntegrals, _responder_term
 
     tails = TailIntegrals(offers, crra, W)
     ys = np.linspace(0.0, W / 2, 401)
@@ -105,7 +106,8 @@ def test_diagonal_utility_broadcasts_bitwise(crra, thresholds, offers):
         # off the diagonal the universalization term drops out
         x_s, x2 = X_SELFISH, 4.0
         assert _fast_u(p, crra, thresholds, tails, x_s, x2, W) == (
-            (1 - p.kappa) * crra.value(W - x_s) * thresholds.cdf(x_s) + tails.responder_term(p, x2)
+            (1 - p.kappa) * crra.value(W - x_s) * thresholds.cdf(x_s)
+            + _responder_term(p, tails.own(x2), tails.other(x2))
         )
 
 
@@ -199,6 +201,21 @@ def test_full_universalization_edge(crra, thresholds, offers):
     assert out.region == "R2"
     out = optimal_strategy(PreferenceParams(alpha=-0.5, kappa=1.0), crra, thresholds, offers, W)
     assert out.region == "R1"
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+@pytest.mark.parametrize("kappa", [1 - 1e-8, 1 - 1e-9, 1 - 1e-12])
+def test_kappa_near_one_keeps_r1_compatible(crra, thresholds, offers, alpha, kappa):
+    # the constrained offer stops about 2e-7 short of w/2, where the alpha-tilde
+    # guard reads it as the equal split (alpha-tilde = inf); the threshold then
+    # lies above the offer, and an R1 pair there loses its universalization term
+    p = PreferenceParams(alpha=alpha, kappa=kappa)
+    out = optimal_strategy(p, crra, thresholds, offers, W)
+    assert not (out.region == "R1" and out.optimal.x2 > out.optimal.x1)
+    s_brute, _ = brute_force_ug(p, crra, thresholds, offers, W, W / 400)
+    u_opt = expected_utility_riemann(p, crra, thresholds, offers, out.optimal, W)
+    u_brute = expected_utility_riemann(p, crra, thresholds, offers, s_brute, W)
+    assert u_opt >= u_brute - 1e-6
 
 
 def test_degenerate_belief_flagged(crra, offers):

@@ -9,25 +9,39 @@ from moralbargain.oracle import brute_force_dg, expected_utility_riemann
 from moralbargain.params import Strategy
 from moralbargain.utility import (
     TailIntegrals,
+    _responder_term,
     dg_objective,
     dg_transfer,
-    dg_transfer_shiftedlog_interior,
     eval_expected_utility,
     eval_expost_symmetric,
-    social_expost,
+    social_utility,
 )
 
 W = 10.0
 
 
+def dg_transfer_shiftedlog_interior(p: PreferenceParams, w: float) -> float:
+    """Closed-form ShiftedLog transfer for an interior advantageous-region optimum.
+
+    max(0, ((beta+kappa)(w+1) - (1-beta)) / (1+kappa)), valid when the
+    advantageous branch (x <= w/2) governs; callers clamp to [0, w/2].
+    """
+    raw = ((p.beta + p.kappa) * (w + 1.0) - (1.0 - p.beta)) / (1.0 + p.kappa)
+    return max(0.0, raw)
+
+
 def test_social_expost_branches(linear):
     p = PreferenceParams(alpha=0.5, beta=0.1, kappa=0.2)
+
+    def expost(own_money, other_money):
+        return social_utility(p, linear.value(own_money), linear.value(other_money))
+
     # behind: (1-k) own - alpha (oth - own)
-    assert social_expost(p, linear, 2.0, 8.0) == pytest.approx(0.8 * 2 - 0.5 * 6)
+    assert expost(2.0, 8.0) == pytest.approx(0.8 * 2 - 0.5 * 6)
     # ahead: (1-k) own - beta (own - oth)
-    assert social_expost(p, linear, 8.0, 2.0) == pytest.approx(0.8 * 8 - 0.1 * 6)
+    assert expost(8.0, 2.0) == pytest.approx(0.8 * 8 - 0.1 * 6)
     # equal split leaves only the material term
-    assert social_expost(p, linear, 5.0, 5.0) == pytest.approx(0.8 * 5)
+    assert expost(5.0, 5.0) == pytest.approx(0.8 * 5)
 
 
 def test_expost_symmetric_equal_split_is_endowment(linear):
@@ -130,7 +144,7 @@ class TestTailIntegrals:
         p = PreferenceParams(alpha=0.8, kappa=0.3)
         x2 = 1.7
         want = (1.0 - 0.3 + 0.8) * ti.own(x2) - 0.8 * ti.other(x2)
-        assert ti.responder_term(p, x2) == pytest.approx(want, abs=1e-12)
+        assert _responder_term(p, ti.own(x2), ti.other(x2)) == pytest.approx(want, abs=1e-12)
 
 
 def test_dg_objective_hand_value(linear):
@@ -215,7 +229,7 @@ def test_dg_objective_broadcasts_bitwise(shifted_log, crra, rng):
         ):
             for f in (
                 lambda x: dg_objective(p, curve, x, w),
-                lambda x: social_expost(p, curve, w - x, x),
+                lambda x: social_utility(p, curve.value(w - x), curve.value(x)),
             ):
                 vec = f(xs)
                 scal = [f(x) for x in xs.tolist()]

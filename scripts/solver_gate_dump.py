@@ -43,7 +43,20 @@ Beta(2, 4) beliefs on both sides):
   and the sha256 of the bytes of dg_objective over 300 ParamLanes times
   41 transfers on [0, w] at w = 58.8 (rng seed 1300), and of
   constrained_offer over 50 kappa lanes (0, 1 and 48 drawn with rng seed
-  1700).
+  1700);
+- the CLI output bytes: for each invocation below, each --format (json,
+  csv) and each destination (stdout, and the file an --out run writes),
+  the exit code and the sha256 of the output, one line each:
+  - solve at (alpha, kappa) = (0.2, 0.1) (R1) and (0.5, 0.6) (R2);
+  - dg at (0.13, 0.22, 0.26);
+  - region-map, and statics --alpha 0.5, on alpha_grid [-1, 3, 5] and
+    kappa_grid [0.4, 0.52, 4];
+  - nash --kappa 0.6 --alpha 0.5;
+  - predict on data/test_sample.csv, with and without --suppress-kappa;
+  - estimate --k 1 --bootstrap 2 on 12 simulated subjects (one type,
+    simulation seed 12, shifted log, the built-in games);
+  - metrics with --lnl1, and oracle-check --draws 4 (its stdout is the
+    printed table under either format).
 
 Output depends on numpy's SIMD dispatch: transcendental ufuncs may round
 differently under another target, so compare runs on one machine.
@@ -72,14 +85,16 @@ from moralbargain import (  # noqa: E402
     Strategy,
     classify_many,
     constrained_offer,
+    default_games,
     dg_transfer,
     eval_expected_utility,
     eval_expost_symmetric,
     kappa_tilde,
     nash_set,
     optimal_strategy,
+    simulate_choices,
 )
-from moralbargain.io import load_estimates  # noqa: E402
+from moralbargain.io import load_estimates, save_choices  # noqa: E402
 from moralbargain.cli import main as cli_main  # noqa: E402
 from moralbargain.oracle import (  # noqa: E402
     brute_force_symmetric,
@@ -105,6 +120,44 @@ def cli_output(argv: list[str], name: str) -> tuple[int, str]:
 
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def cli_lines() -> list[str]:
+    """The exit code and output sha256 of each CLI invocation x format x destination."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "small-grid.json"
+        cfg.write_text(json.dumps({"alpha_grid": [-1.0, 3.0, 5], "kappa_grid": [0.4, 0.52, 4]}))
+        choices = Path(tmp) / "choices.csv"
+        truth = PreferenceParams(alpha=0.33, beta=0.09, kappa=0.26, lam=0.1)
+        records, _ = simulate_choices([truth], [1.0], default_games(), PayoffCurve.shifted_log(),
+                                      12, seed=12)
+        save_choices(records, choices)
+        runs = [
+            ("solve R1", ["solve", "--alpha", "0.2", "--kappa", "0.1"], "solve"),
+            ("solve R2", ["solve", "--alpha", "0.5", "--kappa", "0.6"], "solve"),
+            ("dg", ["dg", "--alpha", "0.13", "--beta", "0.22", "--kappa", "0.26"], "dg"),
+            ("region-map", ["region-map", "--config", str(cfg)], "region_map"),
+            ("statics", ["statics", "--alpha", "0.5", "--config", str(cfg)], "statics"),
+            ("nash", ["nash", "--kappa", "0.6", "--alpha", "0.5"], "nash"),
+            ("predict", ["predict", "--estimates", str(SAMPLE)], "predict"),
+            ("predict --suppress-kappa",
+             ["predict", "--estimates", str(SAMPLE), "--suppress-kappa"], "predict"),
+            ("estimate", ["estimate", "--choices", str(choices), "--k", "1", "--bootstrap", "2"],
+             "estimate"),
+            ("metrics", ["metrics", "--lnl", "-1865.90", "--k", "3", "--n", "96", "--en", "13.50",
+                         "--lnl1", "-2063.28"], "metrics"),
+            ("oracle-check", ["oracle-check", "--draws", "4"], "oracle_check"),
+        ]
+        for label, argv, name in runs:
+            for fmt in ("json", "csv"):
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    code = cli_main(argv + ["--format", fmt])
+                lines.append(f"cli {label} {fmt} stdout: exit={code} sha256={sha(buf.getvalue())}")
+                code, text = cli_output(argv + ["--format", fmt], f"{name}.{fmt}")
+                lines.append(f"cli {label} {fmt} --out: exit={code} sha256={sha(text)}")
+    return lines
 
 
 def utility_cases(rng: np.random.Generator, n: int, w: float):
@@ -220,6 +273,8 @@ def main() -> None:
         print(f"dg_objective over 300 lanes x 41 transfers, {name}: sha256={digest}")
         digest = hashlib.sha256(constrained_offer(kappas, u_curve, beliefs, W).tobytes()).hexdigest()
         print(f"constrained_offer over 50 kappa lanes, {name}: sha256={digest}")
+
+    print("\n".join(cli_lines()))
 
 
 if __name__ == "__main__":

@@ -11,18 +11,19 @@ Subcommands
     metrics       ICL/NEC from a supplied log-likelihood, EN, K, and N
     oracle-check  brute-force consistency table for the analytic solvers
 
-Global flags: --config (JSON run configuration), --seed, --out (directory;
-default prints to stdout), --format {json,csv}. Exit codes: 0 success,
-2 validation failure, 3 numeric failure.
+Global flags: --config (JSON run configuration), --seed (overrides the
+config's seed), --out (directory; default prints to stdout), --format
+{json,csv}. --out and --format are flags only: a run configuration holds
+no output settings. Exit codes: 0 success, 2 validation failure, 3 numeric
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import math
 import sys
-from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -57,26 +58,17 @@ from .utility import dg_objective, dg_transfer
 # output plumbing
 
 
-def _kv_csv(payload: dict) -> str:
-    """Two-column key,value rendering for scalar payloads."""
-    import csv as _csv
-
-    buf = StringIO()
-    wtr = _csv.writer(buf, lineterminator="\n")
-    wtr.writerow(["key", "value"])
-    for key, val in payload.items():
-        if isinstance(val, (dict, list, tuple)):
-            val = json.dumps(val)
-        elif isinstance(val, float):
-            val = format(val, ".10g")
-        wtr.writerow([key, val])
-    return buf.getvalue()
-
-
-def _deliver(name: str, payload: dict, csv_body: str | None, out_dir, fmt: str) -> None:
-    text = (csv_body if csv_body is not None else _kv_csv(payload)) if fmt == "csv" else mio.json_text(payload)
-    if out_dir:
-        path = Path(out_dir) / f"{name}.{fmt}"
+def _deliver(args, name: str, payload: dict, table=None) -> None:
+    """Write the payload as JSON, or as CSV: the (header, rows) table, or
+    key,value rows when there is none. Into --out/<name>.<format> when
+    --out is given, else to stdout. Table rows may be a generator, so a
+    JSON run never formats them."""
+    if args.format == "json":
+        text = mio.json_text(payload)
+    else:
+        text = mio.csv_text(*(table or (["key", "value"], payload.items())))
+    if args.out:
+        path = Path(args.out) / f"{name}.{args.format}"
         mio.write_text(path, text)
         print(path)
     else:
@@ -89,20 +81,13 @@ def _nan_none(x: float | None) -> float | None:
     return x
 
 
-_CURVE_FLAGS = {
-    "linear": lambda rho: PayoffCurve.linear(),
-    "crra": lambda rho: PayoffCurve.crra(rho),
-    "shifted-log": lambda rho: PayoffCurve.shifted_log(),
-}
-
-
 def _estimation_curve(args, cfg: mio.RunConfig) -> PayoffCurve:
     """The --curve flag, then an explicit --config, then the shifted log.
 
     The built-in config's curve is theory-side, so it is not a default here.
     """
     if args.curve is not None:
-        return _CURVE_FLAGS[args.curve](args.rho)
+        return mio.curve_from_spec({"kind": args.curve.replace("-", "_"), "rho": args.rho})
     if args.config is not None:
         return cfg.curve
     return PayoffCurve.shifted_log()
@@ -129,7 +114,7 @@ def _prediction_setup(args, cfg: mio.RunConfig) -> tuple[float, PayoffCurve]:
 # subcommand handlers
 
 
-def _cmd_solve(args, cfg, seed, out_dir, fmt) -> int:
+def _cmd_solve(args, cfg) -> int:
     p = PreferenceParams(alpha=args.alpha, beta=args.beta, kappa=args.kappa)
     out = optimal_strategy(p, cfg.curve, cfg.thresholds, cfg.offers, cfg.w)
     payload = {
@@ -139,7 +124,7 @@ def _cmd_solve(args, cfg, seed, out_dir, fmt) -> int:
         "w": cfg.w,
         "curve": cfg.curve.label(),
         "region": out.region,
-        "optimal": {"x1": out.optimal.x1, "x2": out.optimal.x2},
+        "optimal": dataclasses.asdict(out.optimal),
         "x_selfish": out.x_selfish,
         "x_constrained": out.x_constrained,
         "threshold": out.threshold,
@@ -149,11 +134,11 @@ def _cmd_solve(args, cfg, seed, out_dir, fmt) -> int:
         "kappa_tilde": _nan_none(out.kappa_tilde),
         "flags": list(out.flags),
     }
-    _deliver("solve", payload, None, out_dir, fmt)
+    _deliver(args, "solve", payload)
     return 0
 
 
-def _cmd_dg(args, cfg, seed, out_dir, fmt) -> int:
+def _cmd_dg(args, cfg) -> int:
     w, curve = _prediction_setup(args, cfg)
     p = PreferenceParams(alpha=args.alpha, beta=args.beta, kappa=args.kappa)
     transfer = dg_transfer(p, curve, w)
@@ -166,7 +151,7 @@ def _cmd_dg(args, cfg, seed, out_dir, fmt) -> int:
         "transfer": transfer,
         "share": transfer / w,
     }
-    _deliver("dg", payload, None, out_dir, fmt)
+    _deliver(args, "dg", payload)
     return 0
 
 
@@ -181,7 +166,7 @@ def _region_kappas(args, cfg: mio.RunConfig) -> np.ndarray:
     return kappas
 
 
-def _cmd_region_map(args, cfg, seed, out_dir, fmt) -> int:
+def _cmd_region_map(args, cfg) -> int:
     kappas = _region_kappas(args, cfg)
     result = region_map(cfg.alphas(), kappas, cfg.curve, cfg.thresholds, cfg.offers, cfg.w)
     payload = {
@@ -189,52 +174,31 @@ def _cmd_region_map(args, cfg, seed, out_dir, fmt) -> int:
         "curve": cfg.curve.label(),
         "alpha_bar": result.alpha_bar,
         "counts": result.counts(),
-        "cells": [
-            {
-                "alpha": c.alpha,
-                "kappa": c.kappa,
-                "region": c.region,
-                "x1_star": c.x1_star,
-                "x2_star": c.x2_star,
-            }
-            for c in result.cells
-        ],
+        "cells": [dataclasses.asdict(c) for c in result.cells],
     }
-    _deliver("region_map", payload, mio.region_map_csv_text(result), out_dir, fmt)
+    _deliver(args, "region_map", payload, mio.region_map_table(result))
     return 0
 
 
-def _cmd_statics(args, cfg, seed, out_dir, fmt) -> int:
+def _cmd_statics(args, cfg) -> int:
     kappas = _region_kappas(args, cfg)
     res = comparative_statics(args.alpha, kappas, cfg.curve, cfg.thresholds, cfg.offers, cfg.w)
     payload = {
         "alpha": args.alpha,
         "w": cfg.w,
         "curve": cfg.curve.label(),
-        "rows": [
-            {"kappa": r.kappa, "x1_star": r.x1_star, "x2_star": r.x2_star, "region": r.region}
-            for r in res.rows
-        ],
-        "switches": [
-            {
-                "kappa": s.kappa,
-                "from_region": s.from_region,
-                "to_region": s.to_region,
-                "x1_jump": s.x1_jump,
-                "x2_jump": s.x2_jump,
-            }
-            for s in res.switches
-        ],
+        "rows": [dataclasses.asdict(r) for r in res.rows],
+        "switches": [dataclasses.asdict(s) for s in res.switches],
     }
-    csv_body = mio.csv_text(
+    table = (
         ["kappa", "x1_star", "x2_star", "region"],
-        [(r.kappa, r.x1_star, r.x2_star, r.region) for r in res.rows],
+        ((r.kappa, r.x1_star, r.x2_star, r.region) for r in res.rows),
     )
-    _deliver("statics", payload, csv_body, out_dir, fmt)
+    _deliver(args, "statics", payload, table)
     return 0
 
 
-def _cmd_nash(args, cfg, seed, out_dir, fmt) -> int:
+def _cmd_nash(args, cfg) -> int:
     nb = nash_set(args.kappa, args.alpha, cfg.curve, cfg.w, grid_step=args.step)
     stub = None
     if nb.asymmetric_stub is not None:
@@ -255,27 +219,22 @@ def _cmd_nash(args, cfg, seed, out_dir, fmt) -> int:
         "asymmetric_stub": stub,
         "flags": list(nb.flags),
     }
-    _deliver("nash", payload, None, out_dir, fmt)
+    _deliver(args, "nash", payload)
     return 0
 
 
-def _cmd_predict(args, cfg, seed, out_dir, fmt) -> int:
+def _cmd_predict(args, cfg) -> int:
     w, curve = _prediction_setup(args, cfg)
     records, report = mio.load_estimates(args.estimates)
     table = mio.predict_all(records, w=w, curve=curve, suppress_kappa=args.suppress_kappa)
     payload = mio.prediction_payload(table)
-    payload["filter_report"] = {
-        "n_read": report.n_read,
-        "n_kept": report.n_kept,
-        "n_dropped": report.n_dropped,
-        "dropped_ids": list(report.dropped_ids),
-        "stats": report.stats,
-    }
-    _deliver("predict", payload, mio.predictions_csv_text(table), out_dir, fmt)
+    payload["filter_report"] = dataclasses.asdict(report)
+    rows = ((r.subject_id, r.dg_transfer, r.ug_threshold) for r in table.rows)
+    _deliver(args, "predict", payload, (["subject_id", "dg_transfer", "ug_threshold"], rows))
     return 0
 
 
-def _cmd_estimate(args, cfg, seed, out_dir, fmt) -> int:
+def _cmd_estimate(args, cfg) -> int:
     data = mio.load_choices(args.choices)
     games = list(default_games())
     if args.games is not None:
@@ -287,7 +246,7 @@ def _cmd_estimate(args, cfg, seed, out_dir, fmt) -> int:
         curve,
         k=args.k,
         restarts=args.restarts,
-        seed=seed,
+        seed=cfg.seed,
         choice_model=args.choice_model,
         max_iter=args.max_iter,
         lattice_step=args.lattice_step,
@@ -300,19 +259,17 @@ def _cmd_estimate(args, cfg, seed, out_dir, fmt) -> int:
             curve,
             k=args.k,
             b=args.bootstrap,
-            seed=seed,
+            seed=cfg.seed,
             base=fit,
             choice_model=args.choice_model,
             max_iter=args.max_iter,
             lattice_step=args.lattice_step,
         )
-    payload = mio.fit_payload(fit, se)
-    header, rows = mio.fit_summary_table(fit, se)
-    _deliver("estimate", payload, mio.csv_text(header, rows), out_dir, fmt)
+    _deliver(args, "estimate", mio.fit_payload(fit, se), mio.fit_summary_table(fit, se))
     return 0
 
 
-def _cmd_metrics(args, cfg, seed, out_dir, fmt) -> int:
+def _cmd_metrics(args, cfg) -> int:
     payload = {
         "lnl": args.lnl,
         "k": args.k,
@@ -322,12 +279,12 @@ def _cmd_metrics(args, cfg, seed, out_dir, fmt) -> int:
     }
     if args.lnl1 is not None:
         payload["nec"] = nec(args.en, args.lnl, args.lnl1)
-    _deliver("metrics", payload, None, out_dir, fmt)
+    _deliver(args, "metrics", payload)
     return 0
 
 
-def _cmd_oracle_check(args, cfg, seed, out_dir, fmt) -> int:
-    rng = np.random.default_rng(seed)
+def _cmd_oracle_check(args, cfg) -> int:
+    rng = np.random.default_rng(cfg.seed)
     w = cfg.w
     step = w / 400.0 if args.step is None else args.step
     n = args.draws
@@ -396,13 +353,11 @@ def _cmd_oracle_check(args, cfg, seed, out_dir, fmt) -> int:
         print(f"{c['check']:<{width}}  {c['n']:>4}  {c['worst']:>10.3g}  {verdict}")
     print("all checks passed" if all_ok else "ORACLE CHECK FAILED")
 
-    if out_dir:
-        payload = {"w": w, "curve": cfg.curve.label(), "step": step, "seed": seed, "checks": checks}
-        csv_body = mio.csv_text(
-            ["check", "n", "worst", "pass"],
-            [(c["check"], c["n"], c["worst"], c["pass"]) for c in checks],
-        )
-        _deliver("oracle_check", payload, csv_body, out_dir, fmt)
+    if args.out:
+        payload = {"w": w, "curve": cfg.curve.label(), "step": step, "seed": cfg.seed,
+                   "checks": checks}
+        rows = [(c["check"], c["n"], c["worst"], c["pass"]) for c in checks]
+        _deliver(args, "oracle_check", payload, (["check", "n", "worst", "pass"], rows))
     return 0 if all_ok else 3
 
 
@@ -423,14 +378,18 @@ _HANDLERS = {
 # parser
 
 
-def _add_prediction_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--w", type=float, help="endowment (default 58.8 unless --config)")
+def _add_curve_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--curve",
-        choices=sorted(_CURVE_FLAGS),
+        choices=("crra", "linear", "shifted-log"),
         help="payoff curve (default shifted-log unless --config)",
     )
     p.add_argument("--rho", type=float, default=0.05, help="CRRA exponent for --curve crra")
+
+
+def _add_prediction_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--w", type=float, help="endowment (default 58.8 unless --config)")
+    _add_curve_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,7 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="JSON run configuration")
     common.add_argument("--seed", type=int, metavar="N", help="seed override (nonnegative)")
     common.add_argument("--out", metavar="DIR", help="write outputs into DIR instead of stdout")
-    common.add_argument("--format", choices=("json", "csv"), help="output format (default json)")
+    common.add_argument(
+        "--format", choices=("json", "csv"), default="json", help="output format (default json)"
+    )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("solve", parents=[common], help="optimal strategy for one parameter set")
@@ -486,8 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="coarse lattice step and refinement radius, in [%g, %g] (default 0.05)"
         % LATTICE_STEP_BOUNDS,
     )
-    p.add_argument("--curve", choices=sorted(_CURVE_FLAGS), help="payoff curve (default shifted-log)")
-    p.add_argument("--rho", type=float, default=0.05, help="CRRA exponent for --curve crra")
+    _add_curve_flags(p)
 
     p = sub.add_parser("metrics", parents=[common], help="ICL/NEC from summary statistics")
     p.add_argument("--lnl", type=float, required=True, help="log-likelihood at the optimum")
@@ -507,12 +467,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = mio.load_run_config(args.config) if args.config else mio.default_run_config()
-        if args.seed is not None and args.seed < 0:
-            raise ValidationError("--seed must be nonnegative")
-        seed = args.seed if args.seed is not None else cfg.seed
-        fmt = args.format if args.format else cfg.fmt
-        out_dir = args.out if args.out is not None else (cfg.out_dir or None)
-        return _HANDLERS[args.command](args, cfg, seed, out_dir, fmt)
+        if args.seed is not None:
+            if args.seed < 0:
+                raise ValidationError("--seed must be nonnegative")
+            cfg = dataclasses.replace(cfg, seed=args.seed)
+        return _HANDLERS[args.command](args, cfg)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -521,9 +480,5 @@ def main(argv=None) -> int:
         return 3
 
 
-def run() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    run()
+    raise SystemExit(main())

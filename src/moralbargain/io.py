@@ -1,7 +1,9 @@
 """File formats: estimate CSVs, choice data, game configs, fit reports.
 
 Every writer goes through an atomic temp-file rename and emits a fixed
-column order, so reruns under the same inputs are byte-identical.
+column order, so reruns under the same inputs are byte-identical. Every
+CSV is written by csv_text and read by _csv_rows; every JSON input is
+parsed by _json_body.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ import csv
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -19,27 +22,35 @@ from .beliefs import BeliefDistribution
 from .curves import PayoffCurve
 from .errors import ValidationError
 from .mixture import BinaryGame, BootstrapSE, ChoiceRecord, MixtureFit
-from .params import ESTIMATION_ENDOWMENT, THEORY_ENDOWMENT, ParamLanes, PreferenceParams
+from .params import (
+    ALPHA_BOUNDS,
+    BETA_BOUNDS,
+    ESTIMATION_ENDOWMENT,
+    KAPPA_BOUNDS,
+    THEORY_ENDOWMENT,
+    ParamLanes,
+    PreferenceParams,
+)
 from .solver import RegionMapResult, constrained_threshold
 from .utility import dg_transfer
 
 SCHEMA_VERSION = 1
 
-# test-sample filter box for individual estimates
-ALPHA_RANGE = (-2.0, 2.0)
-BETA_RANGE = (-2.0, 2.0)
-KAPPA_RANGE = (0.0, 1.0)
-
 _ESTIMATE_HEADER = ["id", "alpha", "beta", "kappa"]
 _CHOICE_HEADER = ["subject_id", "game_id", "role", "action"]
 _HIST_BINS = 20
+_RUN_CONFIG_KEYS = (
+    "w", "curve", "threshold_beliefs", "offer_beliefs", "alpha_grid", "kappa_grid", "seed",
+)
+_DEFAULT_BELIEFS = {"kind": "scaled_beta", "a": 2.0, "b": 4.0}
 
 
 # ---------------------------------------------------------------------------
-# atomic writes
+# writers and readers
 
 
-def _atomic_write(path: str | Path, text: str) -> None:
+def write_text(path: str | Path, text: str) -> None:
+    """Atomic text write (temp file in the target directory, then rename)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
@@ -53,11 +64,6 @@ def _atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """Atomic text write (temp file in the target directory, then rename)."""
-    _atomic_write(path, text)
-
-
 def json_text(payload: dict) -> str:
     """JSON rendering with the schema-version field first."""
     body = {"schema_version": SCHEMA_VERSION}
@@ -65,21 +71,66 @@ def json_text(payload: dict) -> str:
     return json.dumps(body, indent=2) + "\n"
 
 
+def _cell(c):
+    """One CSV cell: floats as .10g, containers as JSON, None as empty."""
+    if isinstance(c, float):
+        return format(c, ".10g")
+    if isinstance(c, (dict, list, tuple)):
+        return json.dumps(c)
+    return "" if c is None else c
+
+
 def csv_text(header: list[str], rows) -> str:
-    out = [",".join(header)]
-    for row in rows:
-        out.append(",".join(_cell(c) for c in row))
-    return "\n".join(out) + "\n"
+    """CSV with a header row, minimal quoting and "\\n" line ends."""
+    buf = StringIO()
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(header)
+    out.writerows([_cell(c) for c in row] for row in rows)
+    return buf.getvalue()
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
-    _atomic_write(path, csv_text(header, rows))
+    write_text(path, csv_text(header, rows))
 
 
-def _cell(c) -> str:
-    if isinstance(c, float):
-        return format(c, ".10g")
-    return str(c)
+def _csv_rows(path: Path, header: list[str], what: str) -> list[tuple[int, list[str]]]:
+    """The (line number, stripped cells) of every non-blank data row of a
+    CSV that must start with `header`; an empty file, another header, a
+    row of another width or no data rows is a ValidationError."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ValidationError(f"{path}: empty {what} file")
+    got = [c.strip() for c in rows[0]]
+    if got != header:
+        raise ValidationError(
+            f"{path}: expected header {','.join(header)!r}, got {','.join(got)!r}"
+        )
+    out = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        cells = [c.strip() for c in row]
+        if not any(cells):
+            continue
+        if len(cells) != len(header):
+            raise ValidationError(
+                f"{path}:{lineno}: expected {len(header)} fields, got {len(cells)}"
+            )
+        out.append((lineno, cells))
+    if not out:
+        raise ValidationError(f"{path}: no data rows")
+    return out
+
+
+def _json_body(path: Path) -> dict:
+    """The JSON object in a config file; invalid JSON or a non-object is a ValidationError."""
+    with open(path) as fh:
+        try:
+            body = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(body, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    return body
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +158,9 @@ class FilterReport:
 
 def _in_box(alpha: float, beta: float, kappa: float) -> bool:
     return (
-        ALPHA_RANGE[0] <= alpha <= ALPHA_RANGE[1]
-        and BETA_RANGE[0] <= beta <= BETA_RANGE[1]
-        and KAPPA_RANGE[0] <= kappa <= KAPPA_RANGE[1]
+        ALPHA_BOUNDS[0] <= alpha <= ALPHA_BOUNDS[1]
+        and BETA_BOUNDS[0] <= beta <= BETA_BOUNDS[1]
+        and KAPPA_BOUNDS[0] <= kappa <= KAPPA_BOUNDS[1]
     )
 
 
@@ -118,31 +169,14 @@ def load_estimates(path: str | Path) -> tuple[tuple[EstimateRecord, ...], Filter
 
     Rows outside alpha, beta in [-2, 2] or kappa in [0, 1] are dropped and
     counted; malformed rows and duplicate ids are errors (with the offending
-    line number / id), as is an empty file.
+    line number / id), as is a file without data rows.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        raise ValidationError(f"{path}: empty estimates file")
-    header = [c.strip() for c in rows[0]]
-    if header != _ESTIMATE_HEADER:
-        raise ValidationError(
-            f"{path}: expected header {','.join(_ESTIMATE_HEADER)!r}, got {','.join(header)!r}"
-        )
-    if len(rows) == 1:
-        raise ValidationError(f"{path}: no data rows")
-
     kept: list[EstimateRecord] = []
     dropped: list[str] = []
     seen: set[str] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 4:
-            raise ValidationError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-        sid = row[0].strip()
+    for lineno, row in _csv_rows(path, _ESTIMATE_HEADER, "estimates"):
+        sid = row[0]
         if not sid:
             raise ValidationError(f"{path}:{lineno}: empty subject id")
         if sid in seen:
@@ -177,30 +211,6 @@ def load_estimates(path: str | Path) -> tuple[tuple[EstimateRecord, ...], Filter
         stats=stats,
     )
     return tuple(kept), report
-
-
-def convert_external_estimates(
-    src: str | Path, dest: str | Path, column_map: dict[str, str]
-) -> int:
-    """Rewrite an external CSV into the canonical `id,alpha,beta,kappa` schema.
-
-    `column_map` names the source column for each canonical one; the source
-    export format varies by provider, so the mapping must be supplied at
-    ingest time. Returns the number of data rows written.
-    """
-    missing = [k for k in _ESTIMATE_HEADER if k not in column_map]
-    if missing:
-        raise ValidationError(f"column_map missing entries for {missing}")
-    with open(src, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValidationError(f"{src}: empty file")
-        for want in column_map.values():
-            if want not in reader.fieldnames:
-                raise ValidationError(f"{src}: no column named {want!r}")
-        rows = [[row[column_map[k]] for k in _ESTIMATE_HEADER] for row in reader]
-    write_csv(dest, _ESTIMATE_HEADER, rows)
-    return len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -323,21 +333,14 @@ def prediction_payload(table: PredictionTable) -> dict:
             "max": s.maximum,
         }
 
-    def hist(h: Histogram) -> dict:
-        return {
-            "bin_edges": list(h.bin_edges),
-            "counts": list(h.counts),
-            "overflow": h.overflow,
-        }
-
     return {
         "w": table.w,
         "curve": table.curve_label,
         "kappa_suppressed": table.kappa_suppressed,
         "dg_summary": summ(table.dg_summary),
         "ug_summary": summ(table.ug_summary),
-        "dg_histogram": hist(table.dg_hist),
-        "ug_histogram": hist(table.ug_hist),
+        "dg_histogram": asdict(table.dg_hist),
+        "ug_histogram": asdict(table.ug_hist),
         "subjects": [
             {"id": r.subject_id, "dg_transfer": r.dg_transfer, "ug_threshold": r.ug_threshold}
             for r in table.rows
@@ -351,31 +354,14 @@ def prediction_payload(table: PredictionTable) -> dict:
 
 def load_choices(path: str | Path) -> tuple[ChoiceRecord, ...]:
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        raise ValidationError(f"{path}: empty choices file")
-    header = [c.strip() for c in rows[0]]
-    if header != _CHOICE_HEADER:
-        raise ValidationError(
-            f"{path}: expected header {','.join(_CHOICE_HEADER)!r}, got {','.join(header)!r}"
-        )
     out = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 4:
-            raise ValidationError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-        sid, gid, role, action = (c.strip() for c in row)
+    for lineno, (sid, gid, role, action) in _csv_rows(path, _CHOICE_HEADER, "choices"):
         if action not in ("0", "1"):
             raise ValidationError(f"{path}:{lineno}: action must be 0 or 1, got {action!r}")
         try:
             out.append(ChoiceRecord(sid, gid, role, int(action)))
         except ValidationError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    if not out:
-        raise ValidationError(f"{path}: no data rows")
     return tuple(out)
 
 
@@ -401,7 +387,7 @@ def _game_from_payload(entry: dict, where: str) -> BinaryGame:
                 punish=tuple(spec.get("punish", (10.0, 10.0))),
                 game_id=spec.get("game_id"),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{where}: bad mini_ug entry ({exc})") from None
     try:
         return BinaryGame(
@@ -411,19 +397,15 @@ def _game_from_payload(entry: dict, where: str) -> BinaryGame:
             belief_a=float(entry.get("belief_a", 0.5)),
             belief_b=float(entry.get("belief_b", 0.5)),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: bad game entry ({exc})") from None
 
 
 def load_games_config(path: str | Path) -> tuple[BinaryGame, ...]:
     """Extra games from a JSON config: full payoff tables or mini-UG shorthand."""
     path = Path(path)
-    with open(path) as fh:
-        try:
-            body = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(body, dict) or "games" not in body:
+    body = _json_body(path)
+    if not isinstance(body.get("games"), list):
         raise ValidationError(f"{path}: expected an object with a 'games' list")
     games = tuple(
         _game_from_payload(entry, f"{path}: games[{i}]")
@@ -486,15 +468,11 @@ def fit_summary_table(
     """Type-by-parameter summary table, one column per estimated type."""
     header = ["quantity"] + [f"type_{i + 1}" for i in range(fit.k)]
     rows: list[tuple] = []
-    for name, get in (
-        ("alpha", lambda p: p.alpha),
-        ("beta", lambda p: p.beta),
-        ("kappa", lambda p: p.kappa),
-        ("lambda", lambda p: p.lam),
+    for col, (name, attr) in enumerate(
+        (("alpha", "alpha"), ("beta", "beta"), ("kappa", "kappa"), ("lambda", "lam"))
     ):
-        rows.append((name, *(get(p) for p in fit.params)))
+        rows.append((name, *(getattr(p, attr) for p in fit.params)))
         if se is not None:
-            col = {"alpha": 0, "beta": 1, "kappa": 2, "lambda": 3}[name]
             rows.append((f"se_{name}", *(float(v) for v in se.param_se[:, col])))
     rows.append(("share", *(float(v) for v in fit.shares)))
     if se is not None:
@@ -510,25 +488,17 @@ def fit_summary_table(
 
 
 # ---------------------------------------------------------------------------
-# CSV emission
+# CSV tables
 
 
-def predictions_csv_text(table: PredictionTable) -> str:
-    """One row per subject: id, DG transfer and UG threshold."""
-    return csv_text(
-        ["subject_id", "dg_transfer", "ug_threshold"],
-        [(r.subject_id, r.dg_transfer, r.ug_threshold) for r in table.rows],
+def region_map_table(result: RegionMapResult):
+    """The region map's CSV header and rows, one per cell, at fixed decimals
+    (the golden-file format: 6 for alpha and kappa, 9 for the strategy).
+    The rows are a generator, formatted only when a CSV is written."""
+    return ["alpha", "kappa", "region", "x1_star", "x2_star"], (
+        (f"{c.alpha:.6f}", f"{c.kappa:.6f}", c.region, f"{c.x1_star:.9f}", f"{c.x2_star:.9f}")
+        for c in result.cells
     )
-
-
-def region_map_csv_text(result: RegionMapResult) -> str:
-    """Deterministic cell-per-row CSV for golden-file comparison."""
-    lines = ["alpha,kappa,region,x1_star,x2_star"]
-    for c in result.cells:
-        lines.append(
-            f"{c.alpha:.6f},{c.kappa:.6f},{c.region},{c.x1_star:.9f},{c.x2_star:.9f}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +507,7 @@ def region_map_csv_text(result: RegionMapResult) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated bundle of endowment, curve, beliefs, grids, seed, and output."""
+    """Validated bundle of endowment, curve, beliefs, grids and seed."""
 
     w: float
     curve: PayoffCurve
@@ -546,8 +516,6 @@ class RunConfig:
     alpha_grid: tuple[float, float, int]  # lo, hi, points
     kappa_grid: tuple[float, float, int]
     seed: int
-    out_dir: str
-    fmt: str
 
     def alphas(self) -> np.ndarray:
         lo, hi, n = self.alpha_grid
@@ -590,39 +558,31 @@ def default_run_config() -> RunConfig:
     return RunConfig(
         w=w,
         curve=PayoffCurve.crra(0.05),
-        thresholds=BeliefDistribution.scaled_beta(2.0, 4.0, w),
-        offers=BeliefDistribution.scaled_beta(2.0, 4.0, w),
+        thresholds=beliefs_from_spec(_DEFAULT_BELIEFS, w),
+        offers=beliefs_from_spec(_DEFAULT_BELIEFS, w),
         alpha_grid=(-1.0, 3.0, 41),
         kappa_grid=(0.0, 0.95, 39),
         seed=0,
-        out_dir="",
-        fmt="json",
     )
 
 
 def load_run_config(path: str | Path) -> RunConfig:
+    """A run configuration from a JSON object. Only _RUN_CONFIG_KEYS may
+    appear; each one left out keeps its default_run_config value (the
+    beliefs scaled to the config's w)."""
     path = Path(path)
-    with open(path) as fh:
-        try:
-            body = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+    body = _json_body(path)
+    unknown = sorted(set(body) - set(_RUN_CONFIG_KEYS))
+    if unknown:
+        raise ValidationError(f"{path}: unknown config keys {unknown}")
     base = default_run_config()
     try:
         w = float(body.get("w", base.w))
         if not (w > 0.0 and np.isfinite(w)):
             raise ValidationError(f"{path}: endowment must be positive and finite")
         curve = curve_from_spec(body["curve"]) if "curve" in body else base.curve
-        thresholds = (
-            beliefs_from_spec(body["threshold_beliefs"], w)
-            if "threshold_beliefs" in body
-            else BeliefDistribution.scaled_beta(2.0, 4.0, w)
-        )
-        offers = (
-            beliefs_from_spec(body["offer_beliefs"], w)
-            if "offer_beliefs" in body
-            else BeliefDistribution.scaled_beta(2.0, 4.0, w)
-        )
+        thresholds = beliefs_from_spec(body.get("threshold_beliefs", _DEFAULT_BELIEFS), w)
+        offers = beliefs_from_spec(body.get("offer_beliefs", _DEFAULT_BELIEFS), w)
         a_g = body.get("alpha_grid", list(base.alpha_grid))
         k_g = body.get("kappa_grid", list(base.kappa_grid))
         alpha_grid = (float(a_g[0]), float(a_g[1]), int(a_g[2]))
@@ -642,8 +602,8 @@ def load_run_config(path: str | Path) -> RunConfig:
             alpha_grid=alpha_grid,
             kappa_grid=kappa_grid,
             seed=seed,
-            out_dir=str(body.get("out_dir", base.out_dir)),
-            fmt=str(body.get("format", base.fmt)),
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"{path}: bad run config ({exc})") from None

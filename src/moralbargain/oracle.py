@@ -3,8 +3,8 @@
 The responder integral here is a midpoint Riemann sum on a refinement of
 the argmax grid, deliberately not the adaptive quadrature used by the
 analytic path, so the two routes cross-check each other. The three utility
-terms are written out once here (_ug_terms), apart from the model's in
-utility.py, for the same reason.
+terms (_ug_terms) and the dictator objective (_dg_values) are written out
+once here, apart from the model's in utility.py, for the same reason.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .errors import IndeterminateError, ValidationError
 from .kernels import grid_argmax
 from .params import PreferenceParams, Strategy, grid_step_of, validate_endowment
 from .solver import _CachedProblem
-from .utility import dg_objective, eval_expected_utility
+from .utility import eval_expected_utility
 
 # midpoint-sum resolution of expected_utility_riemann's responder integral
 _RIEMANN_STEP = 1e-4
@@ -89,6 +89,17 @@ def _ug_terms(p: PreferenceParams, v_keep, cdf, v_give, i1, i2):
     return a, b, c
 
 
+def _dg_values(p: PreferenceParams, v_keep, v_give):
+    """The dictator objective from v(w - x) and v(x): half the social utility
+    plus half the universalization term."""
+    social = (
+        (1.0 - p.kappa) * v_keep
+        - p.alpha * np.maximum(v_give - v_keep, 0.0)
+        - p.beta * np.maximum(v_keep - v_give, 0.0)
+    )
+    return 0.5 * (social + p.kappa * (v_keep + v_give))
+
+
 def _ug_tables(
     curve: PayoffCurve,
     thresholds: BeliefDistribution,
@@ -154,7 +165,7 @@ def brute_force_dg(
     validate_endowment(w)
     n = int(round(w / grid_step_of(grid_step, w)))
     xs = np.linspace(0.0, w, n + 1)
-    vals = dg_objective(p, curve, xs, w)
+    vals = _dg_values(p, curve.value(w - xs), curve.value(xs))
     k = int(np.argmax(vals))
     return float(xs[k]), float(vals[k])
 

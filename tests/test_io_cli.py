@@ -89,29 +89,13 @@ class TestLoadEstimates:
         path.write_text("")
         with pytest.raises(ValidationError, match="empty"):
             mio.load_estimates(path)
-        path.write_text("id,alpha,beta,kappa\n")
-        with pytest.raises(ValidationError, match="no data rows"):
-            mio.load_estimates(path)
+        for text in ("id,alpha,beta,kappa\n", "id,alpha,beta,kappa\n\n , ,,\n"):
+            path.write_text(text)
+            with pytest.raises(ValidationError, match="no data rows"):
+                mio.load_estimates(path)
         path.write_text("subject,a,b,k\nx,0,0,0\n")
         with pytest.raises(ValidationError, match="expected header"):
             mio.load_estimates(path)
-
-    def test_convert_external(self, tmp_path):
-        src = tmp_path / "export.csv"
-        src.write_text("pid,a_hat,b_hat,k_hat\np1,0.1,0.2,0.3\np2,0.4,0.5,0.6\n")
-        dest = tmp_path / "canonical.csv"
-        n = mio.convert_external_estimates(
-            src, dest, {"id": "pid", "alpha": "a_hat", "beta": "b_hat", "kappa": "k_hat"}
-        )
-        assert n == 2
-        records, _ = mio.load_estimates(dest)
-        assert records[1].kappa == 0.6
-        with pytest.raises(ValidationError, match="column_map missing"):
-            mio.convert_external_estimates(src, dest, {"id": "pid"})
-        with pytest.raises(ValidationError, match="no column named"):
-            mio.convert_external_estimates(
-                src, dest, {"id": "pid", "alpha": "oops", "beta": "b_hat", "kappa": "k_hat"}
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +166,12 @@ class TestRoundTrips:
         mio.save_choices(records, path)
         assert tuple(records) == mio.load_choices(path)
 
+    def test_choices_round_trip_quotes_a_comma_in_an_id(self, tmp_path):
+        records = [ChoiceRecord("a,b", g.game_id, "P", 1) for g in default_games()[:2]]
+        path = tmp_path / "choices.csv"
+        mio.save_choices(records, path)
+        assert mio.load_choices(path) == tuple(records)
+
     def test_load_choices_errors(self, tmp_path):
         path = tmp_path / "choices.csv"
         path.write_text("")
@@ -216,6 +206,13 @@ class TestRoundTrips:
         path.write_text(json.dumps({"games": [{"game_id": "g"}]}))
         with pytest.raises(ValidationError, match=r"games\[0\]"):
             mio.load_games_config(path)
+        path.write_text(json.dumps({"games": [{"mini_ug": {"unequal": ["x", 30]}}]}))
+        with pytest.raises(ValidationError, match=r"games\[0\]: bad mini_ug entry"):
+            mio.load_games_config(path)
+        for body in ({"games": 5}, ["games"]):
+            path.write_text(json.dumps(body))
+            with pytest.raises(ValidationError, match="expected"):
+                mio.load_games_config(path)
         entry = {"mini_ug": {"unequal": [70, 30], "game_id": "dup"}}
         path.write_text(json.dumps({"games": [entry, entry]}))
         with pytest.raises(ValidationError, match="duplicate game ids"):
@@ -286,10 +283,27 @@ class TestRunConfig:
             {"kappa_grid": [0.0, 1.2, 5]},
             {"alpha_grid": [0.0, 1.0, 1]},
             {"seed": -2},
+            {"w": "ten"},
+            {"curve": {"kind": "crra", "rho": "x"}},
+            [0.0, 1.0],
         ):
             path.write_text(json.dumps(body))
             with pytest.raises(ValidationError):
                 mio.load_run_config(path)
+
+    @pytest.mark.parametrize(
+        "body, key", [({"format": "xml"}, "format"), ({"kappa_grd": [0, 0.5, 3]}, "kappa_grd")]
+    )
+    def test_unknown_key_exit_2_names_it(self, body, key, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(body))
+        code, out, err = run_cli(
+            ["solve", "--alpha", "0.5", "--kappa", "0.6", "--config", str(cfg),
+             "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2 and out == "" and repr(key) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +387,17 @@ class TestCliCore:
         assert len(body["subjects"]) == 96
         assert len(body["dg_histogram"]["counts"]) == 20
         assert body["kappa_suppressed"] is False
+
+    def test_predict_csv_quotes_a_comma_in_an_id(self, tmp_path, capsys):
+        import csv
+
+        est = tmp_path / "est.csv"
+        est.write_text('id,alpha,beta,kappa\n"a,b",0.3,0.2,0.5\nc,0.1,0.1,0.2\n')
+        code, out, _ = run_cli(["predict", "--estimates", str(est), "--format", "csv"], capsys)
+        assert code == 0
+        rows = list(csv.reader(out.splitlines()))
+        assert [len(r) for r in rows] == [3, 3, 3]
+        assert [r[0] for r in rows] == ["subject_id", "a,b", "c"]
 
     def test_estimate_frozen_single_type(self, tmp_path, capsys, shifted_log):
         from moralbargain.io import load_games_config

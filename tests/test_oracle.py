@@ -309,6 +309,18 @@ def test_brute_dg_matches_pointwise_scan(rng):
                 assert np.signbit(u) == np.signbit(vals[k])
 
 
+def test_oracle_imports_no_model_objective():
+    # an oracle that calls the model's formula would only check the search
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(oracle_mod))
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    assert not imported & {"dg_objective", "social_utility", "_proposer_term",
+                           "_responder_term", "_universal_term"}
+
+
 def test_diagonal_jump_measured_by_oracle(crra, thresholds, offers, rng):
     # crossing the indicator adds exactly kappa [v(w-x)+v(x)]
     for _ in range(30):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass
@@ -65,10 +66,29 @@ def write_text(path: str | Path, text: str) -> None:
 
 
 def json_text(payload: dict) -> str:
-    """JSON rendering with the schema-version field first."""
+    """JSON rendering with the schema-version field first.
+
+    A non-finite float (an undefined nec, alpha_tilde or alpha_bar) is
+    written as null: NaN and Infinity are not JSON tokens.
+    """
     body = {"schema_version": SCHEMA_VERSION}
     body.update(payload)
-    return json.dumps(body, indent=2) + "\n"
+    try:
+        text = json.dumps(body, indent=2, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_finite_or_null(body), indent=2)
+    return text + "\n"
+
+
+def _finite_or_null(value):
+    """value with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def _cell(c):

@@ -33,6 +33,8 @@ CHOICE_MODELS = ("constant", "logit")
 
 _TIE_TOL = 1e-12
 _LOGIT_LAM_GRID = np.array([0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 0.99])
+# Most lattice points per _structure call while a lattice is built
+_BUILD_ROWS = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +291,17 @@ class _Lattice:
     The constant-error objective depends on a point only through its
     preferred pattern, and the lattice carries few distinct patterns
     (209 of 137,781 points on the nine-game design), so the coarse scan
-    scores unique_patterns and gathers the result through pattern_id.
-    maximize draws its seeds from seed_pool and scores its refinement
-    candidates by their distinct patterns; each seed box's patterns are
-    computed once per lattice and kept in _boxes as int8 rows and a small
-    integer inverse, while the box points are rebuilt by _local_box.
-    The logit coarse scan scores the distinct margin values of each
-    (game, role) column (103,443 values for 2,480,058 entries on that
-    design), built on its first call, and sums them into the points with
-    two sparse row sums.
+    scores unique_patterns and gathers the result through pattern_id;
+    members[starts[u]:starts[u + 1]] lists pattern u's points in index
+    order. maximize draws its seeds from seed_pool. The refinement
+    candidates of one seed triple (the seed points and their boxes, sorted
+    and deduplicated, with each row's index into the pattern rows that
+    score it) are built once per memo (see maximize); each seed box's
+    patterns are computed once per lattice and kept in _boxes as int8 rows
+    and a small integer inverse. The logit coarse scan scores the distinct
+    margin values of each (game, role) column (103,443 values for
+    2,480,058 entries on that design), built on its first call, and sums
+    them into the points with two sparse row sums.
     """
 
     def __init__(self, games, curve, step: float = 0.05):
@@ -309,17 +313,25 @@ class _Lattice:
         )
         self.theta = np.column_stack([aa.ravel(), bb.ravel(), kk.ravel()])
         self.step = step
-        self.patterns, self.margins = _structure(self.coeffs, self.theta)
-        first, self.pattern_id = _distinct_patterns(self.patterns)
+        # _structure in row blocks: its (T, G, 2, 2) utility table and
+        # selects stay small, and each row's pattern and margins come out
+        # as from one call
+        shape = (len(self.theta), len(games), 2)
+        self.patterns, self.margins = np.empty(shape, dtype=np.int8), np.empty(shape)
+        for r in range(0, len(self.theta), _BUILD_ROWS):
+            rows = slice(r, r + _BUILD_ROWS)
+            self.patterns[rows], self.margins[rows] = _structure(self.coeffs, self.theta[rows])
+        first, pattern_id = _distinct_patterns(self.patterns)
         self.unique_patterns = self.patterns[first]
+        counts = np.bincount(pattern_id)
+        # a small integer dtype lets the stable sort run as a radix sort
+        self.pattern_id = pattern_id.astype(np.min_scalar_type(len(counts) - 1))
+        self.members = np.argsort(self.pattern_id, kind="stable").astype(np.int32)
+        self.starts = np.concatenate([[0], np.cumsum(counts)])
         # each pattern's three lowest lattice indices, in index order: the
         # coarse top three always lie among them (see maximize)
-        counts = np.bincount(self.pattern_id)
-        # a small integer dtype lets the stable sort run as a radix sort
-        small_id = self.pattern_id.astype(np.min_scalar_type(len(counts) - 1))
-        by_pattern = np.argsort(small_id, kind="stable")
-        rank = np.arange(len(by_pattern)) - np.repeat(np.cumsum(counts) - counts, counts)
-        self.seed_pool = np.sort(by_pattern[rank < 3])
+        rank = np.arange(len(self.members)) - np.repeat(self.starts[:-1], counts)
+        self.seed_pool = np.sort(self.members[rank < 3])
         # refinement box patterns by seed index: (distinct rows, inverse)
         self._boxes = {}
 
@@ -398,40 +410,66 @@ class _Lattice:
         every = np.arange(len(self.theta))
         return obj, every, every
 
-    def _box_patterns(self, idx: int):
-        """Distinct pattern rows of the refinement box at seed idx, and the
-        small-integer inverse that rebuilds the box's pattern table."""
-        hit = self._boxes.get(idx)
-        if hit is None:
-            box = _local_box(self.theta[idx], self.step, 0.01)
-            patterns = _structure(self.coeffs, box)[0]
-            first, inverse = _distinct_patterns(patterns)
-            hit = (patterns[first], inverse.astype(np.min_scalar_type(len(first) - 1)))
-            self._boxes[idx] = hit
-        return hit
+    def _candidates(self, seeds: np.ndarray, model: str):
+        """Refinement candidates of one seed triple as (rows, patterns, ids).
 
-    def _score_candidates(self, cand, keep, seeds, weights3, model, lam_grid):
-        """Objective and lambda at cand[keep].
-
-        cand stacks the seed points, their boxes in seed order, then the
-        incumbent if any. Under the constant model each row's pattern comes
-        from the coarse table, the box memo or one _structure call for the
-        rows after the boxes, and each block's distinct patterns are scored
-        rather than every row. Under logit the kept rows get their margins
-        from one _structure call.
+        rows holds the seed points and their 0.01 boxes, deduplicated and in
+        lexicographic order (_unique_rows, which keeps the first of equal
+        rows). Under the constant model patterns stacks the seed patterns
+        from the coarse table and each box's distinct patterns from _boxes,
+        and patterns[ids] is the pattern table of rows, with ids in a small
+        integer dtype; under logit both are None.
         """
+        boxes = [_local_box(self.theta[idx], self.step, 0.01) for idx in seeds]
+        cand = np.vstack([self.theta[seeds], *boxes])
+        keep = _unique_rows(cand)
         if model != "constant":
-            return self._score(cand[keep], weights3, model, lam_grid)
+            return cand[keep], None, None
         blocks = [(self.unique_patterns[self.pattern_id[seeds]], np.arange(len(seeds)))]
-        blocks += [self._box_patterns(int(idx)) for idx in seeds]
-        rest = cand[sum(len(ids) for _, ids in blocks):]
-        blocks.append((_structure(self.coeffs, rest)[0], np.arange(len(rest))))
+        for idx, box in zip(seeds.tolist(), boxes):
+            if idx not in self._boxes:
+                patterns = _structure(self.coeffs, box)[0]
+                first, inverse = _distinct_patterns(patterns)
+                small = inverse.astype(np.min_scalar_type(len(first) - 1))
+                self._boxes[idx] = (patterns[first], small)
+            blocks.append(self._boxes[idx])
         offsets = np.cumsum([0] + [len(rows) for rows, _ in blocks[:-1]])
         ids = np.concatenate([ids.astype(np.intp) + off for (_, ids), off in zip(blocks, offsets)])
-        obj, lam = self._objective_constant(np.concatenate([rows for rows, _ in blocks]), weights3)
-        return obj[ids[keep]], lam[ids[keep]]
+        patterns = np.concatenate([rows for rows, _ in blocks])
+        # the dtype also holds len(patterns), the incumbent's id in _refinement
+        return cand[keep], patterns, ids[keep].astype(np.min_scalar_type(len(patterns)))
 
-    def maximize(self, weights3: np.ndarray, current: PreferenceParams | None, model: str):
+    def _refinement(self, seeds, current, weights3, model, lam_grid, memo):
+        """(theta, obj, lam) over the refinement candidates of seeds.
+
+        theta holds the rows np.unique gives over the seed points, their
+        boxes and the incumbent's (alpha, beta, kappa); obj and lam score
+        them. The candidates of the seed triple come from memo, keyed by
+        (model, seeds), and are built on a miss. The incumbent joins them at
+        its lexicographic place, or is dropped when it equals one; under
+        the constant model its pattern is scored with the memo's pattern
+        rows.
+        """
+        key = (model, *seeds.tolist())
+        if key not in memo:
+            memo[key] = self._candidates(seeds, model)
+        theta, patterns, ids = memo[key]
+        if current is not None:
+            row = np.array([current.alpha, current.beta, current.kappa])
+            pos, present = _lex_place(theta, row)
+            if not present:
+                theta = np.insert(theta, pos, row, axis=0)
+                if model == "constant":
+                    ids = np.insert(ids, pos, len(patterns))
+                    patterns = np.concatenate([patterns, _structure(self.coeffs, row[None])[0]])
+        if model != "constant":
+            return (theta, *self._score(theta, weights3, model, lam_grid))
+        obj, lam = self._objective_constant(patterns, weights3)
+        return theta, obj[ids], lam[ids]
+
+    def maximize(
+        self, weights3: np.ndarray, current: PreferenceParams | None, model: str, memo=None
+    ):
         """Best (alpha, beta, kappa, lambda) for one type's weighted counts.
 
         Coarse scan, local 0.01-step refinement around three coarse seeds,
@@ -445,29 +483,31 @@ class _Lattice:
         its own unit's three lowest indices, since its unit's lower indices
         tie with it and rank ahead; so _top_three over the index-sorted pool
         picks them from a few hundred values instead of every point.
+
+        memo holds the refinement candidates by seed triple (see
+        _refinement); the M-steps of one fit share one (see _em), and
+        without it each call builds its own.
         """
         lam_grid = _LOGIT_LAM_GRID
-        if current is not None:
+        if model == "logit" and current is not None:
             lam_grid = np.unique(np.append(lam_grid, current.lam))
         obj, unit, pool = self._coarse(weights3, model, lam_grid)
         seeds = pool[_top_three(obj[unit[pool]])]
-        cand = [self.theta[seeds]]
-        for idx in seeds:
-            cand.append(_local_box(self.theta[idx], self.step, 0.01))
-        if current is not None:
-            cand.append(np.array([[current.alpha, current.beta, current.kappa]]))
-        cand = np.vstack(cand)
-        keep = _unique_rows(cand)
-        theta = cand[keep]
-        obj_f, lam_f = self._score_candidates(cand, keep, seeds, weights3, model, lam_grid)
+        theta, obj_f, lam_f = self._refinement(
+            seeds, current, weights3, model, lam_grid, {} if memo is None else memo
+        )
         best = obj_f.max()
         at_max = obj_f >= best - 1e-12
         # Argmax ties form a plateau under the constant-error model.  The
         # coarse lattice samples it uniformly, so its tied points give an
         # unbiased plateau centroid; refinement points cluster around the
         # top coarse cells and would drag the mean toward them.
-        coarse_at_max = (obj >= best - 1e-12)[unit]
-        if coarse_at_max.any():
+        coarse_at_max = np.flatnonzero(obj >= best - 1e-12)
+        if coarse_at_max.size:
+            if model == "constant":  # obj holds one value per pattern
+                coarse_at_max = np.sort(np.concatenate(
+                    [self.members[self.starts[u]:self.starts[u + 1]] for u in coarse_at_max]
+                ))
             centroid = self.theta[coarse_at_max].mean(axis=0)[None, :]
         else:
             centroid = theta[at_max].mean(axis=0)[None, :]
@@ -533,6 +573,18 @@ def _unique_rows(theta: np.ndarray) -> np.ndarray:
     keep[:1] = True
     keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     return order[keep]
+
+
+def _lex_place(rows: np.ndarray, row: np.ndarray):
+    """(position, present) of row among the distinct rows of an (n, 3)
+    array in lexicographic order: the number of rows that sort before it,
+    and whether one equals it."""
+    before = rows[:, 0] < row[0]
+    tie = rows[:, 0] == row[0]
+    for col in (1, 2):
+        before |= tie & (rows[:, col] < row[col])
+        tie &= rows[:, col] == row[col]
+    return int(np.count_nonzero(before)), bool(tie.any())
 
 
 def _distinct_patterns(patterns: np.ndarray):
@@ -611,10 +663,14 @@ def em_fit(
 
     lattice_step is the coarse lattice spacing and the radius of each
     0.01-step refinement box. It must lie in LATTICE_STEP_BOUNDS, [0.04, 0.2]:
-    a k=1 fit on nine games peaks near 400 MB at 0.04, 257 MB at 0.05 and
-    189 MB at 0.2.
+    a k=1 constant fit on nine games peaks near 171 MB at 0.04, 139 MB at
+    0.05 and 188 MB at 0.2 (a logit fit near 260, 185 and 224 MB).
     Memory grows as 1/step**3 below the range and with the box volume above
     it; a step of 2 makes every box the whole grid, about 4.7 GB.
+
+    flags names each type whose share is below 1/(10 N)
+    (type-<i>-degenerate-share) and an undefined NEC (nec-undefined, when
+    lnL_K equals lnL_1; nec is then nan).
 
     Raises ValidationError for k < 1, an unknown choice model, max_iter < 1,
     a negative or non-finite tol, and a lattice_step outside its range.
@@ -639,6 +695,8 @@ def em_fit(
             tol=tol, choice_model=choice_model, max_iter=max_iter, lattice_step=lattice_step,
         )[3]
         nec_val = nec(en, loglik, base_loglik)
+        if math.isnan(nec_val):
+            flags += ("nec-undefined",)
 
     return MixtureFit(
         k=k,
@@ -683,9 +741,11 @@ def _em(
 
     best = None
     n_restarts = 1 if k == 1 else max(1, restarts)
+    # refinement candidates by seed triple, shared by this fit's M-steps only
+    memo = {}
     for child in np.random.SeedSequence(seed).spawn(n_restarts):
         rng = np.random.default_rng(child)
-        fit = _em_once(cnt, lattice, k, rng, tol, max_iter, choice_model)
+        fit = _em_once(cnt, lattice, k, rng, tol, max_iter, choice_model, memo)
         if best is None or fit[2] > best[2]:
             best = fit
     params, shares, loglik, posterior, n_iter = best
@@ -693,7 +753,7 @@ def _em(
     return cnt, tuple(params[i] for i in order), shares[order], loglik, posterior[:, order], n_iter
 
 
-def _em_once(cnt, lattice, k, rng, tol, max_iter, choice_model):
+def _em_once(cnt, lattice, k, rng, tol, max_iter, choice_model, memo):
     n = cnt.shape[0]
     idx = rng.choice(len(lattice.theta), size=k, replace=False)
     params = [
@@ -725,7 +785,7 @@ def _em_once(cnt, lattice, k, rng, tol, max_iter, choice_model):
         shares /= shares.sum()
         params = [
             lattice.maximize(
-                np.einsum("n,ngra->gra", posterior[:, j], cnt), params[j], choice_model
+                np.einsum("n,ngra->gra", posterior[:, j], cnt), params[j], choice_model, memo
             )[0]
             for j in range(k)
         ]

@@ -35,6 +35,23 @@ def run_cli(argv, capsys):
     return code, out.out, out.err
 
 
+def _reject_constant(token):
+    raise ValueError(f"not a JSON token: {token}")
+
+
+def _em_with_first_loglik(em):
+    """_em whose later calls report the first call's log-likelihood, so
+    em_fit's k=1 base fit ties the k-type fit and NEC's denominator is 0."""
+    first = []
+
+    def wrapped(*args, **kw):
+        out = em(*args, **kw)
+        first.append(out[3])
+        return out[:3] + (first[0],) + out[4:]
+
+    return wrapped
+
+
 # ---------------------------------------------------------------------------
 # estimate ingestion
 
@@ -441,9 +458,9 @@ class TestCliCore:
         seen = []
         original = mx._em_once
 
-        def spy(cnt, lattice, k, rng, tol, max_iter, choice_model):
+        def spy(cnt, lattice, k, rng, tol, max_iter, *rest):
             seen.append(max_iter)
-            return original(cnt, lattice, k, rng, tol, max_iter, choice_model)
+            return original(cnt, lattice, k, rng, tol, max_iter, *rest)
 
         monkeypatch.setattr(mx, "_em_once", spy)
         code, _, _ = run_cli(
@@ -454,6 +471,40 @@ class TestCliCore:
         assert code == 0
         # the fit and both replicates
         assert seen == [3, 3, 3]
+
+    @pytest.mark.filterwarnings("ignore:NEC undefined")
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["metrics", "--en", "1", "--lnl", "-50", "--lnl1", "-50", "--k", "2", "--n", "10"],
+             "nec"),
+            (["solve", "--alpha", "0.5", "--kappa", "0.99999999"], "alpha_tilde"),
+        ],
+        ids=["metrics-nec", "solve-alpha_tilde"],
+    )
+    def test_undefined_values_are_json_null(self, argv, key, capsys):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        body = json.loads(out, parse_constant=_reject_constant)
+        assert body[key] is None
+
+    def test_estimate_json_names_an_undefined_nec(self, tmp_path, capsys, shifted_log,
+                                                  monkeypatch):
+        import moralbargain.mixture as mx
+
+        truth = PreferenceParams(alpha=0.33, beta=0.09, kappa=0.26, lam=0.2)
+        records, _ = simulate_choices([truth], [1.0], default_games(), shifted_log, 10, seed=5)
+        choices = tmp_path / "choices.csv"
+        mio.save_choices(records, choices)
+        monkeypatch.setattr(mx, "_em", _em_with_first_loglik(mx._em))
+        with pytest.warns(UserWarning, match="NEC undefined"):
+            code, out, _ = run_cli(
+                ["estimate", "--choices", str(choices), "--k", "2", "--max-iter", "3"], capsys
+            )
+        assert code == 0
+        body = json.loads(out, parse_constant=_reject_constant)
+        assert body["nec"] is None
+        assert "nec-undefined" in body["flags"]
 
     def test_out_dir_writes_named_file(self, tmp_path, capsys):
         code, out, _ = run_cli(

@@ -405,6 +405,24 @@ class TestLatticePatterns:
             want_obj, _ = lat._objective_constant(lat.patterns, weights3)
             assert np.array_equal(obj[unit], want_obj)
 
+    def test_member_lists_partition_the_lattice(self, lattice9):
+        lat = lattice9
+        assert lat.pattern_id.dtype.itemsize <= 2
+        assert lat.members.dtype == np.int32
+        assert lat.starts[-1] == len(lat.theta)
+        for u in range(len(lat.unique_patterns)):
+            segment = lat.members[lat.starts[u]:lat.starts[u + 1]]
+            assert len(segment) > 0 and np.all(np.diff(segment) > 0)
+            assert np.all(lat.pattern_id[segment] == u)
+        assert np.array_equal(np.sort(lat.members), np.arange(len(lat.theta)))
+
+    def test_row_block_build_is_one_structure_call(self, games9, shifted_log):
+        lat = mx._Lattice(games9, shifted_log, 0.1)
+        assert len(lat.theta) > 2 * mx._BUILD_ROWS  # a short last block too
+        patterns, margins = mx._structure(lat.coeffs, lat.theta)
+        assert np.array_equal(lat.patterns, patterns)
+        assert np.array_equal(_bits(lat.margins), _bits(margins))
+
     def test_coarse_scan_scores_distinct_patterns_only(self, lattice9, monkeypatch):
         rows = []
         original = mx._Lattice._objective_constant
@@ -678,13 +696,9 @@ def test_coarse_logit_path_is_bitwise_under_lower_simd_targets(disabled):
     assert out.strip() == "True"
 
 
-def _maximize_reference(lat, weights3, current, model):
-    """The point-level M-step search, kept as maximize's reference:
-    _top_three over every lattice point's coarse value, one _structure call
-    on the deduplicated candidates, the plateau mask over every point."""
-    lam_grid = mx._LOGIT_LAM_GRID
-    if current is not None:
-        lam_grid = np.unique(np.append(lam_grid, current.lam))
+def _reference_score(lat, weights3, model, lam_grid):
+    """score(theta): objective and lambda at each row of theta, from one
+    _structure call (from the full pattern or margin table for lat.theta)."""
 
     def score(theta):
         if model == "constant":
@@ -699,15 +713,31 @@ def _maximize_reference(lat, weights3, current, model):
         )
         return lat._objective_logit(values, index, weights3, lam_grid)
 
-    obj, _ = score(lat.theta)
-    seeds = mx._top_three(obj)
+    return score
+
+
+def _reference_refinement(lat, seeds, current, score):
+    """(theta, obj, lam) over the sorted distinct seed, box and incumbent rows."""
     cand = [lat.theta[seeds]] + [mx._local_box(lat.theta[i], lat.step, 0.01) for i in seeds]
     if current is not None:
         cand.append(np.array([[current.alpha, current.beta, current.kappa]]))
     theta = np.vstack(cand)
     theta = theta[np.lexsort(theta.T[::-1])]
     theta = theta[np.r_[True, (theta[1:] != theta[:-1]).any(axis=1)]]
-    obj_f, lam_f = score(theta)
+    return (theta, *score(theta))
+
+
+def _maximize_reference(lat, weights3, current, model):
+    """The point-level M-step search, kept as maximize's reference:
+    _top_three over every lattice point's coarse value, one _structure call
+    on the deduplicated candidates, the plateau mask over every point."""
+    lam_grid = mx._LOGIT_LAM_GRID
+    if current is not None:
+        lam_grid = np.unique(np.append(lam_grid, current.lam))
+    score = _reference_score(lat, weights3, model, lam_grid)
+    obj, _ = score(lat.theta)
+    seeds = mx._top_three(obj)
+    theta, obj_f, lam_f = _reference_refinement(lat, seeds, current, score)
     best = obj_f.max()
     at_max = obj_f >= best - 1e-12
     coarse_at_max = obj >= best - 1e-12
@@ -796,6 +826,64 @@ class TestPatternLevelMaximize:
         # the memo holds int8 pattern rows and small integer inverses only
         for rows, inverse in memo.values():
             assert rows.dtype == np.int8 and inverse.dtype.itemsize <= 2
+
+
+def _seeds_and_incumbents(lat, weights3, model, lam_grid, lam):
+    """maximize's seeds on weights3, and incumbents at lam that equal a box
+    row, fall between two box rows of one (alpha, beta), sort before every
+    candidate and sort after every candidate."""
+    obj, unit, pool = lat._coarse(weights3, model, lam_grid)
+    seeds = pool[mx._top_three(obj[unit[pool]])]
+    boxes = [mx._local_box(lat.theta[i], lat.step, 0.01) for i in seeds]
+    cand = np.vstack([lat.theta[seeds], *boxes])
+    order = np.lexsort(cand.T[::-1])
+    (a0, b0, k0), (a1, b1, k1) = cand[order[0]], cand[order[-1]]
+    # a box's last kappa can overshoot 1 by an ulp, which PreferenceParams rejects
+    box = boxes[1][boxes[1][:, 2] <= 0.99]
+    row = box[len(box) // 3]
+    rows = (row, row + [0.0, 0.0, 0.005], (a0, np.nextafter(b0, -np.inf), k0),
+            (a1, np.nextafter(b1, np.inf), min(k1, 1.0)))
+    return seeds, [PreferenceParams(alpha=a, beta=b, kappa=k, lam=lam) for a, b, k in rows]
+
+
+class TestCandidateMemo:
+    @pytest.mark.parametrize("step", [0.05, 0.2])
+    @pytest.mark.parametrize("model", ["constant", "logit"])
+    def test_placed_incumbents_match_reference(self, games9, shifted_log, lattice9, step, model):
+        # at step 0.2 the boxes reach past the bounds and are clipped
+        lat = lattice9 if step == 0.05 else mx._Lattice(games9, shifted_log, step)
+        lam_grid = np.unique(np.append(mx._LOGIT_LAM_GRID, 0.17))
+        # a step-0.2 box holds up to 41 ** 3 points: one table there
+        for weights3 in _recipe_tables(4 if (model, step) == ("constant", 0.05) else 1):
+            memo = {}
+            seeds, incumbents = _seeds_and_incumbents(lat, weights3, model, lam_grid, 0.17)
+            score = _reference_score(lat, weights3, model, lam_grid)
+            for current in incumbents:
+                got = lat._refinement(seeds, current, weights3, model, lam_grid, memo)
+                want = _reference_refinement(lat, seeds, current, score)
+                assert all(np.array_equal(_bits(g), _bits(w)) for g, w in zip(got, want))
+                want_p, want_obj = _maximize_reference(lat, weights3, current, model)
+                p, obj = lat.maximize(weights3, current, model, memo)
+                assert _as_bits(p, obj) == _bits([*want_p, want_obj]).tolist()
+            assert len(memo) == 1
+
+    def test_second_mstep_with_the_same_seeds_builds_no_candidates(self, lattice9, monkeypatch):
+        (weights3,) = _recipe_tables(1)
+        memo = {}
+        lattice9.maximize(weights3, None, "constant", memo)
+        built = []
+        for name in ("_local_box", "_unique_rows"):
+            original = getattr(mx, name)
+
+            def spy(*args, _original=original, _name=name):
+                built.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(mx, name, spy)
+        again = lattice9.maximize(weights3, _OFF_LATTICE, "constant", memo)
+        assert built == [] and len(memo) == 1
+        monkeypatch.undo()
+        assert _as_bits(*again) == _as_bits(*lattice9.maximize(weights3, _OFF_LATTICE, "constant"))
 
 
 class TestStructureAt:

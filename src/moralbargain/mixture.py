@@ -32,6 +32,7 @@ ROLES = ("P", "R")
 CHOICE_MODELS = ("constant", "logit")
 
 _TIE_TOL = 1e-12
+_NEC_RTOL = 16 * np.finfo(float).eps
 _LOGIT_LAM_GRID = np.array([0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 0.99])
 # Most lattice points per _structure call while a lattice is built
 _BUILD_ROWS = 8192
@@ -300,8 +301,10 @@ class _Lattice:
     patterns are computed once per lattice and kept in _boxes as int8 rows
     and a small integer inverse. The logit coarse scan scores the distinct
     margin values of each (game, role) column (103,443 values for
-    2,480,058 entries on that design), built on its first call, and sums
-    them into the points with two sparse row sums.
+    2,480,058 entries on that design) and sums them into the points with
+    one sparse row-sum matrix, both built on its first call (logit_table);
+    its columns for the grid lams are kept for one weight table at a time
+    (_coarse_columns).
     """
 
     def __init__(self, games, curve, step: float = 0.05):
@@ -334,6 +337,8 @@ class _Lattice:
         self.seed_pool = np.sort(self.members[rank < 3])
         # refinement box patterns by seed index: (distinct rows, inverse)
         self._boxes = {}
+        # (weight table bytes, {grid lam: coarse logit column}); see _coarse_columns
+        self._grid_slot = (None, {})
 
     def _objective_constant(self, patterns: np.ndarray, weights3: np.ndarray):
         """Profiled-lambda weighted log-likelihood for a block of patterns.
@@ -348,53 +353,37 @@ class _Lattice:
         return obj, lam
 
     @cached_property
-    def distinct_margins(self):
-        """(values, index) with values[index] == self.margins; logit scans only.
+    def logit_table(self):
+        """_logit_table of the lattice margins, built on the first logit scan."""
+        return _logit_table(self.margins)
 
-        values holds each (g, r) column's sorted distinct margins, one block
-        per column in (g, r) order, and index is int32 (see _distinct).
+    def _coarse_columns(self, weights3: np.ndarray, lams: list):
+        """Logit objective columns over the lattice, one per lam in lams.
+
+        The columns of the _LOGIT_LAM_GRID values come from a one-entry
+        slot keyed by the weight table's bytes; another table replaces the
+        entry. A one-type fit gets the same table from every E-step (each
+        posterior is exactly 1), so its M-steps after the first score only
+        the incumbent's lam.
         """
-        return _distinct(self.margins)
-
-    def _objective_logit(self, values, index, weights3: np.ndarray, lams: np.ndarray):
-        """Weighted logit log-likelihood, maximized over the lam grid.
-
-        values[index] is the (T, G, 2) margin table. Each point's sum is one
-        row of two CSR matrices over the distinct values: row t stores the
-        G * 2 entries of index[t] in (g, r) order, with w1 (or w0) as data
-        and zero weights kept. Per lam the objective is
-        A1 @ log_expit(z) + A0 @ log_expit(-z). Division and log_expit are
-        elementwise, and a CSR row sum adds its stored entries in order from
-        0, as the per-entry einsum over (g, r) does; so the bits are those
-        of scoring every entry. Nothing may sort, merge or drop the stored
-        entries.
-        """
-        n = len(index)
-        indptr = np.arange(0, index.size + 1, index[0].size, dtype=np.int32)
-        a1, a0 = (
-            csr_array((np.tile(w.ravel(), n), index.reshape(-1), indptr), shape=(n, len(values)))
-            for w in (weights3[:, :, 1], weights3[:, :, 0])
-        )
-        best_obj = np.full(n, -np.inf)
-        best_lam = np.full(n, lams[0])
-        for lam in lams:
-            z = values / lam
-            obj = a1 @ log_expit(z) + a0 @ log_expit(-z)
-            improved = obj > best_obj
-            best_obj = np.where(improved, obj, best_obj)
-            best_lam = np.where(improved, lam, best_lam)
-        return best_obj, best_lam
+        key = weights3.tobytes()
+        if self._grid_slot[0] != key:
+            cols = _logit_columns(self.logit_table, weights3, _LOGIT_LAM_GRID)
+            self._grid_slot = (key, dict(zip(_LOGIT_LAM_GRID.tolist(), cols)))
+        grid = self._grid_slot[1]
+        extra = _logit_columns(self.logit_table, weights3, [lam for lam in lams if lam not in grid])
+        return (grid[lam] if lam in grid else next(extra) for lam in lams)
 
     def _score(self, theta, weights3, model, lam_grid):
         """Objective and lambda at each row of theta."""
         if model == "constant":
             return self._objective_constant(_structure(self.coeffs, theta)[0], weights3)
-        values, index = (
-            self.distinct_margins
-            if theta is self.theta
-            else _distinct(_structure(self.coeffs, theta)[1])
-        )
-        return self._objective_logit(values, index, weights3, lam_grid)
+        if theta is self.theta:
+            cols = self._coarse_columns(weights3, lam_grid.tolist())
+        else:
+            table = _logit_table(_structure(self.coeffs, theta)[1])
+            cols = _logit_columns(table, weights3, lam_grid)
+        return _best_lam(cols, lam_grid, len(theta))
 
     def _coarse(self, weights3, model, lam_grid):
         """Coarse scan as (obj, unit, pool): obj[unit] is the value at every
@@ -539,15 +528,17 @@ def _top_three(obj: np.ndarray) -> np.ndarray:
     return at_or_above[np.argsort(-obj[at_or_above], kind="stable")[:3]]
 
 
-def _distinct(margins: np.ndarray):
-    """(values, index) with values[index] == margins, for a (T, G, 2) table.
+def _logit_table(margins: np.ndarray):
+    """(values, sizes, rows) for a (T, G, 2) margin table.
 
     Each (g, r) column is deduplicated on its own: its sorted distinct
-    values form one block of values, blocks in (g, r) order, and index is
-    int32. A value shared by two columns is stored twice (103,443 values
-    against 103,431 for one np.unique over the nine-game lattice), but
-    sorting T values per column takes about half the time of sorting the
-    whole table.
+    values form one block of sizes[c] values, blocks in (g, r) order. A
+    value shared by two columns is stored twice (103,443 values against
+    103,431 for one np.unique over the nine-game lattice), but sorting T
+    values per column takes about half the time of sorting the whole
+    table. rows is the (T, len(values)) CSR matrix with a one at each of a
+    point's G * 2 values, stored in (g, r) order, so for x over values,
+    rows @ x sums x over each point's entries (see _logit_columns).
     """
     flat = margins.reshape(len(margins), -1)
     index = np.empty(flat.shape, dtype=np.int32)
@@ -557,7 +548,40 @@ def _distinct(margins: np.ndarray):
         index[:, col] = inverse + offset
         blocks.append(values)
         offset += len(values)
-    return np.concatenate(blocks), index.reshape(margins.shape)
+    indptr = np.arange(0, index.size + 1, flat.shape[1], dtype=np.int32)
+    rows = csr_array((np.ones(index.size), index.reshape(-1), indptr), shape=(len(flat), offset))
+    return np.concatenate(blocks), np.array([len(b) for b in blocks]), rows
+
+
+def _logit_columns(table, weights3: np.ndarray, lams):
+    """Weighted logit log-likelihood of every row of a _logit_table, one
+    column per lam, computed as each is drawn.
+
+    The weight of each (g, r) column is repeated over its block of values,
+    so a point's objective is rows @ (w1 * log_expit(z)) + rows @ (w0 *
+    log_expit(-z)) with z = values / lam. Each product is the one a
+    per-entry sum forms, times the stored 1.0, and a CSR row sum adds its
+    stored entries in order from 0, as the per-entry einsum over (g, r)
+    does; so the bits are those of scoring every entry. Nothing may sort,
+    merge or drop the stored entries.
+    """
+    values, sizes, rows = table
+    wv1, wv0 = (np.repeat(weights3[:, :, a].ravel(), sizes) for a in (1, 0))
+    for lam in lams:
+        z = values / lam
+        yield rows @ (wv1 * log_expit(z)) + rows @ (wv0 * log_expit(-z))
+
+
+def _best_lam(columns, lams, n: int):
+    """(obj, lam) for n rows: the largest of the columns, drawn in lams
+    order; a later lam wins only by a strictly larger value."""
+    best_obj = np.full(n, -np.inf)
+    best_lam = np.full(n, lams[0])
+    for lam, obj in zip(lams, columns):
+        improved = obj > best_obj
+        best_obj = np.where(improved, obj, best_obj)
+        best_lam = np.where(improved, lam, best_lam)
+    return best_obj, best_lam
 
 
 def _unique_rows(theta: np.ndarray) -> np.ndarray:
@@ -632,7 +656,10 @@ def _local_box(center: np.ndarray, radius: float, step: float) -> np.ndarray:
     for dim in range(3):
         lo = max(bounds[dim][0], center[dim] - radius)
         hi = min(bounds[dim][1], center[dim] + radius)
-        axes.append(np.arange(lo, hi + 0.5 * step, step))
+        # arange's last value can pass the bound by an ulp (kappa
+        # 1.0000000000000002 at steps 0.1 and 0.2). Clip to the bound only:
+        # clipping to hi would also move box rows, and fits, at step 0.05
+        axes.append(np.minimum(np.arange(lo, hi + 0.5 * step, step), bounds[dim][1]))
     aa, bb, kk = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([aa.ravel(), bb.ravel(), kk.ravel()])
 
@@ -670,7 +697,7 @@ def em_fit(
 
     flags names each type whose share is below 1/(10 N)
     (type-<i>-degenerate-share) and an undefined NEC (nec-undefined, when
-    lnL_K equals lnL_1; nec is then nan).
+    lnL_K equals lnL_1 up to rounding; nec is then nan).
 
     Raises ValidationError for k < 1, an unknown choice model, max_iter < 1,
     a negative or non-finite tol, and a lattice_step outside its range.
@@ -814,10 +841,15 @@ def icl(loglik: float, k: int, n: int, en: float = 0.0) -> float:
 
 
 def nec(en_k: float, loglik_k: float, loglik_1: float) -> float:
-    """NEC = EN_K / (lnL_K - lnL_1); nan when the denominator vanishes."""
+    """NEC = EN_K / (lnL_K - lnL_1); nan when the denominator vanishes.
+
+    A denominator of at most 16 eps max(|lnL_K|, |lnL_1|) counts as zero: a
+    K-type fit that collapses onto one type differs from the one-type fit
+    by rounding alone, and dividing by that residue gave NEC near 5e14.
+    """
     denom = loglik_k - loglik_1
-    if denom == 0.0:
-        warnings.warn("NEC undefined: lnL_K equals lnL_1", stacklevel=2)
+    if abs(denom) <= _NEC_RTOL * max(abs(loglik_k), abs(loglik_1)):
+        warnings.warn("NEC undefined: lnL_K equals lnL_1 up to rounding", stacklevel=2)
         return math.nan
     return en_k / denom
 

@@ -236,9 +236,12 @@ class TestEmFit:
         # noiseless single-type data: one of the two components collapses
         clean = PreferenceParams(alpha=0.33, beta=0.09, kappa=0.26, lam=0.0)
         recs, _ = simulate_choices([clean], [1.0], games9, shifted_log, 20, seed=17)
-        fit = em_fit(recs, games9, shifted_log, k=2, seed=0)
+        with pytest.warns(UserWarning, match="NEC undefined"):
+            fit = em_fit(recs, games9, shifted_log, k=2, seed=0)
         assert fit.shares[1] < 1.0 / (10 * fit.n_subjects)
-        assert "type-1-degenerate-share" in fit.flags
+        # both types land on one point, so lnL_2 - lnL_1 is a rounding residue
+        assert fit.params[0] == fit.params[1]
+        assert "type-1-degenerate-share" in fit.flags and "nec-undefined" in fit.flags
 
     def test_refit_recovers_generator_loglik(self, games9, shifted_log):
         # parametric-bootstrap sanity on the same simulated sample: the refit
@@ -298,6 +301,17 @@ class TestEmFit:
         for step in (lo, 0.05, 0.1, hi):
             with pytest.raises(LatticeReached):
                 em_fit([rec], games9, shifted_log, k=1, lattice_step=step)
+
+    @pytest.mark.parametrize("n_subjects", [1, 2, 5])
+    def test_collapsed_two_type_fit_has_undefined_nec(self, shifted_log, n_subjects):
+        # one-type data: lnL_2 - lnL_1 is a rounding residue near 6e-16 of
+        # |lnL|, which made NEC about 5e14
+        clean = PreferenceParams(alpha=0.33, beta=0.09, kappa=0.26, lam=0.0)
+        recs, _ = simulate_choices([clean], [1.0], default_games(), shifted_log, n_subjects, seed=3)
+        with pytest.warns(UserWarning, match="NEC undefined"):
+            fit = em_fit(recs, default_games(), shifted_log, k=2, seed=0, restarts=2)
+        assert math.isnan(fit.nec)
+        assert "nec-undefined" in fit.flags
 
     def test_logit_model_runs(self, games9, shifted_log):
         t = PreferenceParams(alpha=0.33, beta=0.09, kappa=0.26, lam=0.02)
@@ -522,9 +536,16 @@ class TestLogitScan:
 
     def test_coarse_scan_scores_distinct_margins_only(self, lattice9, monkeypatch):
         lat = lattice9
-        values, index = lat.distinct_margins
-        assert index.dtype == np.int32 and index.shape == lat.margins.shape
-        assert np.array_equal(values[index], lat.margins)
+        # another test may have left this table's grid columns in the slot
+        lat._grid_slot = (None, {})
+        values, block_sizes, rows = lat.logit_table
+        index = rows.indices
+        assert index.dtype == np.int32 and len(index) == lat.margins.size
+        assert np.array_equal(values[index].reshape(lat.margins.shape), lat.margins)
+        assert np.all(rows.data == 1.0)
+        # each (g, r) column indexes its own block of values
+        block = np.repeat(np.arange(len(block_sizes)), block_sizes)
+        assert np.array_equal(block[index], np.tile(np.arange(len(block_sizes)), len(lat.theta)))
         sizes = []
         original = mx.log_expit
 
@@ -565,6 +586,34 @@ class TestCandidateRows:
         got = cand[mx._unique_rows(cand)]
         want = np.unique(cand, axis=0)
         assert np.array_equal(_bits(got), _bits(want))
+
+
+class TestLocalBox:
+    @pytest.mark.parametrize("step", [0.04, 0.05, 0.1, 0.2])
+    def test_boxes_stay_inside_the_bounds(self, step):
+        # np.arange's last value overshot the upper bound at steps 0.1 and
+        # 0.2 (kappa 1.0000000000000002, alpha 2.0000000000000004); every
+        # axis value of the lattice is a center once
+        bounds = (mx.ALPHA_BOUNDS, mx.BETA_BOUNDS, mx.KAPPA_BOUNDS)
+        axes = [mx._axis(*b, step) for b in bounds]
+        lo, hi = np.array(bounds).T
+        for i in range(max(len(a) for a in axes)):
+            center = np.array([a[i % len(a)] for a in axes])
+            box = mx._local_box(center, step, 0.01)
+            assert np.all(box.min(axis=0) >= lo) and np.all(box.max(axis=0) <= hi)
+
+    @pytest.mark.parametrize("step, draws", [(0.2, (33, 178, 288)), (0.1, (281,))])
+    def test_mstep_picks_stay_inside_the_bounds(self, games9, shifted_log, step, draws):
+        # weight tables whose first tied candidate was an overshooting box
+        # row, so that PreferenceParams rejected the pick
+        lat = mx._Lattice(games9, shifted_log, step)
+        rng = np.random.default_rng(5)
+        for draw in range(max(draws) + 1):
+            weights3 = rng.integers(0, 6, size=(9, 2, 2)).astype(float)
+            weights3[rng.uniform(size=9) < 0.3] = 0.0
+            if draw in draws:
+                p, _ = lat.maximize(weights3, None, "constant")
+                assert p.kappa <= 1.0 and p.alpha <= 2.0
 
 
 class TestTopThree:
@@ -673,14 +722,19 @@ print(t._coarse_logit_is_bitwise(lat, np.random.default_rng(1616)))
 
 
 def _coarse_logit_is_bitwise(lat, rng) -> bool:
-    """One coarse logit scan against the per-entry path, on a weight table
-    with three zero-weight games and the grid plus an off-grid lam."""
+    """Two coarse logit scans against the per-entry path, on one weight
+    table with three zero-weight games: a cold one over the grid plus an
+    off-grid lam, then a warm one, as a one-type fit's next M-step makes,
+    that reads the grid columns from the slot and scores a new lam."""
     weights3 = rng.uniform(0.0, 30.0, size=(len(lat.games), 2, 2))
     weights3[rng.choice(len(lat.games), size=3, replace=False)] = 0.0
-    lams = np.unique(np.append(mx._LOGIT_LAM_GRID, rng.uniform(0.011, 0.98)))
-    got = lat._score(lat.theta, weights3, "logit", lams)
-    want = _logit_every_entry(lat.margins, weights3, lams)
-    return all(np.array_equal(_bits(g), _bits(w)) for g, w in zip(got, want))
+    same = []
+    for _ in range(2):
+        lams = np.unique(np.append(mx._LOGIT_LAM_GRID, rng.uniform(0.011, 0.98)))
+        got = lat._score(lat.theta, weights3, "logit", lams)
+        want = _logit_every_entry(lat.margins, weights3, lams)
+        same += [np.array_equal(_bits(g), _bits(w)) for g, w in zip(got, want)]
+    return all(same) and lat._grid_slot[0] == weights3.tobytes()
 
 
 @pytest.mark.parametrize("disabled", ["X86_V4", "X86_V3 X86_V4"])
@@ -706,12 +760,13 @@ def _reference_score(lat, weights3, model, lam_grid):
                 obj, lam = lat._objective_constant(lat.unique_patterns, weights3)
                 return obj[lat.pattern_id], lam[lat.pattern_id]
             return lat._objective_constant(mx._structure(lat.coeffs, theta)[0], weights3)
-        values, index = (
-            lat.distinct_margins
+        # every lam scored afresh: the coarse scan bypasses the grid slot
+        table = (
+            lat.logit_table
             if theta is lat.theta
-            else mx._distinct(mx._structure(lat.coeffs, theta)[1])
+            else mx._logit_table(mx._structure(lat.coeffs, theta)[1])
         )
-        return lat._objective_logit(values, index, weights3, lam_grid)
+        return mx._best_lam(mx._logit_columns(table, weights3, lam_grid), lam_grid, len(theta))
 
     return score
 
@@ -846,6 +901,54 @@ def _seeds_and_incumbents(lat, weights3, model, lam_grid, lam):
     return seeds, [PreferenceParams(alpha=a, beta=b, kappa=k, lam=lam) for a, b, k in rows]
 
 
+class TestGridSlot:
+    @pytest.fixture()
+    def lat(self, games9, shifted_log):
+        # a 0.1 lattice keeps the reference's per-entry scans short
+        return mx._Lattice(games9, shifted_log, 0.1)
+
+    def test_second_mstep_with_the_same_table_scores_the_incumbent_lam_only(
+        self, lat, monkeypatch
+    ):
+        (weights3,) = _recipe_tables(1)
+        n_values = len(lat.logit_table[0])
+        sizes = []
+        original = mx.log_expit
+
+        def spy(x):
+            sizes.append(np.size(x))
+            return original(x)
+
+        monkeypatch.setattr(mx, "log_expit", spy)
+        lat.maximize(weights3, dataclasses.replace(_OFF_LATTICE, lam=0.3), "logit")
+        # the eight grid lams and the incumbent's
+        assert sizes.count(n_values) == 2 * 9
+        incumbents = [PreferenceParams(alpha=0.3, beta=0.1, kappa=0.2, lam=lam)
+                      for lam in (0.23, 0.2)]
+        picks = []
+        for current, coarse_calls in zip(incumbents, (2, 0)):  # 0.2 is a grid lam
+            sizes.clear()
+            picks.append(lat.maximize(weights3, current, "logit"))
+            assert sizes.count(n_values) == coarse_calls
+        monkeypatch.undo()
+        for current, got in zip(incumbents, picks):
+            want_p, want_obj = _maximize_reference(lat, weights3, current, "logit")
+            assert _as_bits(*got) == _bits([*want_p, want_obj]).tolist()
+
+    def test_alternating_tables_keep_one_entry_and_the_same_bits(self, lat):
+        tables = _recipe_tables(2)
+        want = [
+            _bits([*wp, wo]).tolist()
+            for wp, wo in (_maximize_reference(lat, w, _OFF_LATTICE, "logit") for w in tables)
+        ]
+        for weights3, bits in zip(tables * 2, want * 2):
+            got = lat.maximize(weights3, _OFF_LATTICE, "logit")
+            assert _as_bits(*got) == bits
+            key, cols = lat._grid_slot
+            assert key == weights3.tobytes()
+            assert list(cols) == mx._LOGIT_LAM_GRID.tolist()
+
+
 class TestCandidateMemo:
     @pytest.mark.parametrize("step", [0.05, 0.2])
     @pytest.mark.parametrize("model", ["constant", "logit"])
@@ -943,6 +1046,13 @@ class TestDiagnostics:
         with pytest.warns(UserWarning, match="NEC undefined"):
             out = nec(1.0, -50.0, -50.0)
         assert math.isnan(out)
+
+    def test_nec_rounding_residue_is_undefined(self):
+        for lnl_1 in (np.nextafter(-50.0, -np.inf), -50.0 * (1 + 15 * np.finfo(float).eps)):
+            with pytest.warns(UserWarning, match="NEC undefined"):
+                assert math.isnan(nec(1.0, -50.0, lnl_1))
+        # a denominator of 1e-7 of lnL is a real gain and keeps its NEC
+        assert nec(0.5, -100.0, -100.0 - 1e-5) == pytest.approx(0.5 / 1e-5, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 from scipy.special import betainc
-from scipy.stats import beta as _beta_dist
+from scipy.special._ufuncs import _beta_pdf
 
 from .errors import DomainError, ValidationError
 from .params import validate_endowment
@@ -105,30 +104,28 @@ class BeliefDistribution:
         else:
             pts = np.asarray(self.sample)
             out = np.searchsorted(pts, arr, side="right") / len(pts)
-            out = out.astype(float)
         return float(out) if arr.ndim == 0 else out
 
     def pdf(self, x):
         """Density on [0, w/2]; 0 outside and at NaN. Empirical uses a histogram
         density with bins of width w/100.
 
-        A float (other than for empirical beliefs) takes a short path: for
-        scaled_beta it calls the Beta kernel that scipy's pdf reaches with
-        loc = 0 and scale = 1, without that wrapper's per-call set-up, so
-        both paths give bit-identical values.
+        Both paths call the Beta density ufunc that scipy.stats.beta.pdf
+        reaches with loc = 0 and scale = 1, so a float (other than for
+        empirical beliefs) takes a short path with bit-identical values.
         """
         if isinstance(x, float) and self.kind != "empirical":
             if not 0.0 <= x <= self.half:
                 return 0.0
             if self.kind == "scaled_beta":
                 u = min(max(x / self.half, 0.0), 1.0)
-                return float(_beta_dist._pdf(u, self.a, self.b) / self.half)
+                return float(_beta_pdf(u, self.a, self.b) / self.half)
             return 1.0 / self.half if self.kind == "uniform" else 0.0
         arr = np.asarray(x, dtype=float)
         inside = (arr >= 0.0) & (arr <= self.half)
         if self.kind == "scaled_beta":
             u = np.clip(arr / self.half, 0.0, 1.0)
-            out = _beta_dist.pdf(u, self.a, self.b) / self.half
+            out = _beta_pdf(u, self.a, self.b) / self.half
         elif self.kind == "uniform":
             out = np.full_like(arr, 1.0 / self.half)
         elif self.kind == "always_accept":
@@ -153,19 +150,19 @@ class BeliefDistribution:
         the always-accept point mass contributes fn(0) iff lo <= 0.
         """
         hi = self.half
-        if lo >= hi and self.kind != "empirical":
-            if self.kind == "always_accept" and lo <= 0.0:
-                return float(fn(0.0))
-            return 0.0
         if self.kind == "always_accept":
             return float(fn(0.0)) if lo <= 0.0 else 0.0
+        if lo >= hi and self.kind != "empirical":
+            return 0.0
         if self.kind == "empirical":
             pts = np.asarray(self.sample)
             keep = pts[pts >= lo]
             if keep.size == 0:
                 return 0.0
             return float(np.sum(fn(keep)) / len(pts))
-        val, _ = integrate.quad(
+        from scipy.integrate import quad  # the reference route only
+
+        val, _ = quad(
             lambda y: fn(y) * self.pdf(y), lo, hi, epsabs=1e-10, epsrel=1e-10, limit=200
         )
         return float(val)

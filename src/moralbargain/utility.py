@@ -113,6 +113,13 @@ def eval_expost_symmetric(
 _TAIL_NODES = 100_001
 
 
+def _tail_trapezoid(y, x):
+    """Trapezoid integral of y from each node of x to its end, taken from the
+    running sum in scipy.integrate.cumulative_trapezoid's operation order."""
+    cum = np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+    return cum[-1] - cum
+
+
 class TailIntegrals:
     """Precomputed tail integrals of v(y) and v(w-y) under an offer distribution.
 
@@ -149,15 +156,11 @@ class TailIntegrals:
                     f"offer belief Beta({offers.a:g}, {offers.b:g}) has a shape parameter "
                     "below 1; the tail table needs shapes >= 1"
                 )
-            from scipy.integrate import cumulative_trapezoid
-
             grid = np.linspace(0.0, half, _TAIL_NODES)
             dens = offers.pdf(grid)
-            cum_own = cumulative_trapezoid(curve.value(grid) * dens, grid, initial=0.0)
-            cum_oth = cumulative_trapezoid(curve.value(w - grid) * dens, grid, initial=0.0)
             self._grid = grid
-            self._tail_own = cum_own[-1] - cum_own
-            self._tail_oth = cum_oth[-1] - cum_oth
+            self._tail_own = _tail_trapezoid(curve.value(grid) * dens, grid)
+            self._tail_oth = _tail_trapezoid(curve.value(w - grid) * dens, grid)
             self._mode = "table"
 
     def _eval(self, x, own: bool):

@@ -1,5 +1,7 @@
 """Belief distributions: cdf/pdf contracts, normalization, tail expectations."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -140,10 +142,38 @@ def test_cdf_float_path_bitwise_equals_array_path(d):
         assert np.array_equal(np.array(scal), vec)
 
 
+def test_beta_pdf_ufunc_equals_scipy_stats_bitwise():
+    # pdf calls scipy's private Beta density ufunc, not scipy.stats (whose import
+    # dominates a cold start); a scipy that moves or renames it fails here, and
+    # the ufunc must give the public beta.pdf bit for bit
+    from scipy.special._ufuncs import _beta_pdf as scipy_beta_pdf
+    from scipy.stats import beta
+
+    from moralbargain.beliefs import _beta_pdf
+
+    assert _beta_pdf is scipy_beta_pdf
+    grid = np.concatenate([np.linspace(0.0, 1.0, 20_001), [1e-300, 1.0 - 2**-53, np.nan]])
+    shapes = ((1.0, 1.0), (1.0, 3.0), (3.0, 1.0), (2.0, 4.0), (2.5, 7.25), (40.0, 60.0), (600.0, 900.0))
+    # below 1 an end density is infinite; scipy's wrapper silences overflow there, the
+    # bare ufunc must not warn either
+    shapes += ((0.5, 0.5), (0.2, 3.0), (3.0, 0.7), (1e-3, 1e-3), (0.9, 1.0))
+    for a, b in shapes:
+        expected = beta.pdf(grid, a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _beta_pdf(grid, a, b)
+            ends = [_beta_pdf(u, a, b) for u in (0.0, 1.0)]
+        assert got.tobytes() == expected.tobytes(), (a, b)
+        assert np.array(ends).tobytes() == expected[[0, 20_000]].tobytes(), (a, b)
+
+
 @pytest.mark.parametrize(
     "d",
     _all_kinds()
-    + [BeliefDistribution.scaled_beta(a, b, W) for a, b in ((0.5, 0.5), (1, 1), (1, 3), (3, 1))],
+    + [
+        BeliefDistribution.scaled_beta(a, b, W)
+        for a, b in ((0.5, 0.5), (1, 1), (1, 3), (3, 1), (0.2, 3.0), (2.5, 7.25), (600.0, 900.0))
+    ],
     ids=lambda d: d.kind if d.a is None else f"{d.kind}({d.a},{d.b})",
 )
 def test_pdf_float_path_bitwise_equals_array_path(d):

@@ -7,11 +7,15 @@ commands run in-process through cli.main(argv).
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import moralbargain
 import moralbargain.io as mio
 from moralbargain import (
     BinaryGame,
@@ -639,3 +643,31 @@ class TestRegionMapGolden:
         assert regions.count("R1") == 598
         assert regions.count("R2") == 980
         assert regions.count("R3") == 21
+
+
+_IMPORT_SURFACE_SCRIPT = """
+import sys
+import moralbargain.cli, moralbargain.io, moralbargain.kernels, moralbargain.mixture
+from moralbargain import region_map
+from moralbargain.io import default_run_config
+from moralbargain.utility import TailIntegrals
+
+cfg = default_run_config()
+TailIntegrals(cfg.offers, cfg.curve, cfg.w)
+region_map(cfg.alphas(), cfg.kappas(), cfg.curve, cfg.thresholds, cfg.offers, cfg.w)
+print(" ".join(m for m in ("scipy.stats", "scipy.integrate", "scipy.optimize") if m in sys.modules))
+"""
+
+
+def test_cold_import_and_first_region_map_leave_heavy_scipy_unloaded():
+    # scipy.stats (which imports scipy.integrate and scipy.optimize) is most of
+    # a cold start; a lazy scipy import in the tail table would only move part
+    # of that cost into the first region map, so a fresh interpreter builds one
+    src = str(Path(moralbargain.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_SURFACE_SCRIPT],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == ""

@@ -8,6 +8,7 @@ from moralbargain.errors import ValidationError
 from moralbargain.oracle import brute_force_dg, expected_utility_riemann
 from moralbargain.params import Strategy
 from moralbargain.utility import (
+    _TAIL_NODES,
     TailIntegrals,
     _responder_term,
     dg_objective,
@@ -138,6 +139,27 @@ class TestTailIntegrals:
         assert ti.own(0.0) == 0.0  # v(0) = 0
         assert ti.other(0.0) == pytest.approx(10.0)
         assert ti.other(0.5) == 0.0
+
+    @pytest.mark.parametrize(
+        "shapes", [(2.0, 4.0), None],
+        ids=lambda ab: "uniform" if ab is None else f"beta({ab[0]:g},{ab[1]:g})",
+    )
+    @pytest.mark.parametrize("w", [W, 58.8])
+    def test_table_equals_scipy_cumulative_trapezoid_bitwise(self, crra, shapes, w):
+        # the table's numpy trapezoid must keep scipy's operation order, bit for bit;
+        # that order depends on neither the curve nor the belief
+        from scipy.integrate import cumulative_trapezoid
+
+        if shapes is None:
+            belief = BeliefDistribution.uniform_on_half(w)
+        else:
+            belief = BeliefDistribution.scaled_beta(*shapes, w)
+        ti = TailIntegrals(belief, crra, w)
+        grid = np.linspace(0.0, w / 2, _TAIL_NODES)
+        dens = belief.pdf(grid)
+        for tail, vals in ((ti._tail_own, crra.value(grid)), (ti._tail_oth, crra.value(w - grid))):
+            cum = cumulative_trapezoid(vals * dens, grid, initial=0.0)
+            assert tail.tobytes() == (cum[-1] - cum).tobytes()
 
     def test_responder_term_definition(self, offers, crra):
         ti = TailIntegrals(offers, crra, W)

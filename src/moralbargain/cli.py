@@ -33,25 +33,10 @@ from .curves import PayoffCurve
 from .errors import ConvergenceError, IndeterminateError, ValidationError
 from .mixture import bootstrap_se, default_games, em_fit, icl, nec
 from .nash import _DEFAULT_GRID_DIVISOR, nash_set
-from .oracle import (
-    brute_force_dg,
-    foc_residual,
-    optimal_vs_brute,
-)
-from .params import (
-    ESTIMATION_ENDOWMENT,
-    LATTICE_STEP_BOUNDS,
-    ParamLanes,
-    PreferenceParams,
-    Strategy,
-)
-from .solver import (
-    comparative_statics,
-    constrained_threshold,
-    optimal_strategy,
-    region_map,
-)
-from .utility import dg_objective, dg_transfer
+from .oracle import oracle_checks
+from .params import ESTIMATION_ENDOWMENT, LATTICE_STEP_BOUNDS, PreferenceParams
+from .solver import comparative_statics, optimal_strategy, region_map
+from .utility import dg_transfer
 
 
 # ---------------------------------------------------------------------------
@@ -284,80 +269,21 @@ def _cmd_metrics(args, cfg) -> int:
 
 
 def _cmd_oracle_check(args, cfg) -> int:
+    step = cfg.w / 400.0 if args.step is None else args.step
     rng = np.random.default_rng(cfg.seed)
-    w = cfg.w
-    step = w / 400.0 if args.step is None else args.step
-    n = args.draws
-    checks: list[dict] = []
-
-    def record(name: str, count: int, worst: float, ok: bool) -> None:
-        checks.append({"check": name, "n": count, "worst": worst, "pass": bool(ok)})
-
-    # analytic optimum vs exhaustive grid
-    worst = optimal_vs_brute(rng, n, cfg.curve, cfg.thresholds, cfg.offers, w, step)
-    record("optimal-vs-brute", n, worst, worst >= -1e-6)
-
-    # acceptance threshold solves the indifference equation; every draw is
-    # taken before the one lane search, as the solves take nothing from rng
-    draws = np.array([(rng.uniform(1e-6, 3.0), rng.uniform(0.0, 0.95)) for _ in range(n)])
-    alphas, kappas = draws.reshape(-1, 2).T
-    roots = constrained_threshold(kappas, alphas, cfg.curve, w)
-    worst = 0.0
-    for alpha, kappa, t in zip(alphas.tolist(), kappas.tolist(), roots.tolist()):
-        if t > 0.0:
-            resid = abs((1.0 - kappa + alpha) * cfg.curve.value(t) - alpha * cfg.curve.value(w - t))
-            worst = max(worst, resid)
-    record("threshold-root-residual", n, worst, worst < 1e-10)
-
-    # nonpositive alpha forces a zero threshold; positive alpha a positive one
-    draws = np.array([(rng.uniform(0.0, 0.99), rng.uniform(-2.0, 0.0), rng.uniform(1e-9, 2.0))
-                      for _ in range(n)])
-    kappas, a0, a1 = draws.reshape(-1, 3).T
-    t0 = constrained_threshold(kappas, a0, cfg.curve, w)
-    t1 = constrained_threshold(kappas, a1, cfg.curve, w)
-    ok = bool(np.all(t0 == 0.0) and np.all(t1 > 0.0))
-    record("threshold-sign", n, 0.0, ok)
-
-    # dictator transfer vs 1-D exhaustive scan, same objective
-    params = [
-        PreferenceParams(
-            alpha=rng.uniform(-1.0, 1.0),
-            beta=rng.uniform(-1.0, 1.0),
-            kappa=rng.uniform(0.0, 0.95),
-        )
-        for _ in range(n)
-    ]
-    worst = math.inf
-    for p, x in zip(params, dg_transfer(ParamLanes.of(params), cfg.curve, w).tolist()):
-        _, u_brute = brute_force_dg(p, cfg.curve, w, w / 2000.0)
-        worst = min(worst, dg_objective(p, cfg.curve, x, w) - u_brute)
-    record("dg-vs-brute", n, worst, worst >= -1e-9)
-
-    # finite differences match the analytic gradient away from optima
-    worst = 0.0
-    for _ in range(n):
-        p = PreferenceParams(alpha=rng.uniform(-1.0, 3.0), kappa=rng.uniform(0.0, 0.95))
-        x1 = rng.uniform(0.05 * w, 0.95 * w)
-        x2 = rng.uniform(0.05 * w, 0.45 * w)
-        if abs(x1 - x2) < 1e-3 * w:
-            continue
-        r1, r2 = foc_residual(p, cfg.curve, cfg.thresholds, cfg.offers, Strategy(x1, x2), w)
-        worst = max(worst, abs(r1), abs(r2))
-    record("foc-fd-match", n, worst, worst < 1e-4)
-
-    all_ok = all(c["pass"] for c in checks)
-    width = max(len(c["check"]) for c in checks)
+    checks = oracle_checks(rng, args.draws, cfg.curve, cfg.thresholds, cfg.offers, cfg.w, step)
+    all_ok = all(c.passed for c in checks)
+    width = max(len(c.name) for c in checks)
     print(f"{'check':<{width}}  {'n':>4}  {'worst':>10}  result")
     for c in checks:
-        verdict = "pass" if c["pass"] else "FAIL"
-        print(f"{c['check']:<{width}}  {c['n']:>4}  {c['worst']:>10.3g}  {verdict}")
+        print(f"{c.name:<{width}}  {c.n:>4}  {c.worst:>10.3g}  {'pass' if c.passed else 'FAIL'}")
     print("all checks passed" if all_ok else "ORACLE CHECK FAILED")
 
     if args.out:
-        payload = {"w": w, "curve": cfg.curve.label(), "step": step, "seed": cfg.seed,
-                   "checks": checks}
-        rows = [(c["check"], c["n"], c["worst"], c["pass"]) for c in checks]
-        _deliver(args, "oracle_check", payload, (["check", "n", "worst", "pass"], rows))
+        records = [{"check": c.name, "n": c.n, "worst": c.worst, "pass": c.passed} for c in checks]
+        payload = {"w": cfg.w, "curve": cfg.curve.label(), "step": step, "seed": cfg.seed,
+                   "checks": records}
+        _deliver(args, "oracle_check", payload, (["check", "n", "worst", "pass"], checks))
     return 0 if all_ok else 3
 
 

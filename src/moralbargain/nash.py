@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .beliefs import BeliefDistribution  # noqa: F401  (re-exported context type)
 from .curves import PayoffCurve
 from .errors import ValidationError
 from .numerics import bisect_boundary
@@ -105,7 +104,6 @@ def _verify(
     curve: PayoffCurve,
     w: float,
     step: float,
-    tol: float = _NASH_TOL,
 ) -> list[NashCheck]:
     """verify_nash for many profiles: one deviation lattice, kernel calls of bounded size."""
     y1 = np.array([s.x1 for s in profiles], dtype=float)
@@ -139,7 +137,7 @@ def _verify(
     u_best, i, j = (np.concatenate(arrs) for arrs in zip(*parts))
     checks = []
     for gain, di, dj in zip((u_best - own).tolist(), i.tolist(), j.tolist()):
-        if gain <= tol:
+        if gain <= _NASH_TOL:
             checks.append(NashCheck(True, gain, None))
         else:
             checks.append(NashCheck(False, gain, Strategy(float(axis[di]), float(axis[dj]))))
@@ -153,16 +151,15 @@ def verify_nash(
     curve: PayoffCurve,
     w: float,
     grid_step: float | None = None,
-    tol: float = _NASH_TOL,
 ) -> NashCheck:
     """Best-response check of a symmetric profile on the deviation lattice.
 
     Both players hold `profile`; a deviation is any lattice (x1, x2) pair.
-    Passes iff no deviation raises the ex-post utility by more than tol.
+    Passes iff no deviation raises the ex-post utility by more than _NASH_TOL.
     """
     validate_endowment(w)
     step = grid_step_of(w / _DEFAULT_GRID_DIVISOR if grid_step is None else grid_step, w)
-    return _verify([profile], kappa, alpha, curve, w, step, tol)[0]
+    return _verify([profile], kappa, alpha, curve, w, step)[0]
 
 
 def rho_of_kappa(

@@ -26,6 +26,8 @@ _LOG_INVPHI = math.log(_INVPHI)
 # Most scan points in one objective call, over all lanes: a wider scan is
 # split into blocks of rows so the objective's temporaries stay small.
 _SCAN_CELLS = 1 << 15
+# bisect_root's step cap; a live lane after this many steps is a ConvergenceError
+_BISECT_MAX_ITER = 500
 
 
 def _lanes(lo, hi):
@@ -143,7 +145,6 @@ def bisect_root(
     lo: float | np.ndarray,
     hi: float | np.ndarray,
     residual_tol: float = 1e-10,
-    max_iter: int = 500,
 ) -> float | np.ndarray:
     """Find a sign change of f on [lo, hi] per lane by bisection.
 
@@ -171,7 +172,7 @@ def bisect_root(
     near = 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
     a, b = lo.copy(), hi.copy()
     flo, fhi = np.array(flo, dtype=float), np.array(fhi, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         if not np.count_nonzero(live):
             return _result(res, scalar)
         mid = 0.5 * (a + b)

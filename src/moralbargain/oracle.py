@@ -1,4 +1,5 @@
-"""Independent brute-force oracles for the solver and the dictator problem.
+"""Independent brute-force oracles for the solver and the dictator problem,
+and the battery of checks that compares them with the analytic solvers.
 
 The responder integral here is a midpoint Riemann sum on a refinement of
 the argmax grid, deliberately not the adaptive quadrature used by the
@@ -9,15 +10,18 @@ once here, apart from the model's in utility.py, for the same reason.
 
 from __future__ import annotations
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 
 from .beliefs import BeliefDistribution
 from .curves import PayoffCurve
 from .errors import IndeterminateError, ValidationError
 from .kernels import grid_argmax
-from .params import PreferenceParams, Strategy, grid_step_of, validate_endowment
-from .solver import _CachedProblem
-from .utility import eval_expected_utility
+from .params import ParamLanes, PreferenceParams, Strategy, grid_step_of, validate_endowment
+from .solver import _CachedProblem, constrained_threshold
+from .utility import dg_transfer, eval_expected_utility
 
 # midpoint-sum resolution of expected_utility_riemann's responder integral
 _RIEMANN_STEP = 1e-4
@@ -220,6 +224,15 @@ def expected_utility_riemann(
     return _riemann_utility(p, curve, thresholds, offers, s, w, {})
 
 
+def _uniform_draws(rng: np.random.Generator, draws: int, *bounds) -> np.ndarray:
+    """Shape (draws, len(bounds)): draw by draw, one rng.uniform(lo, hi) per bound."""
+    rows = [[rng.uniform(lo, hi) for lo, hi in bounds] for _ in range(draws)]
+    return np.array(rows, dtype=float).reshape(-1, len(bounds))
+
+
+OPTIMAL_VS_BRUTE_FLOOR = -1e-6  # optimal_vs_brute passes at a worst margin of at least this
+
+
 def optimal_vs_brute(
     rng: np.random.Generator,
     draws: int,
@@ -229,31 +242,27 @@ def optimal_vs_brute(
     w: float,
     grid_step: float,
 ) -> float:
-    """Worst margin u(solver optimum) - u(grid optimum) over random draws.
+    """Worst margin u(solver optimum) - u(grid optimum) over draws of
+    alpha ~ U(-1, 3) and kappa ~ U(0, 0.95); inf for no draws.
 
-    Each draw takes alpha ~ U(-1, 3), then kappa ~ U(0, 0.95), from `rng`.
-    All draws are taken first, in that order (the grid oracle and the
-    Riemann evaluator take nothing from `rng`), and solved by one shared
-    _CachedProblem, so the selfish offer and the tail table are built once
-    per configuration. The grid's parameter-free tables (axis, payoff
-    values, threshold cdf, Riemann tail pair) are built once per call, and
-    the Riemann responder integrals once per distinct x2, so each draw
-    costs its solve and one grid argmax. Every value is the one a per-draw
-    loop over brute_force_ug and expected_utility_riemann gives. Both
-    strategies are scored by the same Riemann evaluator, so its
-    integration error cancels from the margin. Returns inf for no draws.
+    The draws are solved by one _CachedProblem, the grid's parameter-free
+    tables are built once, and the Riemann responder integrals once per
+    distinct x2; every value is the one a per-draw loop over brute_force_ug
+    and expected_utility_riemann gives. Both strategies are scored by that
+    Riemann evaluator, so its integration error cancels from the margin.
     """
-    params = [
-        PreferenceParams(alpha=rng.uniform(-1.0, 3.0), kappa=rng.uniform(0.0, 0.95))
-        for _ in range(draws)
-    ]
+    pairs = _uniform_draws(rng, draws, (-1.0, 3.0), (0.0, 0.95)).tolist()
+    # prob stays bound through the loop: with its tail table freed first,
+    # each grid argmax faulted its temporaries in afresh (535 minor page
+    # faults a call against 10) and ran about twice as slow
     prob = _CachedProblem(curve, thresholds, offers, w)
-    outs = prob.solve_many((p.alpha, p.kappa) for p in params)
+    outs = prob.solve_many(pairs)
     # zero draws score no grid, so they neither build nor validate one
-    tables = _ug_tables(curve, thresholds, offers, w, grid_step) if params else ()
+    tables = _ug_tables(curve, thresholds, offers, w, grid_step) if pairs else ()
     tails: dict[float, tuple[float, float]] = {}
     worst = np.inf
-    for p, out in zip(params, outs):
+    for (alpha, kappa), out in zip(pairs, outs):
+        p = PreferenceParams(alpha=alpha, kappa=kappa)
         s_brute, _ = _ug_argmax(p, tables)
         u_opt = _riemann_utility(p, curve, thresholds, offers, out.optimal, w, tails)
         u_brute = _riemann_utility(p, curve, thresholds, offers, s_brute, w, tails)
@@ -295,3 +304,107 @@ def foc_residual(
         * offers.pdf(s.x2)
     )
     return fd1 - an1, fd2 - an2
+
+
+THRESHOLD_RESIDUAL_CEIL = 1e-10  # threshold_root_residual passes below this
+
+
+def threshold_root_residual(
+    rng: np.random.Generator, draws: int, curve: PayoffCurve, w: float
+) -> float:
+    """Worst |(1 - kappa + alpha) v(t) - alpha v(w - t)| at the threshold roots t
+    of draws solved in one lane search; inf if a root is not positive."""
+    alphas, kappas = _uniform_draws(rng, draws, (1e-6, 3.0), (0.0, 0.95)).T
+    roots = constrained_threshold(kappas, alphas, curve, w)
+    worst = 0.0
+    for alpha, kappa, t in zip(alphas.tolist(), kappas.tolist(), roots.tolist()):
+        if not t > 0.0:
+            return math.inf
+        worst = max(worst, abs((1.0 - kappa + alpha) * curve.value(t) - alpha * curve.value(w - t)))
+    return worst
+
+
+def threshold_sign_misses(
+    rng: np.random.Generator, draws: int, curve: PayoffCurve, w: float
+) -> float:
+    """How many thresholds have the wrong sign: at each drawn kappa, a
+    nonpositive alpha must give 0 and a positive alpha a positive root.
+    The check passes only with none."""
+    kappas, a0, a1 = _uniform_draws(rng, draws, (0.0, 0.99), (-2.0, 0.0), (1e-9, 2.0)).T
+    t0 = constrained_threshold(kappas, a0, curve, w)
+    t1 = constrained_threshold(kappas, a1, curve, w)
+    return float(np.count_nonzero(t0 != 0.0) + np.count_nonzero(~(t1 > 0.0)))
+
+
+DG_VS_BRUTE_FLOOR = -1e-9  # dg_vs_brute passes at a worst margin of at least this
+
+
+def dg_vs_brute(rng: np.random.Generator, draws: int, curve: PayoffCurve, w: float) -> float:
+    """Worst margin of dg_transfer over brute_force_dg at step w/2000, both
+    scored by _dg_values; inf for no draws."""
+    bounds = ((-1.0, 1.0), (-1.0, 1.0), (0.0, 0.95))  # alpha, beta, kappa
+    params = [PreferenceParams(*d) for d in _uniform_draws(rng, draws, *bounds).tolist()]
+    worst = math.inf
+    for p, x in zip(params, dg_transfer(ParamLanes.of(params), curve, w).tolist()):
+        _, u_brute = brute_force_dg(p, curve, w, w / 2000.0)
+        worst = min(worst, float(_dg_values(p, curve.value(w - x), curve.value(x))) - u_brute)
+    return worst
+
+
+FOC_FD_CEIL = 1e-4  # foc_fd_match passes below this
+
+
+def foc_fd_match(
+    rng: np.random.Generator,
+    draws: int,
+    curve: PayoffCurve,
+    thresholds: BeliefDistribution,
+    offers: BeliefDistribution,
+    w: float,
+) -> float:
+    """Worst foc_residual component over drawn off-diagonal strategies; a
+    draw within 1e-3 w of the diagonal is skipped."""
+    bounds = ((-1.0, 3.0), (0.0, 0.95), (0.05 * w, 0.95 * w), (0.05 * w, 0.45 * w))
+    worst = 0.0
+    for alpha, kappa, x1, x2 in _uniform_draws(rng, draws, *bounds).tolist():
+        if abs(x1 - x2) >= 1e-3 * w:
+            p = PreferenceParams(alpha=alpha, kappa=kappa)
+            r1, r2 = foc_residual(p, curve, thresholds, offers, Strategy(x1, x2), w)
+            worst = max(worst, abs(r1), abs(r2))
+    return worst
+
+
+class OracleCheck(NamedTuple):
+    """One oracle_checks record: the worst value over n draws, and whether it passes."""
+
+    name: str
+    n: int
+    worst: float
+    passed: bool
+
+
+def oracle_checks(
+    rng: np.random.Generator,
+    draws: int,
+    curve: PayoffCurve,
+    thresholds: BeliefDistribution,
+    offers: BeliefDistribution,
+    w: float,
+    grid_step: float,
+) -> tuple[OracleCheck, ...]:
+    """The five checks of `draws` draws each, run in this order on the one rng."""
+    ug = optimal_vs_brute(rng, draws, curve, thresholds, offers, w, grid_step)
+    resid = threshold_root_residual(rng, draws, curve, w)
+    misses = threshold_sign_misses(rng, draws, curve, w)
+    dg = dg_vs_brute(rng, draws, curve, w)
+    foc = foc_fd_match(rng, draws, curve, thresholds, offers, w)
+    return tuple(
+        OracleCheck(name, draws, float(worst), bool(ok))
+        for name, worst, ok in (
+            ("optimal-vs-brute", ug, ug >= OPTIMAL_VS_BRUTE_FLOOR),
+            ("threshold-root-residual", resid, resid < THRESHOLD_RESIDUAL_CEIL),
+            ("threshold-sign", misses, misses == 0.0),
+            ("dg-vs-brute", dg, dg >= DG_VS_BRUTE_FLOOR),
+            ("foc-fd-match", foc, foc < FOC_FD_CEIL),
+        )
+    )

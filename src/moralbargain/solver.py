@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .beliefs import BeliefDistribution
 from .curves import PayoffCurve
-from .errors import IndeterminateError, ValidationError
+from .errors import ConvergenceError, IndeterminateError, ValidationError
 from .numerics import _halve_boundary, bisect_boundary, bisect_root, scan_then_golden
 from .params import ParamLanes, PreferenceParams, Strategy, validate_endowment
 from .utility import TailIntegrals, _proposer_term, _responder_term, _universal_term
@@ -34,6 +33,9 @@ _DENOM_RTOL = 1e-7
 # kappa-tilde scans kappa = i / _KTIL_SCAN, then bisects the crossing to _KTIL_TOL
 _KTIL_SCAN = 100
 _KTIL_TOL = 1e-8
+# comparative_statics bisects each region switch to this width in kappa and
+# reads the jumps this far to either side
+_SWITCH_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -263,52 +265,47 @@ class _CachedProblem:
         return u_split - _fast_u(p, curve, thresholds, tails, x_hat, x_hat, w)
 
     def kappa_tildes(self, alphas) -> list[float | None]:
-        """Root in kappa of u(x_s, threshold) - u(symmetric, symmetric) at each alpha > alpha-bar.
+        """Root in kappa of u(x_s, threshold) - u(symmetric, symmetric) at
+        each alpha > alpha-bar, cached per alpha; None for alpha <= alpha-bar.
 
         The first utility is strictly decreasing in kappa and the second
         convex, so the first sign change on the kappa grid i / _KTIL_SCAN,
-        refined by bisection to _KTIL_TOL, is the single crossing. All
-        alphas scan in lockstep, every lane at the same kappa, and a lane
-        leaves the scan at its first gap <= 0; the bisections then run as
-        one lane search. None for alpha <= alpha-bar.
+        refined by bisection to _KTIL_TOL, is the single crossing. The
+        uncached alphas scan in lockstep, every lane at the same kappa, and
+        a lane leaves the scan at its first gap <= 0; the bisections then
+        run as one lane search. A lane with no crossing is a ConvergenceError.
         """
         alphas = [float(a) for a in alphas]
-        out: list[float | None] = [None] * len(alphas)
-        scan = [i for i, a in enumerate(alphas) if a > self.abar]
-        hi_scan = 1.0 - 1e-9  # kappa = 1 leaves the threshold undefined
-        brackets = []  # (lane, prev kappa, kappa) of each first sign change
-        prev_k = 0.0
+        new = [a for a in dict.fromkeys(alphas) if a not in self._ktil]
+        self._ktil.update((a, None) for a in new if not a > self.abar)
+        scan = [a for a in new if a > self.abar]
+        brackets = []  # (alpha, prev kappa, kappa) of each first sign change
         for step in range(_KTIL_SCAN + 1):
             if not scan:
                 break
-            k = min(step / _KTIL_SCAN, hi_scan) if step else 0.0
-            g = self._gap(np.array([alphas[i] for i in scan]), np.full(len(scan), k))
-            crossed = (g <= 0.0).tolist()
-            for i, hit in zip(scan, crossed):
+            k = min(step / _KTIL_SCAN, 1.0 - 1e-9)  # kappa = 1 leaves the threshold undefined
+            crossed = (self._gap(np.array(scan), np.full(len(scan), k)) <= 0.0).tolist()
+            for a, hit in zip(scan, crossed):
                 if hit and step == 0:
-                    out[i] = 0.0
+                    self._ktil[a] = 0.0
                 elif hit:
-                    brackets.append((i, prev_k, k))
-            scan = [i for i, hit in zip(scan, crossed) if not hit]
-            prev_k = k
-        for i in scan:
-            warnings.warn("indifference never reached on [0, 1); returning 0", stacklevel=3)
-            out[i] = 0.0
+                    brackets.append((a, (step - 1) / _KTIL_SCAN, k))
+            scan = [a for a, hit in zip(scan, crossed) if not hit]
+        if scan:
+            # Only a non-finite gap gets here. At the last kappa, 1 - 1e-9,
+            # the threshold root x2 has alpha (v(w - x2) - v(x2)) = 1e-9 v(x2),
+            # so the split strategy is worth at most about
+            # 1e-9 (v(w - x_s) F(x_s) + I_own(x2)), while the diagonal search
+            # returns at least u(x2, x2) >= kappa v(w) - 1e-9 v(x2), v being
+            # concave with v(0) = 0: a finite gap is negative there.
+            raise ConvergenceError(
+                f"kappa-tilde: indifference never reached on [0, 1) at alpha = {scan[0]}"
+            )
         if brackets:
-            lanes, lo, hi = (np.array(col) for col in zip(*brackets))
-            al = np.array([alphas[i] for i in lanes.tolist()])
+            al, lo, hi = (np.array(col) for col in zip(*brackets))
             # the scan has already seen gap > 0 at lo and gap <= 0 at hi
             roots = _halve_boundary(lambda ks: self._gap(al, ks) <= 0.0, lo, hi, _KTIL_TOL)
-            for i, root in zip(lanes.tolist(), roots.tolist()):
-                out[i] = root
-        return out
-
-    def ktils(self, alphas) -> list[float | None]:
-        """kappa_tildes, cached per alpha."""
-        alphas = [float(a) for a in alphas]
-        new = list(dict.fromkeys(a for a in alphas if a not in self._ktil))
-        if new:
-            self._ktil.update(zip(new, self.kappa_tildes(new)))
+            self._ktil.update(zip(al.tolist(), roots.tolist()))
         return [self._ktil[a] for a in alphas]
 
     def solve_many(self, pairs) -> tuple[SolverOutputs, ...]:
@@ -339,7 +336,7 @@ class _CachedProblem:
         above = [i for i in spite if not (pairs[i][0] <= tilde[i][1] and x2[i] <= tilde[i][0])]
         ktil = dict.fromkeys(above)
         need = [i for i in above if not pairs[i][0] < self.abar]
-        ktil.update(zip(need, self.ktils(pairs[i][0] for i in need)))
+        ktil.update(zip(need, self.kappa_tildes(pairs[i][0] for i in need)))
         r2 = [i for i in above if ktil[i] is None or pairs[i][1] > ktil[i]]
         x_hat: dict[int, float] = {}
         if r2:
@@ -418,7 +415,7 @@ def region_map(
     atil_series = tuple((k, atil) for k, (_, atil) in zip(kappas, prob.offers_and_tildes(kappas)))
     spiteful = [a for a in alphas if a > prob.abar]
     ktil_series = tuple(
-        (a, kt) for a, kt in zip(spiteful, prob.ktils(spiteful)) if kt is not None
+        (a, kt) for a, kt in zip(spiteful, prob.kappa_tildes(spiteful)) if kt is not None
     )
     return RegionMapResult(cells, prob.abar, atil_series, ktil_series)
 
@@ -469,7 +466,6 @@ def comparative_statics(
     thresholds: BeliefDistribution,
     offers: BeliefDistribution,
     w: float,
-    switch_tol: float = 1e-4,
 ) -> StaticsResult:
     """Optimal strategy along a kappa grid, with region switches located
     by bisection between adjacent grid points.
@@ -495,11 +491,11 @@ def comparative_statics(
         left_base,
         np.array([left.kappa for left, _ in pairs]),
         np.array([right.kappa for _, right in pairs]),
-        x_tol=switch_tol,
+        x_tol=_SWITCH_TOL,
     ).tolist()
-    eps = max(switch_tol, 1e-4)
     ends = prob.cells(
-        [(alpha, max(k - eps, 0.0)) for k in k_stars] + [(alpha, k + eps) for k in k_stars]
+        [(alpha, max(k - _SWITCH_TOL, 0.0)) for k in k_stars]
+        + [(alpha, k + _SWITCH_TOL) for k in k_stars]
     )
     switches = tuple(
         RegionSwitch(

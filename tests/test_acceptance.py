@@ -35,7 +35,7 @@ from moralbargain import (
     verify_nash,
     x2_lower_of,
 )
-from moralbargain.oracle import brute_force_ug, optimal_vs_brute
+from moralbargain.oracle import brute_force_ug, optimal_vs_brute, threshold_root_residual
 from moralbargain.params import Strategy
 from moralbargain.solver import _CachedProblem
 
@@ -211,7 +211,7 @@ def test_criterion_6_oracle_equivalence(crra, thresholds, offers, shifted_log):
     prob = _CachedProblem(crra, thresholds, offers, W)
     alphas = np.linspace(ALPHA_BAR + 1e-3, 2.0, 63)
     cor2_pairs = []
-    for a, kt in zip(alphas, prob.ktils(alphas)):
+    for a, kt in zip(alphas, prob.kappa_tildes(alphas)):
         for k in np.linspace(kt + 1e-3, 0.95, 8):
             cor2_pairs.append((float(a), float(k)))
     cells2 = prob.cells(cor2_pairs)
@@ -230,18 +230,12 @@ def test_criterion_6_oracle_equivalence(crra, thresholds, offers, shifted_log):
     check(bad, "5 alpha draws x 200-point kappa grids: strategies nondecreasing", mono_ok)
 
     # threshold root residual wherever the threshold is positive
+    # (a threshold that is not positive reads as an infinite residual)
     rng = np.random.default_rng(6303)
-    worst_res, worst_t = 0.0, np.inf
-    for curve, w in ((crra, W), (shifted_log, 58.8)):
-        n = 200 if curve is crra else 100
-        for _ in range(n):
-            a, k = rng.uniform(1e-6, 3), rng.uniform(0, 0.95)
-            t = constrained_threshold(k, a, curve, w)
-            res = abs((1 + a - k) * curve.value(t) - a * curve.value(w - t))
-            worst_res = max(worst_res, res)
-            worst_t = min(worst_t, t)
+    worst_res = max(threshold_root_residual(rng, 200, crra, W),
+                    threshold_root_residual(rng, 100, shifted_log, 58.8))
     check(bad, "300 positive-threshold draws: root residual < 1e-10",
-          worst_res < 1e-10 and worst_t > 0.0, f"worst {worst_res:.2e}")
+          worst_res < 1e-10, f"worst {worst_res:.2e}")
     finish(bad)
 
 

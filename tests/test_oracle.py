@@ -1,6 +1,7 @@
 """Brute-force and finite-difference oracles that cross-check the solver."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from moralbargain import (
     optimal_strategy,
 )
 import moralbargain.oracle as oracle_mod
+from moralbargain.cli import main
 from moralbargain.errors import IndeterminateError, ValidationError
 from moralbargain.oracle import (
     brute_force_dg,
@@ -22,8 +24,10 @@ from moralbargain.oracle import (
     expected_utility_riemann,
     foc_residual,
     optimal_vs_brute,
+    oracle_checks,
     riemann_tail_pair,
 )
+from moralbargain.io import default_run_config
 from moralbargain.params import Strategy
 from moralbargain.utility import dg_objective, dg_transfer, eval_expected_utility
 
@@ -156,6 +160,9 @@ def test_brute_ug_never_beats_solver(crra, thresholds, offers, rng):
         assert u_b == pytest.approx(u_b2, abs=1e-3)
 
 
+_CHECK_NAMES = [
+    "optimal-vs-brute", "threshold-root-residual", "threshold-sign", "dg-vs-brute", "foc-fd-match"
+]
 _WIDE = list(
     itertools.product(("linear", "shifted-log", "crra(0.3)"), ("uniform", "beta(2,2)"), (W, 58.8))
 )
@@ -163,14 +170,30 @@ _WIDE = list(
 
 @pytest.mark.parametrize("curve, belief, w", _WIDE)
 def test_solver_never_loses_to_grid_beyond_default_config(curve, belief, w):
-    # the 300-draw acceptance gate covers crra(0.05) with Beta(2,4) beliefs only
+    # the 300-draw acceptance gate covers crra(0.05) with Beta(2,4) beliefs
+    # only; here the whole battery runs, optimal-vs-brute first
     if belief == "uniform":
         dist = BeliefDistribution.uniform_on_half(w)
     else:
         dist = BeliefDistribution.scaled_beta(2.0, 2.0, w)
     rng = np.random.default_rng(8000 + _WIDE.index((curve, belief, w)))
-    worst = optimal_vs_brute(rng, 12, _CURVES[curve], dist, dist, w, w / 400)
-    assert worst >= -1e-6
+    checks = oracle_checks(rng, 12, _CURVES[curve], dist, dist, w, w / 400)
+    assert [c.name for c in checks] == _CHECK_NAMES
+    assert checks[0].worst >= -1e-6
+    assert [c for c in checks if not c.passed] == []
+
+
+def test_cli_oracle_check_prints_the_battery(tmp_path, capsys):
+    # the CLI formats oracle_checks' records and computes nothing itself
+    assert main(["oracle-check", "--format", "json", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    cli = json.loads((tmp_path / "oracle_check.json").read_text())["checks"]
+    cfg = default_run_config()
+    rng = np.random.default_rng(cfg.seed)
+    checks = oracle_checks(rng, 40, cfg.curve, cfg.thresholds, cfg.offers, cfg.w, cfg.w / 400)
+    assert [(c["check"], c["n"], repr(c["worst"]), c["pass"]) for c in cli] == [
+        (c.name, c.n, repr(c.worst), c.passed) for c in checks
+    ]
 
 
 # offer beliefs of the runner checks: the default Beta(2, 4), and two kinds

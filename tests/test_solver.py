@@ -27,7 +27,7 @@ from moralbargain import (
     region_map,
     selfish_offer,
 )
-from moralbargain.errors import IndeterminateError, ValidationError
+from moralbargain.errors import ConvergenceError, IndeterminateError, ValidationError
 from moralbargain.io import default_run_config
 from moralbargain.oracle import brute_force_ug, expected_utility_riemann
 from moralbargain.solver import _CachedProblem
@@ -328,6 +328,17 @@ def test_kappa_tilde_bisection_reuses_the_scan_endpoints(crra, thresholds, offer
     ktils = prob.kappa_tildes([2.0, 3.0])
     assert all(0.0 < k < 1.0 for k in ktils)
     assert len(seen) == len(set(seen))
+    # cached per alpha: a repeat asks the gap nothing
+    n_seen = len(seen)
+    assert prob.kappa_tildes([3.0, 0.5, 2.0]) == [ktils[1], None, ktils[0]]
+    assert len(seen) == n_seen
+
+
+def test_kappa_tilde_gap_positive_on_the_whole_scan_raises(crra, thresholds, offers, monkeypatch):
+    # a gap that never reaches 0 on [0, 1) has no crossing; it must not read as kappa-tilde 0
+    monkeypatch.setattr(_CachedProblem, "_gap", lambda self, alphas, kappas: np.ones(len(alphas)))
+    with pytest.raises(ConvergenceError, match="alpha = 3.0"):
+        kappa_tilde(3.0, crra, thresholds, offers, W)
 
 
 _LANE_CONFIGS = {
@@ -403,7 +414,7 @@ def test_region_map_on_steep_crra_curves(rho):
 
 def test_statics_switch_location_mild_spite(crra, thresholds, offers):
     res = comparative_statics(
-        0.5, np.linspace(0.40, 0.52, 4), crra, thresholds, offers, W, switch_tol=1e-4
+        0.5, np.linspace(0.40, 0.52, 4), crra, thresholds, offers, W
     )
     assert len(res.switches) == 1
     sw = res.switches[0]
@@ -431,7 +442,7 @@ def test_mild_spite_switch_ignores_the_offer_belief(crra, thresholds, offers):
 def test_statics_switch_jumps_strong_spite(crra, thresholds, offers):
     # leaving the spiteful region the offer jumps up and the threshold down
     res = comparative_statics(
-        3.0, np.linspace(0.0, 0.05, 6), crra, thresholds, offers, W, switch_tol=1e-4
+        3.0, np.linspace(0.0, 0.05, 6), crra, thresholds, offers, W
     )
     assert len(res.switches) == 1
     sw = res.switches[0]

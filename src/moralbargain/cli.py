@@ -35,7 +35,14 @@ from .mixture import bootstrap_se, default_games, em_fit, icl, nec
 from .nash import _DEFAULT_GRID_DIVISOR, nash_set
 from .oracle import oracle_checks
 from .params import ESTIMATION_ENDOWMENT, LATTICE_STEP_BOUNDS, PreferenceParams
-from .solver import comparative_statics, optimal_strategy, region_map
+from .solver import (
+    RegionCell,
+    RegionSwitch,
+    StaticsRow,
+    comparative_statics,
+    optimal_strategy,
+    region_map,
+)
 from .utility import dg_transfer
 
 
@@ -58,6 +65,12 @@ def _deliver(args, name: str, payload: dict, table=None) -> None:
         print(path)
     else:
         sys.stdout.write(text)
+
+
+def _records(items, cls) -> list[dict]:
+    """Flat dataclass records as dicts in field order: asdict without its deep copies."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    return [{n: getattr(x, n) for n in names} for x in items]
 
 
 def _nan_none(x: float | None) -> float | None:
@@ -159,7 +172,7 @@ def _cmd_region_map(args, cfg) -> int:
         "curve": cfg.curve.label(),
         "alpha_bar": result.alpha_bar,
         "counts": result.counts(),
-        "cells": [dataclasses.asdict(c) for c in result.cells],
+        "cells": _records(result.cells, RegionCell),
     }
     _deliver(args, "region_map", payload, mio.region_map_table(result))
     return 0
@@ -172,8 +185,8 @@ def _cmd_statics(args, cfg) -> int:
         "alpha": args.alpha,
         "w": cfg.w,
         "curve": cfg.curve.label(),
-        "rows": [dataclasses.asdict(r) for r in res.rows],
-        "switches": [dataclasses.asdict(s) for s in res.switches],
+        "rows": _records(res.rows, StaticsRow),
+        "switches": _records(res.switches, RegionSwitch),
     }
     table = (
         ["kappa", "x1_star", "x2_star", "region"],

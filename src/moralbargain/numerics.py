@@ -8,16 +8,23 @@ alone, and its entry of later calls holds a point inside its bracket. A
 scalar bracket is a one-lane call and returns a float; there is no other
 path. Golden-section and bisection follow Brent (1973), Algorithms for
 Minimization without Derivatives.
+
+Two callbacks see shape (m, L), column i belonging to lane i, and must
+broadcast over it: scan_then_golden's objective on its scan rows, and
+bisect_boundary's predicate, which is asked for the midpoints of the next
+few halvings of every lane at once. Each entry's value must depend only on
+its own point and lane, not on the rest of the call.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, MoralBargainError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
@@ -28,6 +35,12 @@ _LOG_INVPHI = math.log(_INVPHI)
 _SCAN_CELLS = 1 << 15
 # bisect_root's step cap; a live lane after this many steps is a ConvergenceError
 _BISECT_MAX_ITER = 500
+# Most points in one speculative call, over all lanes: bisect_boundary asks
+# for the next d halvings at 2^d - 1 points a lane, and kappa-tilde scans
+# several kappa steps a call, while they fit. A kappa-tilde gap call costs
+# about 3 ms at one lane, 6 ms at 32 and 9 ms at 64, so a few dozen points
+# the one-step loop would skip cost less than one call more in a row.
+_SPEC_LANES = 64
 
 
 def _lanes(lo, hi):
@@ -217,7 +230,10 @@ def bisect_boundary(
 ) -> float | np.ndarray:
     """Boundary of a monotone predicate per lane: smallest x in [lo, hi] with pred(x).
 
-    Requires pred(hi) true. A lane where pred(lo) holds returns lo.
+    Requires pred(hi) true. A lane where pred(lo) holds returns lo. The
+    ends are asked on shape (L,) and the halvings on shape (m, L), column i
+    holding lane i's points, so pred must broadcast over (m, L); see
+    _halve_boundary.
     """
     scalar, lo, hi = _lanes(lo, hi)
     at_lo = np.asarray(pred(lo), dtype=bool)
@@ -230,17 +246,80 @@ def bisect_boundary(
     return _result(_halve_boundary(pred, lo, np.where(at_lo, lo, hi), x_tol), scalar)
 
 
+def _spec_steps(lanes: int) -> int:
+    """How many steps of `lanes` lanes one speculative call covers: at least 1."""
+    return max(1, _SPEC_LANES // max(lanes, 1))
+
+
+def _speculate(call: Callable):
+    """call(), or None if it raised a package error or warned.
+
+    A caller that gets None redoes the same steps one per call, so that such
+    an error or a warning can come only from a point the one-step loop
+    visits, and with its message.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = call()
+        except MoralBargainError:
+            return None
+    return None if caught else out
+
+
 def _halve_boundary(pred: Callable, a: np.ndarray, b: np.ndarray, x_tol: float) -> np.ndarray:
     """bisect_boundary's halving loop on lanes where pred(a) is false and
     pred(b) true (or a == b); returns b once no lane is wider than x_tol.
     A caller that has already evaluated pred at both ends calls it directly.
+
+    Each call of pred decides the next d halvings of every lane: it gets
+    the midpoints of all 2^d - 1 brackets those halvings can reach, shape
+    (2^d - 1, L) in level order (node j's halves are nodes 2j + 1, lower,
+    and 2j + 2), each from the same 0.5 * (lo + hi) as one halving at a
+    time. The walk then takes the lanes down the levels, so every lane
+    visits the midpoints, and ends on the bits, of one halving per call.
+    The 2^d - 1 points a lane fit _SPEC_LANES, and d spreads the halvings
+    the widest lane still needs evenly over the fewest calls; a call with
+    d > 1 that raises a package error or warns is redone with d = 1 for the
+    rest of the loop.
     """
     a, b = a.copy(), b.copy()
     live = (b - a) > x_tol
+    lanes = np.arange(a.size)
+    cap = (_spec_steps(a.size) + 1).bit_length() - 1  # the largest d with 2^d - 1 <= steps
     while np.count_nonzero(live):
-        mid = 0.5 * (a + b)
-        hit = np.asarray(pred(mid), dtype=bool)
-        np.copyto(b, mid, where=live & hit)
-        np.copyto(a, mid, where=live & ~hit)
-        live = (b - a) > x_tol
+        ratio = float(np.max((b - a)[live])) / x_tol if x_tol > 0.0 else math.inf
+        need = math.ceil(math.log2(ratio)) if ratio < math.inf else cap
+        depth = math.ceil(need / math.ceil(need / cap))
+        mids = _midpoint_tree(a, b, depth)
+        call = lambda: np.asarray(pred(mids), dtype=bool)
+        hits = call() if depth == 1 else _speculate(call)
+        if hits is None:
+            cap = 1
+            continue
+        node = np.zeros(a.size, dtype=np.intp)
+        for _ in range(depth):
+            mid, hit = mids[node, lanes], hits[node, lanes]
+            lower = live & hit
+            np.copyto(b, mid, where=lower)
+            np.copyto(a, mid, where=live ^ lower)
+            live = (b - a) > x_tol
+            node = 2 * node + 2 - hit
     return b
+
+
+def _midpoint_tree(a: np.ndarray, b: np.ndarray, depth: int) -> np.ndarray:
+    """Midpoints of the brackets of the next `depth` halvings, shape (2^depth - 1, L), level order.
+
+    Level k's brackets are the neighbours in `ends`, all bracket ends after
+    k halvings in order; each level's midpoints interleave into the next.
+    """
+    ends = np.stack([a, b])
+    levels = []
+    for _ in range(depth):
+        mid = 0.5 * (ends[:-1] + ends[1:])
+        levels.append(mid)
+        grown = np.empty((2 * len(ends) - 1, a.size))
+        grown[0::2], grown[1::2] = ends, mid
+        ends = grown
+    return np.concatenate(levels)

@@ -19,7 +19,13 @@ import numpy as np
 from .beliefs import BeliefDistribution
 from .curves import PayoffCurve
 from .errors import ConvergenceError, IndeterminateError, ValidationError
-from .numerics import _halve_boundary, bisect_boundary, bisect_root, scan_then_golden
+from .numerics import (
+    _halve_boundary,
+    _spec_steps,
+    _speculate,
+    bisect_root,
+    scan_then_golden,
+)
 from .params import ParamLanes, PreferenceParams, Strategy, validate_endowment
 from .utility import TailIntegrals, _proposer_term, _responder_term, _universal_term
 
@@ -274,23 +280,41 @@ class _CachedProblem:
         uncached alphas scan in lockstep, every lane at the same kappa, and
         a lane leaves the scan at its first gap <= 0; the bisections then
         run as one lane search. A lane with no crossing is a ConvergenceError.
+
+        One gap call covers several kappa steps of every open lane, as many
+        as numerics._SPEC_LANES allows, and each lane still leaves at its
+        first gap <= 0. A call that raises a package error or warns is redone
+        one step per call from there on, so errors are those of the one-step
+        scan.
         """
         alphas = [float(a) for a in alphas]
         new = [a for a in dict.fromkeys(alphas) if a not in self._ktil]
         self._ktil.update((a, None) for a in new if not a > self.abar)
         scan = [a for a in new if a > self.abar]
         brackets = []  # (alpha, prev kappa, kappa) of each first sign change
-        for step in range(_KTIL_SCAN + 1):
-            if not scan:
-                break
-            k = min(step / _KTIL_SCAN, 1.0 - 1e-9)  # kappa = 1 leaves the threshold undefined
-            crossed = (self._gap(np.array(scan), np.full(len(scan), k)) <= 0.0).tolist()
-            for a, hit in zip(scan, crossed):
-                if hit and step == 0:
-                    self._ktil[a] = 0.0
-                elif hit:
-                    brackets.append((a, (step - 1) / _KTIL_SCAN, k))
-            scan = [a for a, hit in zip(scan, crossed) if not hit]
+        step, one_by_one = 0, False
+        while scan and step <= _KTIL_SCAN:
+            n = 1 if one_by_one else _spec_steps(len(scan))
+            steps = range(step, min(step + n, _KTIL_SCAN + 1))
+            # kappa = 1 leaves the threshold undefined
+            ks = [min(i / _KTIL_SCAN, 1.0 - 1e-9) for i in steps]
+            al, kk = np.tile(scan, len(ks)), np.repeat(ks, len(scan))
+            call = lambda: (self._gap(al, kk) <= 0.0).reshape(len(ks), len(scan)).tolist()
+            crossed = call() if len(ks) == 1 else _speculate(call)
+            if crossed is None:
+                one_by_one = True
+                continue
+            done = [False] * len(scan)
+            for i, k, row in zip(steps, ks, crossed):
+                for j, hit in enumerate(row):
+                    if hit and not done[j]:
+                        done[j] = True
+                        if i == 0:
+                            self._ktil[scan[j]] = 0.0
+                        else:
+                            brackets.append((scan[j], (i - 1) / _KTIL_SCAN, k))
+            scan = [a for a, d in zip(scan, done) if not d]
+            step = steps.stop
         if scan:
             # Only a non-finite gap gets here. At the last kappa, 1 - 1e-9,
             # the threshold root x2 has alpha (v(w - x2) - v(x2)) = 1e-9 v(x2),
@@ -304,7 +328,9 @@ class _CachedProblem:
         if brackets:
             al, lo, hi = (np.array(col) for col in zip(*brackets))
             # the scan has already seen gap > 0 at lo and gap <= 0 at hi
-            roots = _halve_boundary(lambda ks: self._gap(al, ks) <= 0.0, lo, hi, _KTIL_TOL)
+            pred = lambda ks: (self._gap(np.broadcast_to(al, ks.shape).ravel(), ks.ravel())
+                               <= 0.0).reshape(ks.shape)
+            roots = _halve_boundary(pred, lo, hi, _KTIL_TOL)
             self._ktil.update(zip(al.tolist(), roots.tolist()))
         return [self._ktil[a] for a in alphas]
 
@@ -484,14 +510,15 @@ def comparative_statics(
     bases = [left.region for left, _ in pairs]
 
     def left_base(ks):
-        cells = prob.cells((alpha, k) for k in ks.tolist())
-        return np.array([c.region != base for c, base in zip(cells, bases)])
+        regions = [c.region for c in prob.cells((alpha, k) for k in ks.ravel().tolist())]
+        return np.array(regions).reshape(ks.shape) != np.array(bases)
 
-    k_stars = bisect_boundary(
+    # the rows already give the left end's base region and the right end's other one
+    k_stars = _halve_boundary(
         left_base,
         np.array([left.kappa for left, _ in pairs]),
         np.array([right.kappa for _, right in pairs]),
-        x_tol=_SWITCH_TOL,
+        _SWITCH_TOL,
     ).tolist()
     ends = prob.cells(
         [(alpha, max(k - _SWITCH_TOL, 0.0)) for k in k_stars]

@@ -1,6 +1,7 @@
 """Scalar search primitives: the coarse scan against a scalar reference, and lanes against one-lane calls."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -342,3 +343,123 @@ def test_zero_lanes_return_empty_arrays():
         got = search(lambda x: -x * x, none, none)
         assert isinstance(got, np.ndarray) and got.shape == (0,)
     assert bisect_boundary(lambda x: x >= 0.0, none, none).shape == (0,)
+
+
+def _one_halving_per_call(pred, a, b, x_tol):
+    """bisect_boundary's halving loop one halving per call, on shape (L,)."""
+    a, b = a.copy(), b.copy()
+    live = (b - a) > x_tol
+    while live.any():
+        mid = 0.5 * (a + b)
+        hit = np.asarray(pred(mid), dtype=bool)
+        b = np.where(live & hit, mid, b)
+        a = np.where(live & ~hit, mid, a)
+        live = (b - a) > x_tol
+    return b
+
+
+def _depth_cap(lanes):
+    """The largest d whose 2^d - 1 points a lane fit the speculative budget, at least 1."""
+    return max(d for d in range(1, 12) if d == 1 or (2**d - 1) * lanes <= numerics._SPEC_LANES)
+
+
+# lane counts on both sides of every depth the budget allows
+_WALK_LANES = sorted({n for d in range(1, _depth_cap(1) + 1)
+                      for n in (numerics._SPEC_LANES // (2**d - 1), numerics._SPEC_LANES // (2**d - 1) + 1)})
+
+
+@st.composite
+def _walk_lanes(draw):
+    n = draw(st.sampled_from(_WALK_LANES))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-5.0, 5.0, n)
+    # unequal widths, down to a lane already inside x_tol
+    hi = lo + rng.choice([0.0, 1e-9, 0.01, 1.0, 30.0], n) * rng.uniform(0.5, 1.0, n)
+    x_tol = draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-3, 0.3]))
+    # a cut per lane, or a non-monotone predicate: sign of a sine per lane
+    cut = lo + rng.uniform(-0.2, 1.2, n) * (hi - lo)
+    freq, phase = rng.uniform(0.5, 40.0, n), rng.uniform(0.0, 6.0, n)
+    monotone = draw(st.booleans())
+    pred = (lambda x: x >= cut) if monotone else (lambda x: np.sin(freq * x + phase) > 0.0)
+    return pred, lo, hi, x_tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_walk_lanes())
+def test_halving_walk_matches_one_halving_per_call_bitwise(case):
+    pred, lo, hi, x_tol = case
+    if x_tol == 0.0:
+        # x_tol 0 halves to adjacent floats, which a halving can no longer part
+        x_tol = 4.0 * float(np.max(np.spacing(np.abs(np.concatenate([lo, hi])))))
+    got = numerics._halve_boundary(pred, lo, hi, x_tol)
+    want = _one_halving_per_call(pred, lo, hi, x_tol)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, shapes", [
+    (1, [(63, 1)] * 5),                 # depth 6: 30 halvings in five calls
+    (3, [(15, 3)] * 6 + [(7, 3)] * 2),  # depth 4; the last 6 halvings spread over two calls
+    (21, [(3, 21)] * 15),               # depth 2
+    (22, [(1, 22)] * 30),               # 3 x 22 > 64: one halving a call
+])
+def test_each_halving_call_asks_2_pow_d_minus_1_midpoints_a_lane(n, shapes):
+    assert numerics._SPEC_LANES == 64  # the shapes below are for this budget
+    calls = []
+    cut = np.linspace(0.1, 0.9, n)
+
+    def pred(x):
+        calls.append(x.copy())
+        return x >= cut
+
+    # widths 1 and x_tol 2^-30: exactly 30 halvings on every lane
+    got = numerics._halve_boundary(pred, np.zeros(n), np.ones(n), 2.0**-30)
+    assert [x.shape for x in calls] == shapes
+    assert got.tobytes() == _one_halving_per_call(pred, np.zeros(n), np.ones(n), 2.0**-30).tobytes()
+    # level order: node j's halves are nodes 2j + 1 (lower) and 2j + 2
+    first = [0.5, 0.25, 0.75, 0.125, 0.375, 0.625, 0.875]
+    assert calls[0][:7, 0].tolist() == first[:len(calls[0])]
+
+
+def _watch(bad, kind):
+    """x >= 0.3 on [0, 1], raising or warning at any point of `bad` it is asked."""
+
+    def pred(x):
+        hit = bad(x)
+        if hit.any():
+            msg = f"asked at {np.asarray(x)[hit][0]!r}"
+            if kind == "raise":
+                raise ConvergenceError(msg)
+            warnings.warn(msg, RuntimeWarning)
+        return x >= 0.3
+
+    return pred
+
+
+@pytest.mark.parametrize("kind", ["raise", "warn"])
+def test_halving_off_the_one_step_path_neither_raises_nor_warns(kind):
+    # 0.75 is the first level's upper half; one halving a call never goes above 0.5
+    pred = _watch(lambda x: (0.7 < x) & (x < 0.8), kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = bisect_boundary(pred, 0.0, 1.0, x_tol=1e-12)
+    assert got == _one_halving_per_call(pred, np.zeros(1), np.ones(1), 1e-12)[0]
+
+
+@pytest.mark.parametrize("kind", ["raise", "warn"])
+def test_halving_on_the_one_step_path_gives_its_message(kind):
+    pred = _watch(lambda x: (0.2999 < x) & (x < 0.3001), kind)
+
+    def outcome(search):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = search().tobytes()
+            except ConvergenceError as exc:
+                result = str(exc)
+        return result, [str(w.message) for w in caught]
+
+    want = outcome(lambda: _one_halving_per_call(pred, np.zeros(1), np.ones(1), 1e-12))
+    got = outcome(lambda: numerics._halve_boundary(pred, np.zeros(1), np.ones(1), 1e-12))
+    assert got == want
+    assert want[0].startswith("asked at") if kind == "raise" else len(want[1]) > 1

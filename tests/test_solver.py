@@ -27,6 +27,7 @@ from moralbargain import (
     region_map,
     selfish_offer,
 )
+from moralbargain import numerics, solver
 from moralbargain.errors import ConvergenceError, IndeterminateError, ValidationError
 from moralbargain.io import default_run_config
 from moralbargain.oracle import brute_force_ug, expected_utility_riemann
@@ -120,6 +121,24 @@ def test_constrained_threshold_residual_bound(crra, rng):
         g = (1.0 + a - k) * crra.value(x) - a * crra.value(W - x)
         assert abs(g) < 1e-10
         assert 0.0 < x < W / 2
+
+
+@pytest.mark.parametrize("w", [10.0, 58.8])
+@pytest.mark.parametrize("curve", [
+    PayoffCurve.linear(), PayoffCurve.crra(0.05), PayoffCurve.crra(0.3), PayoffCurve.crra(0.9),
+    PayoffCurve.shifted_log(),
+], ids=lambda c: c.label())
+def test_threshold_root_is_bracketed_by_a_sign_change(curve, w):
+    # independent of the stopping rule |f(mid)| < 1e-10: f changes sign
+    # across [t - delta, t + delta] around each returned root t
+    rng = np.random.default_rng(2300)
+    alpha = 10.0 ** rng.uniform(-3.0, 2.0, 200)
+    kappa = rng.uniform(0.0, 0.99, 200)
+    t = constrained_threshold(kappa, alpha, curve, w)
+    f = lambda x: (1.0 + alpha - kappa) * curve.value(x) - alpha * curve.value(w - x)
+    delta = 1e-9 * w
+    assert np.all(f(np.maximum(t - delta, 0.0)) <= 0.0)
+    assert np.all(f(t + delta) >= 0.0)
 
 
 def test_alpha_bar_definitional_identity(crra, thresholds, linear):
@@ -339,6 +358,120 @@ def test_kappa_tilde_gap_positive_on_the_whole_scan_raises(crra, thresholds, off
     monkeypatch.setattr(_CachedProblem, "_gap", lambda self, alphas, kappas: np.ones(len(alphas)))
     with pytest.raises(ConvergenceError, match="alpha = 3.0"):
         kappa_tilde(3.0, crra, thresholds, offers, W)
+
+
+def _sequential_kappa_tildes(gap, alphas):
+    """kappa_tildes one kappa step, then one halving, per gap call: the reference
+    for the speculative scan and walk. Returns {alpha: kappa-tilde} and the brackets."""
+    out, brackets, scan = {}, [], list(alphas)
+    for step in range(101):
+        if not scan:
+            break
+        k = min(step / 100, 1.0 - 1e-9)
+        crossed = (gap(np.array(scan), np.full(len(scan), k)) <= 0.0).tolist()
+        for a, hit in zip(scan, crossed):
+            if hit and step == 0:
+                out[a] = 0.0
+            elif hit:
+                brackets.append((a, (step - 1) / 100, k))
+        scan = [a for a, hit in zip(scan, crossed) if not hit]
+    if scan:
+        raise ConvergenceError(f"kappa-tilde: indifference never reached on [0, 1) at alpha = {scan[0]}")
+    for a, lo, hi in brackets:
+        while hi - lo > 1e-8:
+            mid = 0.5 * (lo + hi)
+            if gap(np.array([a]), np.array([mid]))[0] <= 0.0:
+                hi = mid
+            else:
+                lo = mid
+        out[a] = hi
+    return out, brackets
+
+
+def _stub_gap(crossings, bad=None):
+    """A gap linear in kappa whose first scan step <= 0 is crossings[alpha]
+    (None: never); it raises ConvergenceError at any (alpha, kappa) where bad holds."""
+    where = {a: (2.0 if c is None else (c - 0.37) / 100) for a, c in crossings.items()}
+
+    def gap(alphas, kappas):
+        if bad is not None:
+            hit = [bad(a, k) for a, k in zip(alphas.tolist(), kappas.tolist())]
+            if any(hit):
+                i = hit.index(True)
+                raise ConvergenceError(f"stub gap at ({alphas[i]!r}, {kappas[i]!r})")
+        return np.array([where[a] for a in alphas.tolist()]) - kappas
+
+    return gap
+
+
+def _outcome(search):
+    try:
+        return search()
+    except ConvergenceError as exc:
+        return str(exc)
+
+
+# one alpha's scan chunk ends at step 63
+_EDGE = numerics._spec_steps(1)
+_CROSSINGS = [0, 1, 2, _EDGE - 1, _EDGE, _EDGE + 1, 99, 100]
+
+
+@pytest.mark.parametrize("crossings", [
+    *([c] for c in _CROSSINGS),
+    _CROSSINGS,  # eight lanes: chunks of 8 steps, then wider as lanes leave
+    [5, 17, None],  # one never crosses: the error names it
+    [None, 5],
+], ids=str)
+def test_kappa_tilde_scan_chunks_give_the_one_step_scan(crra, thresholds, offers, monkeypatch, crossings):
+    alphas = [1.0 + 0.25 * i for i in range(len(crossings))]
+    gap = _stub_gap(dict(zip(alphas, crossings)))
+    want = _outcome(lambda: _sequential_kappa_tildes(gap, alphas))
+    halved = []
+    real_halve = solver._halve_boundary
+
+    def spy(pred, lo, hi, x_tol):
+        halved.extend(zip(lo.tolist(), hi.tolist()))
+        return real_halve(pred, lo, hi, x_tol)
+
+    monkeypatch.setattr(solver, "_halve_boundary", spy)
+    monkeypatch.setattr(_CachedProblem, "_gap", lambda self, a, k: gap(a, k))
+    prob = _CachedProblem(crra, thresholds, offers, W)
+    got = _outcome(lambda: prob.kappa_tildes(alphas))
+    if isinstance(want, str):
+        assert got == want
+        return
+    ktil, brackets = want
+    assert got == [ktil[a] for a in alphas]
+    assert halved == [(lo, hi) for _, lo, hi in brackets]
+
+
+@pytest.mark.parametrize("bad", [
+    lambda a, k: k > 0.3,  # off the path: the lanes cross at steps 5 and 17
+    # on the scan of alpha 1.25 at step 10; a chunk meets alpha 1.0 at step 6 first
+    lambda a, k: k >= (0.1 if a == 1.25 else 0.06),
+    lambda a, k: a == 1.25 and 0.163 < k < 0.17,  # on the bisection of alpha 1.25 only
+], ids=["off-path", "on-scan", "on-bisection"])
+def test_kappa_tilde_gap_errors_are_those_of_the_one_step_search(crra, thresholds, offers,
+                                                                monkeypatch, bad):
+    alphas = [1.0, 1.25]
+    gap = _stub_gap({1.0: 5, 1.25: 17}, bad)
+    want = _outcome(lambda: _sequential_kappa_tildes(gap, alphas)[0])
+    monkeypatch.setattr(_CachedProblem, "_gap", lambda self, a, k: gap(a, k))
+    got = _outcome(lambda: _CachedProblem(crra, thresholds, offers, W).kappa_tildes(alphas))
+    assert got == (want if isinstance(want, str) else [want[a] for a in alphas])
+
+
+def test_one_alpha_kappa_tilde_makes_at_most_five_gap_calls(crra, thresholds, offers, monkeypatch):
+    calls = []
+    gap = _CachedProblem._gap
+
+    def spy(self, alphas, kappas):
+        calls.append(len(alphas))
+        return gap(self, alphas, kappas)
+
+    monkeypatch.setattr(_CachedProblem, "_gap", spy)
+    assert kappa_tilde(3.0, crra, thresholds, offers, W) == KAPPA_TILDE_3
+    assert len(calls) <= 5
 
 
 _LANE_CONFIGS = {

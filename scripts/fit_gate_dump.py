@@ -13,6 +13,9 @@ replaced by the sha256 of its bytes. The set:
 - the TestEmFit fits in tests/test_mixture.py (simulation seeds 101, 402,
   9 with fit seeds 0-2, and 17);
 - bootstrap_se(b=3, seed=2) on the seed-400 k=2 fit, as raw bytes;
+- a logit bootstrap_se(b=2, max_iter=3) on the logit k=1 fit below, and a
+  constant one (b=2) on the seed-402 sample that fits its own base, so both
+  choice models and both base routes resample count rows;
 - the logit k=1 fit of the benchmark (seed-400 sample, fit seed 2);
 - a logit k=2 fit on that sample (fit seed 2, max_iter=3, restarts=2), so
   the multi-type logit E-step is in the set;
@@ -80,6 +83,11 @@ def fit_line(name: str, fit) -> str:
     return f"{name}: {dataclasses.replace(fit, posterior=None)!r} posterior_sha256={digest}"
 
 
+def se_line(name: str, se) -> str:
+    return (f"{name}: b={se.b} unresolved={se.unresolved} "
+            f"param_se={se.param_se.tobytes().hex()} share_se={se.share_se.tobytes().hex()}")
+
+
 def dump_lines() -> list[str]:
     lines = []
     out = lines.append
@@ -112,11 +120,16 @@ def dump_lines() -> list[str]:
     out(fit_line("sim17 k=2 seed=0", em_fit(recs17, games, curve, k=2, seed=0)))
 
     se = bootstrap_se(recs400, games, curve, k=2, b=3, seed=2, base=fits400[2])
-    out(f"bootstrap sim400 k=2 b=3 seed=2: b={se.b} unresolved={se.unresolved} "
-        f"param_se={se.param_se.tobytes().hex()} share_se={se.share_se.tobytes().hex()}")
+    out(se_line("bootstrap sim400 k=2 b=3 seed=2", se))
+    se = bootstrap_se(recs402, games, curve, k=2, b=2, seed=3)
+    out(se_line("bootstrap sim402 k=2 b=2 seed=3 base=None", se))
 
     logit = em_fit(recs400, games, curve, k=1, seed=2, choice_model="logit")
     out(fit_line("sim400 logit k=1 seed=2", logit))
+    se = bootstrap_se(
+        recs400, games, curve, k=1, b=2, seed=2, base=logit, choice_model="logit", max_iter=3
+    )
+    out(se_line("bootstrap sim400 logit k=1 b=2 seed=2 max_iter=3", se))
     logit2 = em_fit(
         recs400, games, curve, k=2, seed=2, choice_model="logit", max_iter=3, restarts=2
     )

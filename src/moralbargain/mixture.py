@@ -218,8 +218,8 @@ def _games_by_id(games) -> dict[str, int]:
     return {gid: i for i, gid in enumerate(ids)}
 
 
-def _encode(data, games):
-    """Records -> (subject ids, count tensor (N, G, 2 roles, 2 actions))."""
+def _encode(data, games) -> np.ndarray:
+    """Records -> count tensor (N, G, 2 roles, 2 actions), subjects in id order."""
     gmap = _games_by_id(games)
     subjects = sorted({r.subject_id for r in data})
     if not subjects:
@@ -230,7 +230,7 @@ def _encode(data, games):
         if r.game_id not in gmap:
             raise ValidationError(f"record references unknown game {r.game_id!r}")
         cnt[smap[r.subject_id], gmap[r.game_id], ROLES.index(r.role), r.action] += 1
-    return subjects, cnt
+    return cnt
 
 
 def _match_tie(patterns: np.ndarray, counts: np.ndarray):
@@ -375,14 +375,12 @@ class _Lattice:
         return (grid[lam] if lam in grid else next(extra) for lam in lams)
 
     def _score(self, theta, weights3, model, lam_grid):
-        """Objective and lambda at each row of theta."""
+        """Objective and lambda at each row of theta, points off the lattice
+        (refinement candidates and the centroid); _coarse scores the lattice."""
+        patterns, margins = _structure(self.coeffs, theta)
         if model == "constant":
-            return self._objective_constant(_structure(self.coeffs, theta)[0], weights3)
-        if theta is self.theta:
-            cols = self._coarse_columns(weights3, lam_grid.tolist())
-        else:
-            table = _logit_table(_structure(self.coeffs, theta)[1])
-            cols = _logit_columns(table, weights3, lam_grid)
+            return self._objective_constant(patterns, weights3)
+        cols = _logit_columns(_logit_table(margins), weights3, lam_grid)
         return _best_lam(cols, lam_grid, len(theta))
 
     def _coarse(self, weights3, model, lam_grid):
@@ -395,7 +393,10 @@ class _Lattice:
         if model == "constant":
             obj, _ = self._objective_constant(self.unique_patterns, weights3)
             return obj, self.pattern_id, self.seed_pool
-        obj, _ = self._score(self.theta, weights3, model, lam_grid)
+        # no name holds the columns: their generator's frame (the repeated
+        # weights and the last z) is freed before the index array is built
+        obj, _ = _best_lam(self._coarse_columns(weights3, lam_grid.tolist()), lam_grid,
+                           len(self.theta))
         every = np.arange(len(self.theta))
         return obj, every, every
 
@@ -702,9 +703,9 @@ def em_fit(
     Raises ValidationError for k < 1, an unknown choice model, max_iter < 1,
     a negative or non-finite tol, and a lattice_step outside its range.
     """
-    cnt, params, shares, loglik, posterior, n_iter = _em(
-        data, games, curve, k, restarts, seed,
-        tol=tol, choice_model=choice_model, max_iter=max_iter, lattice_step=lattice_step,
+    cnt, lattice = _prepare(data, games, curve, k, tol, choice_model, max_iter, lattice_step)
+    params, shares, loglik, posterior, n_iter = _em(
+        cnt, lattice, k, restarts, seed, tol, choice_model, max_iter
     )
     n = cnt.shape[0]
     flags = tuple(
@@ -717,10 +718,7 @@ def em_fit(
     icl_val = icl(loglik, k, n, en)
     nec_val = None
     if k >= 2:
-        base_loglik = _em(
-            data, games, curve, 1, 1, seed,
-            tol=tol, choice_model=choice_model, max_iter=max_iter, lattice_step=lattice_step,
-        )[3]
+        base_loglik = _em(cnt, lattice, 1, 1, seed, tol, choice_model, max_iter)[2]
         nec_val = nec(en, loglik, base_loglik)
         if math.isnan(nec_val):
             flags += ("nec-undefined",)
@@ -742,15 +740,12 @@ def em_fit(
     )
 
 
-def _em(
-    data, games, curve, k, restarts, seed,
-    tol=1e-6, choice_model="constant", max_iter=200, lattice_step=0.05,
+def _prepare(
+    data, games, curve, k, tol=1e-6, choice_model="constant", max_iter=200, lattice_step=0.05
 ):
-    """Validate, then run the best of `restarts` EM runs.
+    """Validate em_fit's arguments, then (count tensor, lattice).
 
-    Returns (counts, params, shares, loglik, posterior, n_iter) with the
-    types in descending share order. em_fit adds the diagnostics; bootstrap
-    replicates read params and shares alone, so they skip its k=1 NEC fit.
+    Every check runs before the lattice is built; see em_fit for the list.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -763,9 +758,16 @@ def _em(
     lo, hi = LATTICE_STEP_BOUNDS
     if not lo <= lattice_step <= hi:  # also rejects nan
         raise ValidationError(f"lattice_step must lie in [{lo}, {hi}], got {lattice_step}")
-    _, cnt = _encode(data, games)
-    lattice = _lattice_for(tuple(games), curve, lattice_step)
+    return _encode(data, games), _lattice_for(tuple(games), curve, lattice_step)
 
+
+def _em(cnt, lattice, k, restarts, seed, tol=1e-6, choice_model="constant", max_iter=200):
+    """The best of `restarts` EM runs on a count tensor.
+
+    Returns (params, shares, loglik, posterior, n_iter) with the types in
+    descending share order. em_fit adds the diagnostics; bootstrap
+    replicates read params and shares alone, so they skip its k=1 NEC fit.
+    """
     best = None
     n_restarts = 1 if k == 1 else max(1, restarts)
     # refinement candidates by seed triple, shared by this fit's M-steps only
@@ -777,7 +779,7 @@ def _em(
             best = fit
     params, shares, loglik, posterior, n_iter = best
     order = np.argsort(-shares)
-    return cnt, tuple(params[i] for i in order), shares[order], loglik, posterior[:, order], n_iter
+    return tuple(params[i] for i in order), shares[order], loglik, posterior[:, order], n_iter
 
 
 def _em_once(cnt, lattice, k, rng, tol, max_iter, choice_model, memo):
@@ -905,24 +907,19 @@ def bootstrap_se(
     else:
         ambiguity_radius = math.inf
 
-    by_subject: dict[str, list] = {}
-    for r in data:
-        by_subject.setdefault(r.subject_id, []).append(r)
-    ids = sorted(by_subject)
+    cnt, lattice = _prepare(data, games, curve, k, **fit_kw)
+    fit_kw.pop("lattice_step", None)  # the lattice carries it
+    n = cnt.shape[0]
 
     reps_params = np.empty((b, k, 4))
     reps_shares = np.empty((b, k))
     unresolved = 0
     for rep, child in enumerate(np.random.SeedSequence(seed).spawn(b)):
         rng = np.random.default_rng(child)
-        draw = rng.choice(len(ids), size=len(ids), replace=True)
-        sample = [
-            ChoiceRecord(f"b{copy:04d}", r.game_id, r.role, r.action)
-            for copy, i in enumerate(draw)
-            for r in by_subject[ids[i]]
-        ]
-        _, params, shares, *_ = _em(
-            sample, games, curve, k, restarts, int(rng.integers(2**31)), **fit_kw
+        # a replicate's subjects are rows of the count tensor
+        draw = rng.choice(n, size=n, replace=True)
+        params, shares, *_ = _em(
+            cnt[draw], lattice, k, restarts, int(rng.integers(2**31)), **fit_kw
         )
         rep_mat = np.array([[p.alpha, p.beta, p.kappa, p.lam] for p in params])
         assign, worst = _greedy_align(base_mat, rep_mat)

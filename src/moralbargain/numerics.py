@@ -269,7 +269,9 @@ def _speculate(call: Callable):
 
 def _halve_boundary(pred: Callable, a: np.ndarray, b: np.ndarray, x_tol: float) -> np.ndarray:
     """bisect_boundary's halving loop on lanes where pred(a) is false and
-    pred(b) true (or a == b); returns b once no lane is wider than x_tol.
+    pred(b) true (or a == b); returns b once every lane is at most x_tol
+    wide or one float wide (its midpoint rounds onto an end), so an x_tol
+    below the float spacing still ends.
     A caller that has already evaluated pred at both ends calls it directly.
 
     Each call of pred decides the next d halvings of every lane: it gets
@@ -297,14 +299,18 @@ def _halve_boundary(pred: Callable, a: np.ndarray, b: np.ndarray, x_tol: float) 
         if hits is None:
             cap = 1
             continue
+        a0, b0 = a.copy(), b.copy()
         node = np.zeros(a.size, dtype=np.intp)
         for _ in range(depth):
             mid, hit = mids[node, lanes], hits[node, lanes]
             lower = live & hit
             np.copyto(b, mid, where=lower)
             np.copyto(a, mid, where=live ^ lower)
-            live = (b - a) > x_tol
+            live &= (b - a) > x_tol
             node = 2 * node + 2 - hit
+        # a lane the call left in place is one float wide: its midpoint
+        # rounds onto an end, and every later call would ask that point again
+        live &= (a != a0) | (b != b0)
     return b
 
 

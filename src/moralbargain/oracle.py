@@ -42,18 +42,10 @@ def riemann_tail_pair(
     nodes = np.asarray(nodes, dtype=float)
     if np.isnan(nodes).any():
         raise ValidationError("riemann_tail_pair nodes must not be NaN")
-    if offers.kind == "always_accept":
-        own = np.where(nodes <= 0.0, curve.value(0.0), 0.0)
-        oth = np.where(nodes <= 0.0, curve.value(w), 0.0)
-        return own, oth
-    if offers.kind == "empirical":
-        pts = np.asarray(offers.sample)
-        vals_own = curve.value(pts)
-        vals_oth = curve.value(w - pts)
-        n = len(pts)
-        i1 = np.array([vals_own[pts >= t].sum() / n for t in nodes])
-        i2 = np.array([vals_oth[pts >= t].sum() / n for t in nodes])
-        return i1, i2
+    if offers.kind in ("empirical", "always_accept"):
+        i1 = [offers.tail_expectation(curve.value, t) for t in nodes]
+        i2 = [offers.tail_expectation(lambda y: curve.value(w - y), t) for t in nodes]
+        return np.array(i1), np.array(i2)
 
     edges = np.unique(np.append(nodes[nodes < half], half))
     lo, hi = edges[-2::-1], edges[:0:-1]  # sub-intervals from the top edge down

@@ -126,8 +126,8 @@ class TailIntegrals:
     own(x) = integral of v(y) dF(y) over [x, w/2]; other(x) likewise for
     v(w-y). Continuous beliefs use a dense cumulative-trapezoid table
     (adaptive quadrature in tail_expectation stays the reference route);
-    empirical beliefs use exact suffix sums over the atoms; a degenerate
-    always-accept belief is a point mass at zero. A scaled Beta offer belief
+    empirical beliefs use exact suffix sums over the atoms, and a degenerate
+    always-accept belief is one atom at zero. A scaled Beta offer belief
     with a shape parameter below 1 is a ValidationError.
     """
 
@@ -137,17 +137,15 @@ class TailIntegrals:
             raise ValidationError("belief endowment does not match w")
         self.w = w
         half = 0.5 * w
-        if offers.kind == "empirical":
-            pts = np.sort(np.asarray(offers.sample, dtype=float))
+        if offers.kind in ("empirical", "always_accept"):
+            # the always-accept point mass is one atom at zero
+            sample = (0.0,) if offers.is_degenerate else offers.sample
+            pts = np.sort(np.asarray(sample, dtype=float))
             n = pts.size
             self._pts = pts
             self._sfx_own = np.concatenate([np.cumsum(curve.value(pts)[::-1])[::-1] / n, [0.0]])
             self._sfx_oth = np.concatenate([np.cumsum(curve.value(w - pts)[::-1])[::-1] / n, [0.0]])
             self._mode = "atoms"
-        elif offers.is_degenerate:
-            self._mass_own = float(curve.value(0.0))
-            self._mass_oth = float(curve.value(w))
-            self._mode = "point"
         else:
             if offers.kind == "scaled_beta" and min(offers.a, offers.b) < 1.0:
                 # the density is unbounded at an end of [0, w/2]; the trapezoid
@@ -168,9 +166,6 @@ class TailIntegrals:
         if self._mode == "atoms":
             sfx = self._sfx_own if own else self._sfx_oth
             out = sfx[np.searchsorted(self._pts, xa, side="left")]
-        elif self._mode == "point":
-            mass = self._mass_own if own else self._mass_oth
-            out = np.where(xa <= 0.0, mass, 0.0)
         else:
             tail = self._tail_own if own else self._tail_oth
             out = np.interp(xa, self._grid, tail, left=tail[0], right=0.0)

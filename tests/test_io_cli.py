@@ -50,8 +50,8 @@ def _em_with_first_loglik(em):
 
     def wrapped(*args, **kw):
         out = em(*args, **kw)
-        first.append(out[3])
-        return out[:3] + (first[0],) + out[4:]
+        first.append(out[2])
+        return out[:2] + (first[0],) + out[3:]
 
     return wrapped
 
@@ -491,6 +491,27 @@ class TestCliCore:
         assert code == 0
         body = json.loads(out, parse_constant=_reject_constant)
         assert body[key] is None
+
+    def test_selfish_offer_at_the_equal_split_maps_all_r1_with_null_alpha_bar(
+        self, tmp_path, capsys, linear
+    ):
+        # uniform thresholds on the linear curve: the selfish offer is w/2,
+        # where alpha_bar's denominator vanishes, so alpha_bar is inf
+        uniform = moralbargain.BeliefDistribution.uniform_on_half(10.0)
+        assert moralbargain.alpha_bar(linear, uniform, 10.0) == math.inf
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "curve": {"kind": "linear"}, "threshold_beliefs": {"kind": "uniform"},
+            "alpha_grid": [-1.0, 3.0, 9], "kappa_grid": [0.0, 0.95, 5],
+        }))
+        code, out, _ = run_cli(["region-map", "--config", str(cfg)], capsys)
+        assert code == 0
+        body = json.loads(out, parse_constant=_reject_constant)
+        assert body["alpha_bar"] is None
+        assert body["counts"] == {"R1": 45, "R2": 0, "R3": 0}
+        # a non-finite cell would also be written as null
+        assert all(isinstance(c[key], float) for c in body["cells"]
+                   for key in ("x1_star", "x2_star"))
 
     def test_estimate_json_names_an_undefined_nec(self, tmp_path, capsys, shifted_log,
                                                   monkeypatch):

@@ -372,7 +372,7 @@ class TestEStep:
             PreferenceParams(alpha=0.0, beta=0.4, kappa=1.0, lam=0.3),
         ]
         recs, _ = simulate_choices(types, [0.4, 0.3, 0.3], games9, shifted_log, 30, seed=12)
-        _, cnt = mx._encode(recs, games9)
+        cnt = mx._encode(recs, games9)
         coeffs = np.stack([mx.game_coefficients(g, shifted_log) for g in games9])
         for k in (2, 3):
             for model in mx.CHOICE_MODELS:
@@ -497,10 +497,12 @@ class TestLogitScan:
                 weights3[..., 1] = weights3[..., 0]  # equal action counts everywhere
             # the grid plus an off-grid incumbent, as maximize builds it
             lams = np.unique(np.append(mx._LOGIT_LAM_GRID, rng.uniform(0.011, 0.98)))
-            obj, lam = lat._score(lat.theta, weights3, "logit", lams)
-            want_obj, want_lam = _logit_every_entry(lat.margins, weights3, lams)
+            obj, unit, pool = lat._coarse(weights3, "logit", lams)
+            want_obj, _ = _logit_every_entry(lat.margins, weights3, lams)
             assert np.array_equal(_bits(obj), _bits(want_obj))
-            assert np.array_equal(_bits(lam), _bits(want_lam))
+            # every point is its own unit and in the seed pool
+            every = np.arange(len(lat.theta))
+            assert np.array_equal(unit, every) and np.array_equal(pool, every)
 
     def test_candidate_path_is_bitwise_every_entry_path(self, lattice9, rng):
         lat = lattice9
@@ -555,7 +557,7 @@ class TestLogitScan:
 
         monkeypatch.setattr(mx, "log_expit", spy)
         weights3 = np.arange(len(lat.games) * 4, dtype=float).reshape(-1, 2, 2)
-        lat._score(lat.theta, weights3, "logit", mx._LOGIT_LAM_GRID)
+        lat._coarse(weights3, "logit", mx._LOGIT_LAM_GRID)
         assert sizes == [len(values)] * (2 * len(mx._LOGIT_LAM_GRID))
         # 103,443 values (distinct per (g, r) column) for 2,480,058 entries
         assert len(values) < lat.margins.size // 20
@@ -731,9 +733,9 @@ def _coarse_logit_is_bitwise(lat, rng) -> bool:
     same = []
     for _ in range(2):
         lams = np.unique(np.append(mx._LOGIT_LAM_GRID, rng.uniform(0.011, 0.98)))
-        got = lat._score(lat.theta, weights3, "logit", lams)
-        want = _logit_every_entry(lat.margins, weights3, lams)
-        same += [np.array_equal(_bits(g), _bits(w)) for g, w in zip(got, want)]
+        got = lat._coarse(weights3, "logit", lams)[0]
+        want = _logit_every_entry(lat.margins, weights3, lams)[0]
+        same.append(np.array_equal(_bits(got), _bits(want)))
     return all(same) and lat._grid_slot[0] == weights3.tobytes()
 
 
@@ -1059,6 +1061,38 @@ class TestDiagnostics:
 # bootstrap
 
 
+def _shuffled_ids(games, curve):
+    """Two-type choices of 12 subjects whose ids sort in another order than
+    the records list them, with the records shuffled."""
+    types = [PreferenceParams(alpha=0.05, beta=0.08, kappa=0.25, lam=0.2),
+             PreferenceParams(alpha=0.28, beta=-0.30, kappa=0.19, lam=0.2)]
+    recs, _ = simulate_choices(types, [0.5, 0.5], games, curve, 12, seed=31)
+    rename = {f"s{i:04d}": f"{'qzakmbxcwlpe'[i]}-{i}" for i in range(12)}
+    order = np.random.default_rng(32).permutation(len(recs))
+    return [dataclasses.replace(recs[i], subject_id=rename[recs[i].subject_id]) for i in order]
+
+
+def _record_replicates(data, games, b, seed):
+    """(count tensor, fit seed) of each bootstrap replicate, the record way:
+    the drawn subjects rebuilt as records with ids b0000, b0001, ... and
+    encoded."""
+    by_subject = {}
+    for r in data:
+        by_subject.setdefault(r.subject_id, []).append(r)
+    ids = sorted(by_subject)
+    out = []
+    for child in np.random.SeedSequence(seed).spawn(b):
+        rng = np.random.default_rng(child)
+        draw = rng.choice(len(ids), size=len(ids), replace=True)
+        sample = [
+            ChoiceRecord(f"b{copy:04d}", r.game_id, r.role, r.action)
+            for copy, i in enumerate(draw)
+            for r in by_subject[ids[i]]
+        ]
+        out.append((mx._encode(sample, games), int(rng.integers(2**31))))
+    return out
+
+
 class TestBootstrap:
     def test_b_floor(self, games9, shifted_log):
         rec = ChoiceRecord("s1", games9[0].game_id, "P", 0)
@@ -1108,6 +1142,58 @@ class TestBootstrap:
         bootstrap_se(recs, games9, shifted_log, k=2, b=2, seed=1, restarts=1, base=base)
         # one k=2 run per replicate and restart, none at k=1
         assert ks == [2, 2]
+
+    @pytest.mark.filterwarnings("ignore:label switching")
+    @pytest.mark.parametrize(
+        "model, k, b, fit_kw",
+        [("constant", 2, 3, {}), ("logit", 1, 2, {"max_iter": 2, "lattice_step": 0.1})],
+    )
+    def test_replicates_resample_count_rows(self, games9, shifted_log, monkeypatch,
+                                            model, k, b, fit_kw):
+        recs = _shuffled_ids(games9, shifted_log)
+        ids = list(dict.fromkeys(r.subject_id for r in recs))
+        assert ids != sorted(ids)
+        base = em_fit(recs, games9, shifted_log, k=k, seed=1, restarts=1,
+                      choice_model=model, **fit_kw)
+        seen = []
+        original = mx._em
+
+        def spy(cnt, lattice, k, restarts, seed, **kw):
+            seen.append((cnt, seed))
+            return original(cnt, lattice, k, restarts, seed, **kw)
+
+        monkeypatch.setattr(mx, "_em", spy)
+        bootstrap_se(recs, games9, shifted_log, k=k, b=b, seed=9, restarts=1, base=base,
+                     choice_model=model, **fit_kw)
+        want = _record_replicates(recs, games9, b, seed=9)
+        assert len(seen) == b
+        for (cnt, seed), (want_cnt, want_seed) in zip(seen, want):
+            assert cnt.dtype == want_cnt.dtype and np.array_equal(cnt, want_cnt)
+            assert seed == want_seed
+
+    @pytest.mark.filterwarnings("ignore:label switching")
+    def test_records_encode_once_per_call(self, games9, shifted_log, monkeypatch):
+        recs = _shuffled_ids(games9, shifted_log)
+        calls = []
+        original = mx._encode
+
+        def spy(data, games):
+            calls.append(len(data))
+            return original(data, games)
+
+        monkeypatch.setattr(mx, "_encode", spy)
+        base = em_fit(recs, games9, shifted_log, k=2, seed=1, restarts=1, max_iter=3)
+        # the k=2 fit and its k=1 NEC fit share one tensor
+        assert calls == [len(recs)]
+        for b in (2, 3):
+            calls.clear()
+            bootstrap_se(recs, games9, shifted_log, k=2, b=b, restarts=1, base=base,
+                         max_iter=2)
+            assert calls == [len(recs)]
+        # without a base, its em_fit encodes once more, still not per replicate
+        calls.clear()
+        bootstrap_se(recs, games9, shifted_log, k=2, b=3, restarts=1, max_iter=2)
+        assert calls == [len(recs)] * 2
 
     def test_share_se_shrinks_with_sample_size(self, games9, shifted_log):
         # quadrupling N spans two doublings; the per-doubling share-SE factor

@@ -421,6 +421,39 @@ def test_each_halving_call_asks_2_pow_d_minus_1_midpoints_a_lane(n, shapes):
     assert calls[0][:7, 0].tolist() == first[:len(calls[0])]
 
 
+def _at_most(pred, calls=200):
+    """pred that fails the test on its call after the first `calls`, so a
+    halving loop that never ends fails instead of hanging."""
+    asked = []
+
+    def counted(x):
+        asked.append(1)
+        assert len(asked) <= calls, f"predicate asked more than {calls} times"
+        return pred(x)
+
+    return counted
+
+
+def test_halving_ends_on_a_one_float_bracket():
+    # x_tol 0 halves down to adjacent floats, whose midpoint rounds onto an end
+    assert bisect_boundary(_at_most(lambda x: x >= 0.3), 0.0, 1.0, x_tol=0.0) == 0.3
+
+
+def test_halving_ends_when_x_tol_is_below_the_float_spacing(monkeypatch):
+    from moralbargain import nash
+    from moralbargain.curves import PayoffCurve
+
+    def counted_boundary(pred, lo, hi, x_tol):
+        return bisect_boundary(_at_most(pred), lo, hi, x_tol)
+
+    monkeypatch.setattr(nash, "bisect_boundary", counted_boundary)
+    # x_tol 1e-12 against a float spacing of 5.8e-11 at w/2 = 5e5; with
+    # 1 - kappa + alpha = 1 the sustainable offers are x <= w/2, and the
+    # boundary is the first float past it
+    got = nash.x1_upper_of(0.5, 0.5, PayoffCurve.crra(0.05), 1e6)
+    assert got == np.nextafter(5e5, np.inf)
+
+
 def _watch(bad, kind):
     """x >= 0.3 on [0, 1], raising or warning at any point of `bad` it is asked."""
 

@@ -237,15 +237,26 @@ def test_kappa_near_one_keeps_r1_compatible(crra, thresholds, offers, alpha, kap
     assert u_opt >= u_brute - 1e-6
 
 
-def test_degenerate_belief_flagged(crra, offers):
-    out = optimal_strategy(
-        PreferenceParams(alpha=0.2, kappa=0.1),
-        crra,
-        BeliefDistribution.always_accept(W),
-        offers,
-        W,
-    )
+_ALWAYS = BeliefDistribution.always_accept(W)
+_BETA24 = BeliefDistribution.scaled_beta(2.0, 4.0, W)
+
+
+@pytest.mark.parametrize(
+    "thresholds, offers",
+    [(_ALWAYS, _BETA24), (_BETA24, _ALWAYS), (_ALWAYS, _ALWAYS)],
+    ids=["always-accept-thresholds", "always-accept-offers", "both"],
+)
+def test_degenerate_belief_flagged(crra, thresholds, offers):
+    out = optimal_strategy(PreferenceParams(alpha=0.2, kappa=0.1), crra, thresholds, offers, W)
     assert "degenerate-belief" in out.flags
+    # a point-mass belief gives finite cells and boundaries, never a huge number
+    res = region_map(np.linspace(-1.0, 3.0, 9), np.linspace(0.0, 0.95, 5), crra, thresholds,
+                     offers, W)
+    assert len(res.cells) == 45
+    assert all(math.isfinite(c.x1_star) and math.isfinite(c.x2_star) for c in res.cells)
+    assert all(0.0 <= c.x1_star <= W and 0.0 <= c.x2_star <= W for c in res.cells)
+    assert math.isfinite(res.alpha_bar)
+    assert all(math.isfinite(kt) for _, kt in res.kappa_tilde_by_alpha)
 
 
 @pytest.mark.parametrize("shape", [(0.5, 4.0), (2.0, 0.5)])

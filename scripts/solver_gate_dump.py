@@ -29,6 +29,13 @@ Beta(2, 4) beliefs on both sides):
   uniform and Beta(2, 2) beliefs, w = 10 and 58.8; 12 draws, rng seed 8000
   plus the index, step w/400), and on 40 draws with empirical and with
   always-accept offer beliefs (rng seeds 9101 and 9102);
+- the sha256 of the bytes of TailIntegrals' own and other tails (both read
+  through its one lookup, `_eval`) on one fixed dense query set: the
+  100,001 table nodes on [0, w/2] and both float neighbours of each, the
+  sample atoms and their neighbours, 20,000 points on [-w/10, 3w/5]
+  (rng seed 2500), and 0, -0, w/2, w, NaN and +-inf; for the default offer
+  belief, the empirical offer belief of the optimal_vs_brute line above and
+  the always-accept offer belief, under CRRA(0.05);
 - per curve (linear, CRRA(0.05), shifted log), the sha256 of the bytes of
   dg_transfer over 300 ParamLanes at w = 58.8 (rng seed 1300: alpha, beta
   and kappa drawn per lane);
@@ -102,7 +109,7 @@ from moralbargain.oracle import (  # noqa: E402
     optimal_vs_brute,
 )
 from moralbargain.params import ParamLanes  # noqa: E402
-from moralbargain.utility import dg_objective  # noqa: E402
+from moralbargain.utility import TailIntegrals, dg_objective  # noqa: E402
 
 W = 10.0
 ALPHA_BAR = 0.908812520585837  # as in tests/test_acceptance.py
@@ -187,6 +194,25 @@ def utility_lines(curve, beliefs, w: float) -> str:
     return "\n".join(lines)
 
 
+def tail_lines(curve, offers: dict[str, BeliefDistribution], atoms, w: float) -> list[str]:
+    """The sha256 of the own and other tails' bytes at one dense query set, per offer belief."""
+    grid = np.linspace(0.0, 0.5 * w, 100_001)
+    atoms = np.asarray(atoms, dtype=float)
+    queries = np.concatenate([
+        grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+        atoms, np.nextafter(atoms, -np.inf), np.nextafter(atoms, np.inf),
+        np.random.default_rng(2500).uniform(-0.1 * w, 0.6 * w, 20_000),
+        [0.0, -0.0, 0.5 * w, w, np.nan, np.inf, -np.inf],
+    ])
+    lines = []
+    for name, belief in offers.items():
+        tails = TailIntegrals(belief, curve, w)
+        digest = hashlib.sha256(tails.own(queries).tobytes() + tails.other(queries).tobytes())
+        lines.append(f"tail integrals, {name} offers, {queries.size} queries: "
+                     f"sha256={digest.hexdigest()}")
+    return lines
+
+
 def main() -> None:
     curve = PayoffCurve.crra(0.05)
     beliefs = BeliefDistribution.scaled_beta(2.0, 4.0, W)
@@ -255,6 +281,9 @@ def main() -> None:
                                (9102, "always-accept", BeliefDistribution.always_accept(W))):
         worst = optimal_vs_brute(np.random.default_rng(seed), 40, curve, beliefs, offers, W, W / 400)
         print(f"optimal_vs_brute {name} offers: {worst!r}")
+    tail_offers = {"default": beliefs, "empirical": BeliefDistribution.empirical(sample, W),
+                   "always-accept": BeliefDistribution.always_accept(W)}
+    print("\n".join(tail_lines(curve, tail_offers, sample, W)))
 
     rng = np.random.default_rng(1300)
     lanes = ParamLanes(

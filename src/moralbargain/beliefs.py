@@ -94,11 +94,12 @@ class BeliefDistribution:
         arr = np.asarray(x, dtype=float)
         if np.count_nonzero(arr < 0.0):
             raise DomainError("belief cdf evaluated at negative amount")
+        # past the negativity check only the upper bound can act; np.minimum
+        # keeps a -0.0 and a NaN as np.clip would
         if self.kind == "scaled_beta":
-            u = np.clip(arr / self.half, 0.0, 1.0)
-            out = betainc(self.a, self.b, u)
+            out = betainc(self.a, self.b, np.minimum(arr / self.half, 1.0))
         elif self.kind == "uniform":
-            out = np.clip(arr / self.half, 0.0, 1.0)
+            out = np.minimum(arr / self.half, 1.0)
         elif self.kind == "always_accept":
             out = np.ones_like(arr)
         else:

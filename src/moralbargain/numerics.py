@@ -125,23 +125,31 @@ def scan_then_golden(
 
     The scan calls f on abscissae of shape (n_scan + 1, L), row i at
     lo + i (hi - lo) / n_scan, in blocks of rows of at most _SCAN_CELLS
-    points; so f must broadcast, and per-lane parameters of shape (L,)
-    line up with the columns. The golden-section steps call it on shape
-    (L,). Ties in the coarse scan go to the lowest abscissa. A NaN anywhere
-    in a lane's scan is a ConvergenceError naming that lane's bracket, not
-    a silent pick. A lane with hi <= lo returns lo; its entries of every
-    call hold lo, and if all lanes are such, f is not called.
+    points over all lanes; so f must broadcast, and per-lane parameters of
+    shape (L,) line up with the columns. When every lane has the same lo
+    and step, f gets one column, shape (n_scan + 1, 1), and its values
+    broadcast to all L lanes: per-lane parameters spread them, and a value
+    with no lane dependence serves every lane. The golden-section steps
+    call f on shape (L,). Ties in the coarse scan go to the lowest
+    abscissa. A NaN anywhere in a lane's scan is a ConvergenceError naming
+    that lane's bracket, not a silent pick. A lane with hi <= lo returns
+    lo; its entries of every call hold lo, and if all lanes are such, f is
+    not called.
     """
     scalar, lo, hi = _lanes(lo, hi)
     empty = hi <= lo
     if empty.all():
         return _result(lo, scalar)
     step = np.where(empty, 0.0, (hi - lo) / n_scan)
+    # lanes on one bracket share their abscissae: f scans one column, and
+    # the values it broadcasts to every lane keep their bits
+    shared = (lo == lo[0]).all() and (step == step[0]).all()
+    x0, dx = (lo[:1], step[:1]) if shared else (lo, step)
     idx = np.arange(n_scan + 1)[:, None]
     vals = np.empty((n_scan + 1, lo.size))
     rows = max(1, _SCAN_CELLS // lo.size)
     for r in range(0, n_scan + 1, rows):
-        vals[r:r + rows] = f(lo + idx[r:r + rows] * step)
+        vals[r:r + rows] = f(x0 + idx[r:r + rows] * dx)
     k = np.argmax(vals, axis=0)
     bad = np.isnan(vals[k, np.arange(lo.size)]) & ~empty
     if bad.any():

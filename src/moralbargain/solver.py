@@ -134,7 +134,7 @@ def _fast_u(p, curve, thresholds, tails, x1, x2, w: float):
     """
     v_keep = curve.value(w - x1)
     proposer = _proposer_term(p.kappa, v_keep, thresholds.cdf(x1))
-    responder = _responder_term(p, tails.own(x2), tails.other(x2))
+    responder = _responder_term(p, *tails._eval(x2))
     return proposer + responder + _universal_term(p.kappa, v_keep, curve.value(x1)) * (x1 >= x2)
 
 
@@ -143,13 +143,16 @@ def _diag_opt(p, curve, thresholds, tails, w: float, lo, hi):
     return scan_then_golden(f, lo, hi, tol=1e-6)
 
 
-def _indifference_alpha(curve: PayoffCurve, x: float, w: float, weight: float = 1.0) -> float:
-    """weight v(x) / (v(w - x) - v(x)); infinite when x is the equal split."""
+def _indifference_alpha(curve: PayoffCurve, x, w: float, weight=1.0):
+    """weight v(x) / (v(w - x) - v(x)); infinite when x is the equal split.
+
+    Broadcasts over arrays of x and weight; a float for float input.
+    """
     v_keep, v_give = curve.value(w - x), curve.value(x)
     denom = v_keep - v_give
-    if denom <= _DENOM_RTOL * (abs(v_keep) + abs(v_give)):
-        return math.inf
-    return weight * v_give / denom
+    flat = np.asarray(denom <= _DENOM_RTOL * (np.abs(v_keep) + np.abs(v_give)))
+    out = np.divide(weight * v_give, denom, out=np.full(flat.shape, math.inf), where=~flat)
+    return float(out) if out.ndim == 0 else out
 
 
 def alpha_bar(curve: PayoffCurve, thresholds: BeliefDistribution, w: float) -> float:
@@ -255,9 +258,10 @@ class _CachedProblem:
         kappas = [float(k) for k in kappas]
         new = list(dict.fromkeys(k for k in kappas if k not in self._by_kappa))
         if new:
-            x1cs = constrained_offer(np.array(new), self.curve, self.thresholds, self.w)
-            for k, x1c in zip(new, x1cs.tolist()):
-                self._by_kappa[k] = (x1c, _indifference_alpha(self.curve, x1c, self.w, 1.0 - k))
+            ks = np.array(new)
+            x1cs = constrained_offer(ks, self.curve, self.thresholds, self.w)
+            atils = _indifference_alpha(self.curve, x1cs, self.w, 1.0 - ks)
+            self._by_kappa.update(zip(new, zip(x1cs.tolist(), atils.tolist())))
         return [self._by_kappa[k] for k in kappas]
 
     def _gap(self, alpha: np.ndarray, kappa: np.ndarray) -> np.ndarray:

@@ -125,7 +125,8 @@ class TailIntegrals:
 
     own(x) = integral of v(y) dF(y) over [x, w/2]; other(x) likewise for
     v(w-y). Continuous beliefs use a dense cumulative-trapezoid table
-    (adaptive quadrature in tail_expectation stays the reference route);
+    (adaptive quadrature in tail_expectation stays the reference route),
+    read by linear interpolation with np.interp's values bit for bit;
     empirical beliefs use exact suffix sums over the atoms, and a degenerate
     always-accept belief is one atom at zero. A scaled Beta offer belief
     with a shape parameter below 1 is a ValidationError.
@@ -156,26 +157,59 @@ class TailIntegrals:
                 )
             grid = np.linspace(0.0, half, _TAIL_NODES)
             dens = offers.pdf(grid)
-            self._grid = grid
-            self._tail_own = _tail_trapezoid(curve.value(grid) * dens, grid)
-            self._tail_oth = _tail_trapezoid(curve.value(w - grid) * dens, grid)
+            # rows: the nodes, with one more, inf, past w/2 so that x = w/2
+            # needs no branch; both tails; their slopes as np.interp forms
+            # them, (y[j+1] - y[j]) / (x[j+1] - x[j]), 0 at w/2. One 4 MB
+            # block, not separate arrays: freed 1.6 MB ones left glibc's
+            # dynamic mmap threshold where the oracle's 1.3 MB grid
+            # temporaries page-faulted on every call
+            table = np.zeros((5, _TAIL_NODES + 1))
+            table[0, :-1], table[0, -1] = grid, np.inf
+            tails, slopes = table[1:3, :-1], table[3:, :-1]
+            tails[0] = _tail_trapezoid(curve.value(grid) * dens, grid)
+            tails[1] = _tail_trapezoid(curve.value(w - grid) * dens, grid)
+            np.subtract(tails[:, 1:], tails[:, :-1], out=slopes[:, :-1])
+            slopes[:, :-1] /= np.diff(grid)
+            self._nodes = table[0]
+            self._tail_own, self._tail_oth = tails
+            self._slope_own, self._slope_oth = slopes
+            self._half = half
+            self._scale = (_TAIL_NODES - 1) / half
             self._mode = "table"
 
-    def _eval(self, x, own: bool):
+    def _eval(self, x):
+        """(own(x), other(x)), floats for a float and arrays for an array.
+
+        The table is read as np.interp(x, nodes, tail, left=tail[0],
+        right=0.0) reads it, with the same bits: x is clamped to [0, w/2]
+        (NaN stays NaN), its node j, with nodes[j] <= x < nodes[j + 1], is
+        read off the uniform grid with one correction each way, and the
+        value is slope[j] (x - nodes[j]) + tail[j]. The tables are finite,
+        so np.interp's retry on a NaN value never acts.
+        """
         xa = np.asarray(x, dtype=float)
         if self._mode == "atoms":
-            sfx = self._sfx_own if own else self._sfx_oth
-            out = sfx[np.searchsorted(self._pts, xa, side="left")]
+            i = np.searchsorted(self._pts, xa, side="left")
+            own, oth = self._sfx_own[i], self._sfx_oth[i]
         else:
-            tail = self._tail_own if own else self._tail_oth
-            out = np.interp(xa, self._grid, tail, left=tail[0], right=0.0)
-        return float(out) if xa.ndim == 0 else out
+            nodes = self._nodes
+            xc = np.minimum(np.maximum(xa, 0.0), self._half)
+            # fmin maps NaN to the last node, whose NaN distance keeps the value NaN
+            j = np.fmin(xc * self._scale, _TAIL_NODES - 1.0).astype(np.intp)
+            j += nodes[j + 1] <= xc
+            j -= nodes[j] > xc
+            d = xc - nodes[j]
+            own = self._slope_own[j] * d + self._tail_own[j]
+            oth = self._slope_oth[j] * d + self._tail_oth[j]
+        if xa.ndim == 0:
+            return float(own), float(oth)
+        return own, oth
 
     def own(self, x):
-        return self._eval(x, True)
+        return self._eval(x)[0]
 
     def other(self, x):
-        return self._eval(x, False)
+        return self._eval(x)[1]
 
 
 def dg_objective(p: PreferenceParams | ParamLanes, curve: PayoffCurve, x, w: float):

@@ -142,6 +142,19 @@ def test_cdf_float_path_bitwise_equals_array_path(d):
         assert np.array_equal(np.array(scal), vec)
 
 
+@pytest.mark.parametrize("d", [BeliefDistribution.scaled_beta(2.0, 4.0, W),
+                               BeliefDistribution.uniform_on_half(W)], ids=lambda d: d.kind)
+def test_cdf_array_path_equals_the_two_sided_clip_bitwise(d):
+    # past the negativity check only the upper bound of [0, 1] can act:
+    # -0.0 and NaN keep their bits
+    from scipy.special import betainc
+
+    xs = np.array([-0.0, 0.0, np.nan, 5e-324, 1.0, W / 2, np.nextafter(W / 2, W), W, np.inf])
+    u = np.clip(xs / d.half, 0.0, 1.0)
+    want = betainc(d.a, d.b, u) if d.kind == "scaled_beta" else u
+    assert d.cdf(xs).tobytes() == want.tobytes()
+
+
 def test_beta_pdf_ufunc_equals_scipy_stats_bitwise():
     # pdf calls scipy's private Beta density ufunc, not scipy.stats (whose import
     # dominates a cold start); a scipy that moves or renames it fails here, and

@@ -68,8 +68,15 @@ def test_scan_is_one_block_call_then_one_lane_call_per_step():
         calls.append(np.shape(x))
         return -((x - centres) ** 2)
 
+    # lanes on one bracket scan one column; the per-lane centres spread it
     x = scan_then_golden(f, np.zeros(3), np.full(3, 5.0), n_scan=200)
     assert isinstance(x, np.ndarray) and x == pytest.approx(centres, abs=1e-8)
+    assert calls[0] == (201, 1)
+    assert all(shape == (3,) for shape in calls[1:])
+    # distinct brackets scan one column a lane
+    calls.clear()
+    x = scan_then_golden(f, np.array([0.0, 0.1, 0.0]), np.full(3, 5.0), n_scan=200)
+    assert x == pytest.approx(centres, abs=1e-8)
     assert calls[0] == (201, 3)
     assert all(shape == (3,) for shape in calls[1:])
     # a scalar bracket is a one-lane call: the same protocol, and a float back
@@ -202,17 +209,46 @@ def test_golden_lanes_equal_one_lane_calls_bitwise(lanes, tol):
         assert type(alone) is float and got[i] == alone
 
 
-@settings(max_examples=80, deadline=None)
-@given(lanes=_bump_lanes(allow_empty=True), n_scan=st.integers(1, 120))
-def test_scan_lanes_equal_one_lane_calls_bitwise(lanes, n_scan):
-    lo, hi, centres, heights, width, quantum = lanes
+@st.composite
+def _shared_brackets(draw):
+    """Bump lanes whose brackets are one for all lanes, shared in part, or all their own.
+
+    In part: the lanes take one of two brackets, or share lo alone.
+    """
+    lo, hi, centres, heights, width, quantum = draw(_bump_lanes(allow_empty=True))
+    sharing = draw(st.sampled_from(["shared", "mixed", "distinct"]))
+    if sharing == "shared":
+        lo, hi = np.full_like(lo, lo[0]), np.full_like(hi, hi[0])
+    elif sharing == "mixed":
+        pick = np.array(draw(st.lists(st.integers(0, min(1, lo.size - 1)), min_size=lo.size,
+                                      max_size=lo.size)))
+        lo, hi = (lo[pick], hi[pick]) if draw(st.booleans()) else (np.full_like(lo, lo[0]), hi)
+    return sharing, lo, hi, centres, heights, width, quantum
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_shared_brackets(), n_scan=st.integers(1, 120))
+def test_scan_lanes_equal_one_lane_calls_bitwise(case, n_scan):
+    sharing, lo, hi, centres, heights, width, quantum = case
     f = _lane_bumps(centres, heights, width, quantum)
-    got = scan_then_golden(f, lo, hi, n_scan=n_scan)
+    shapes = []
+
+    def watched(x):
+        shapes.append(np.shape(x))
+        return f(x)
+
+    got = scan_then_golden(watched, lo, hi, n_scan=n_scan)
     for i in range(lo.size):
         g = _one_lane(lambda c, h, wd: _lane_bumps(c, h, wd, quantum), i, centres, heights, width)
         assert got[i] == scan_then_golden(g, float(lo[i]), float(hi[i]), n_scan=n_scan)
         if hi[i] <= lo[i]:
             assert got[i] == lo[i]
+    # the scan is one column exactly when every lane has the same lo and step
+    if shapes:
+        step = np.where(hi <= lo, 0.0, (hi - lo) / n_scan)
+        one = bool(np.all(lo == lo[0]) and np.all(step == step[0]))
+        assert shapes[0] == (n_scan + 1, 1 if one else lo.size)
+        assert one or sharing != "shared"
 
 
 def test_scan_nan_in_one_lane_raises_naming_its_bracket():

@@ -7,6 +7,7 @@ Beta(2,4) beliefs on both sides.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,41 @@ def test_constrained_offer_nondecreasing_in_kappa(crra, thresholds):
     ks = np.linspace(0.0, 1.0, 41)
     offers = [constrained_offer(float(k), crra, thresholds, W) for k in ks]
     assert np.all(np.diff(offers) >= -1e-6)
+
+
+def test_kappa_lanes_equal_one_point_calls_bitwise(crra, thresholds):
+    # the kappa lanes share the bracket [0, w/2], so their scan is one column;
+    # each lane's offer and alpha-tilde must still be its one-point value
+    ks = np.concatenate([[0.0, 1.0, 0.999999999], np.random.default_rng(25).uniform(0.0, 1.0, 9)])
+    offers = constrained_offer(ks, crra, thresholds, W)
+    alone = [constrained_offer(float(k), crra, thresholds, W) for k in ks]
+    assert offers.tobytes() == np.array(alone).tobytes()
+    prob = _CachedProblem(crra, thresholds, thresholds, W)
+    got = prob.offers_and_tildes(ks)
+    assert got == [(x, alpha_tilde(float(k), crra, thresholds, W)) for k, x in zip(ks, alone)]
+
+
+def test_indifference_alpha_arrays_equal_float_calls_bitwise(crra):
+    def scalar(x, weight):
+        # the float formula, one point at a time
+        v_keep, v_give = crra.value(W - x), crra.value(x)
+        denom = v_keep - v_give
+        if denom <= solver._DENOM_RTOL * (abs(v_keep) + abs(v_give)):
+            return math.inf
+        return weight * v_give / denom
+
+    # the equal split, a point within the flat tolerance of it, NaN and interior points
+    xs = np.array([0.0, 1.0, 3.14, 4.9, W / 2 - 1e-9, W / 2, np.nan])
+    weights = np.array([1.0, 0.3, 0.0, 0.9, 0.5, 0.2, 1.0])
+    want = np.array([scalar(x, wt) for x, wt in zip(xs.tolist(), weights.tolist())])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division warning at the flat points
+        got = solver._indifference_alpha(crra, xs, W, weights)
+        alone = [solver._indifference_alpha(crra, x, W, wt)
+                 for x, wt in zip(xs.tolist(), weights.tolist())]
+    assert all(type(a) is float for a in alone)
+    assert got.tobytes() == np.array(alone).tobytes() == want.tobytes()
+    assert np.isinf(got[-3:-1]).all() and np.isnan(got[-1])
 
 
 def test_constrained_threshold_linear_closed_form(linear):

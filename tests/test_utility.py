@@ -1,5 +1,7 @@
 """Expected-utility evaluation, ex-post payoffs, and the dictator problem."""
 
+import bisect
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,63 @@ class TestTailIntegrals:
         for tail, vals in ((ti._tail_own, crra.value(grid)), (ti._tail_oth, crra.value(w - grid))):
             cum = cumulative_trapezoid(vals * dens, grid, initial=0.0)
             assert tail.tobytes() == (cum[-1] - cum).tobytes()
+
+    @pytest.mark.parametrize("curve", ["linear", "crra", "shifted_log"])
+    @pytest.mark.parametrize("shapes", [(2.0, 4.0), (1.0, 1.0), None],
+                             ids=lambda ab: "uniform" if ab is None else f"beta({ab[0]:g},{ab[1]:g})")
+    @pytest.mark.parametrize("w", [W, 58.8, 7.0])
+    def test_table_lookup_equals_np_interp_bitwise(self, request, curve, shapes, w):
+        # the direct node index must read the table exactly as np.interp does,
+        # at every node, both its float neighbours, the ends and past them;
+        # the first guess overshoots some nodes at each w, and at w = 7 it
+        # falls one short of a node whose value then shows it (Beta(2, 4))
+        u = request.getfixturevalue(curve)
+        belief = (BeliefDistribution.uniform_on_half(w) if shapes is None
+                  else BeliefDistribution.scaled_beta(*shapes, w))
+        ti = TailIntegrals(belief, u, w)
+        grid = np.linspace(0.0, w / 2, _TAIL_NODES)
+        special = [0.0, -0.0, w / 2, np.nextafter(w / 2, 0.0), np.nextafter(w / 2, w), 5e-324,
+                   -5e-324, -1.0, w, 1e300, np.nan, np.inf, -np.inf]
+        x = np.concatenate([grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf), special,
+                            np.random.default_rng(25).uniform(-0.1 * w, 0.6 * w, 20_000)])
+        want = [np.interp(x, grid, tail, left=tail[0], right=0.0)
+                for tail in (ti._tail_own, ti._tail_oth)]
+        got = ti._eval(x)
+        for g, r in zip(got, want):
+            assert g.tobytes() == r.tobytes()
+        assert ti.own(x).tobytes() == want[0].tobytes()
+        assert ti.other(x).tobytes() == want[1].tobytes()
+        # a float takes the same path and gives a float; a 2-D query keeps its shape
+        first_special = 3 * _TAIL_NODES
+        for i in [*range(first_special, first_special + len(special)), *range(0, x.size, 4001)]:
+            own, oth = ti._eval(float(x[i]))
+            assert type(own) is float and type(oth) is float
+            assert np.float64(own).tobytes() == want[0][i].tobytes()
+            assert np.float64(oth).tobytes() == want[1][i].tobytes()
+        block = x[:201 * 30].reshape(201, 30)
+        assert ti._eval(block)[0].tobytes() == want[0][:201 * 30].tobytes()
+        assert ti._eval(block)[0].shape == (201, 30)
+
+    @pytest.mark.parametrize("kind", ["empirical", "always_accept"])
+    @pytest.mark.parametrize("w", [W, 58.8])
+    def test_atom_lookup_is_the_suffix_sum_from_the_first_atom_at_or_above(self, crra, kind, w):
+        sample = [0.0, 0.05 * w, 0.1 * w, 0.1 * w, 0.25 * w, 0.4 * w, 0.5 * w]
+        belief = (BeliefDistribution.empirical(sample, w) if kind == "empirical"
+                  else BeliefDistribution.always_accept(w))
+        pts = np.array(sample if kind == "empirical" else [0.0])
+        ti = TailIntegrals(belief, crra, w)
+        sums = [np.append(np.cumsum(v[::-1])[::-1] / pts.size, 0.0)
+                for v in (crra.value(pts), crra.value(w - pts))]
+        x = np.concatenate([pts, np.nextafter(pts, -np.inf), np.nextafter(pts, np.inf),
+                            [-0.0, -1.0, w, np.nan, np.inf, -np.inf]])
+        # NaN sorts after every atom: nothing lies at or above it
+        first = [pts.size if np.isnan(xi) else bisect.bisect_left(pts.tolist(), xi) for xi in x]
+        got = ti._eval(x)
+        for g, s in zip(got, sums):
+            assert g.tobytes() == s[first].tobytes()
+        for xi, i in zip(x.tolist(), first):
+            own, oth = ti._eval(xi)
+            assert type(own) is float and (own, oth) == (sums[0][i], sums[1][i])
 
     def test_responder_term_definition(self, offers, crra):
         ti = TailIntegrals(offers, crra, W)

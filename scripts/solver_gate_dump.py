@@ -24,6 +24,10 @@ Beta(2, 4) beliefs on both sides):
   and (0.3, 1), and the sha256 of the `repr` of nash_set over the
   benchmark's lattice kappa in {0.05, ..., 0.95} x alpha in {0, 0.25, ..., 2.5},
   one line per pair;
+- at kappa = 1, the `repr` of optimal_strategy at alpha in {-0.5, 0, 0.5, 2}
+  with Beta(2, 4) and with always-accept offer beliefs, and of
+  constrained_threshold at kappa in {1 - 1e-12, 1} and those alpha (or the
+  class of the error it raises), one line each;
 - the `repr` of optimal_vs_brute's worst margin on the 12 configurations
   of tests/test_oracle.py's _WIDE (linear, shifted log and CRRA(0.3) curves,
   uniform and Beta(2, 2) beliefs, w = 10 and 58.8; 12 draws, rng seed 8000
@@ -59,7 +63,8 @@ Beta(2, 4) beliefs on both sides):
   - region-map, and statics --alpha 0.5, on alpha_grid [-1, 3, 5] and
     kappa_grid [0.4, 0.52, 4];
   - nash --kappa 0.6 --alpha 0.5;
-  - predict on data/test_sample.csv, with and without --suppress-kappa;
+  - predict on data/test_sample.csv, with and without --suppress-kappa,
+    and on a one-row file at (alpha, beta, kappa) = (0.5, 0, 1);
   - estimate --k 1 --bootstrap 2 on 12 simulated subjects (one type,
     simulation seed 12, shifted log, the built-in games);
   - metrics with --lnl1, and oracle-check --draws 4 (its stdout is the
@@ -87,11 +92,13 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from moralbargain import (  # noqa: E402
     BeliefDistribution,
+    MoralBargainError,
     PayoffCurve,
     PreferenceParams,
     Strategy,
     classify_many,
     constrained_offer,
+    constrained_threshold,
     default_games,
     dg_transfer,
     eval_expected_utility,
@@ -118,10 +125,12 @@ SAMPLE = ROOT / "data" / "test_sample.csv"
 
 
 def cli_output(argv: list[str], name: str) -> tuple[int, str]:
-    """Run one CLI subcommand into a fresh directory; its exit code and the named file's text."""
+    """Run one CLI subcommand into a fresh directory; its exit code and the named
+    file's text ("" when a failed run wrote none)."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         code = cli_main(argv + ["--out", tmp])
-        text = (Path(tmp) / name).read_text()
+        out = Path(tmp) / name
+        text = out.read_text() if out.exists() else ""
     return code, text
 
 
@@ -140,6 +149,8 @@ def cli_lines() -> list[str]:
         records, _ = simulate_choices([truth], [1.0], default_games(), PayoffCurve.shifted_log(),
                                       12, seed=12)
         save_choices(records, choices)
+        kappa_one = Path(tmp) / "kappa-one.csv"
+        kappa_one.write_text("id,alpha,beta,kappa\na,0.5,0.0,1.0\n")
         runs = [
             ("solve R1", ["solve", "--alpha", "0.2", "--kappa", "0.1"], "solve"),
             ("solve R2", ["solve", "--alpha", "0.5", "--kappa", "0.6"], "solve"),
@@ -150,6 +161,7 @@ def cli_lines() -> list[str]:
             ("predict", ["predict", "--estimates", str(SAMPLE)], "predict"),
             ("predict --suppress-kappa",
              ["predict", "--estimates", str(SAMPLE), "--suppress-kappa"], "predict"),
+            ("predict kappa=1", ["predict", "--estimates", str(kappa_one)], "predict"),
             ("estimate", ["estimate", "--choices", str(choices), "--k", "1", "--bootstrap", "2"],
              "estimate"),
             ("metrics", ["metrics", "--lnl", "-1865.90", "--k", "3", "--n", "96", "--en", "13.50",
@@ -266,6 +278,20 @@ def main() -> None:
         for i in range(1, 20) for j in range(11)
     )
     print(f"nash_set over the 19 x 11 (kappa, alpha) lattice: repr sha256={sha(lattice)}")
+
+    edge_alphas = (-0.5, 0.0, 0.5, 2.0)
+    edge_offers = {"Beta(2, 4)": beliefs, "always-accept": BeliefDistribution.always_accept(W)}
+    for name, offers in edge_offers.items():
+        for a in edge_alphas:
+            out = optimal_strategy(PreferenceParams(alpha=a, kappa=1.0), curve, beliefs, offers, W)
+            print(f"optimal_strategy({a!r}, 1.0), {name} offers: {out!r}")
+    for kappa in (1.0 - 1e-12, 1.0):
+        for a in edge_alphas:
+            try:
+                got = repr(constrained_threshold(kappa, a, curve, W))
+            except MoralBargainError as exc:
+                got = f"raises {type(exc).__name__}"
+            print(f"constrained_threshold({kappa!r}, {a!r}): {got}")
 
     wide_curves = {"linear": PayoffCurve.linear(), "shifted-log": PayoffCurve.shifted_log(),
                    "crra(0.3)": PayoffCurve.crra(0.3)}

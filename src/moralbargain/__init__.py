@@ -49,7 +49,6 @@ from .nash import (
     tau_of_kappa,
     verify_nash,
     x1_upper_of,
-    x2_lower_of,
 )
 from .solver import (
     RegionMapResult,
@@ -102,7 +101,6 @@ __all__ = [
     "NashBounds",
     "NashCheck",
     "tau_of_kappa",
-    "x2_lower_of",
     "x1_upper_of",
     "rho_of_kappa",
     "nash_set",

@@ -7,6 +7,7 @@ thresholds above the half-split, so cdf(w/2) = 1 for every kind.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,14 +36,14 @@ class BeliefDistribution:
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown belief kind {self.kind!r}")
         if self.kind == "scaled_beta":
-            if self.a is None or self.b is None or self.a <= 0 or self.b <= 0:
-                raise ValidationError("scaled_beta needs shape parameters a, b > 0")
+            if not all(s is not None and 0 < s < math.inf for s in (self.a, self.b)):
+                raise ValidationError("scaled_beta needs finite shape parameters a, b > 0")
         if self.kind == "empirical":
             if not self.sample:
                 raise ValidationError("empirical belief needs a nonempty sample")
             arr = np.asarray(self.sample, dtype=float)
-            if arr.min() < 0.0 or arr.max() > self.half + 1e-12:
-                raise ValidationError("empirical sample must lie in [0, w/2]")
+            if not np.isfinite(arr).all() or arr.min() < 0.0 or arr.max() > self.half + 1e-12:
+                raise ValidationError("empirical sample must be finite and lie in [0, w/2]")
 
     # -- constructors ------------------------------------------------------
 

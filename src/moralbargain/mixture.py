@@ -26,6 +26,7 @@ from .params import (
     PreferenceParams,
     validate_endowment,
 )
+from .solver import constrained_threshold
 from .utility import dg_transfer
 
 ROLES = ("P", "R")
@@ -1008,13 +1009,11 @@ def predict_behavior(
     The threshold takes the proposer side as pinned at the equal split, so
     only the acceptance cutoff varies with (alpha, kappa).
     """
-    from .nash import x2_lower_of
-
     validate_endowment(w)
     curve = curve or PayoffCurve.shifted_log()
     return PredictedBehavior(
         dg_transfer=dg_transfer(p, curve, w),
-        ug_threshold=x2_lower_of(p.kappa, p.alpha, curve, w),
+        ug_threshold=constrained_threshold(p.kappa, p.alpha, curve, w),
     )
 
 

@@ -73,17 +73,6 @@ def tau_of_kappa(kappa: float, curve: PayoffCurve, w: float) -> float:
     return bisect_boundary(pred, 0.0, 0.5 * w, x_tol=1e-12)
 
 
-def x2_lower_of(kappa: float, alpha: float, curve: PayoffCurve, w: float) -> float:
-    """Lowest acceptable offer; the solver threshold, with the kappa = 1 limit.
-
-    At kappa = 1 the indifference equation degenerates to v(x) = v(w-x),
-    whose minimal solution set gives w/2 for alpha > 0 and 0 otherwise.
-    """
-    if kappa == 1.0:
-        return 0.5 * w if alpha > 0.0 else 0.0
-    return constrained_threshold(kappa, alpha, curve, w)
-
-
 def x1_upper_of(kappa: float, alpha: float, curve: PayoffCurve, w: float) -> float:
     """Largest sustainable offer: max{x: (1-kappa+alpha) v(w-x) >= v(x)}."""
     validate_endowment(w)
@@ -95,6 +84,11 @@ def x1_upper_of(kappa: float, alpha: float, curve: PayoffCurve, w: float) -> flo
         return w
     # the inequality holds on a lower interval; bisect its right edge
     return bisect_boundary(lambda x: ~pred(x), 0.0, w, x_tol=1e-12)
+
+
+def _step_of(grid_step: float | None, w: float) -> float:
+    """The deviation lattice step: grid_step, w / _DEFAULT_GRID_DIVISOR by default, validated."""
+    return grid_step_of(w / _DEFAULT_GRID_DIVISOR if grid_step is None else grid_step, w)
 
 
 def _verify(
@@ -158,8 +152,7 @@ def verify_nash(
     Passes iff no deviation raises the ex-post utility by more than _NASH_TOL.
     """
     validate_endowment(w)
-    step = grid_step_of(w / _DEFAULT_GRID_DIVISOR if grid_step is None else grid_step, w)
-    return _verify([profile], kappa, alpha, curve, w, step)[0]
+    return _verify([profile], kappa, alpha, curve, w, _step_of(grid_step, w))[0]
 
 
 def rho_of_kappa(
@@ -172,7 +165,11 @@ def rho_of_kappa(
     Returns nan (with a warning) if nothing on the grid passes.
     """
     validate_endowment(w)
-    step = grid_step_of(w / _DEFAULT_GRID_DIVISOR if grid_step is None else grid_step, w)
+    return _rho(kappa, curve, w, _step_of(grid_step, w))
+
+
+def _rho(kappa: float, curve: PayoffCurve, w: float, step: float) -> float:
+    """rho_of_kappa on a validated step."""
     half = 0.5 * w
     n = int(round((w - half) / step))
     xs = np.linspace(w, half, n + 1).tolist()
@@ -205,13 +202,13 @@ def nash_set(
         raise ValidationError("nash_set needs kappa in (0, 1]")
     if alpha < 0.0:
         raise ValidationError("nash_set needs alpha >= 0")
-    step = grid_step_of(w / _DEFAULT_GRID_DIVISOR if grid_step is None else grid_step, w)
+    step = _step_of(grid_step, w)
     flags: list[str] = []
 
     tau = tau_of_kappa(kappa, curve, w)
-    x2lo = x2_lower_of(kappa, alpha, curve, w)
+    x2lo = constrained_threshold(kappa, alpha, curve, w)
     x1hi = x1_upper_of(kappa, alpha, curve, w)
-    rho = rho_of_kappa(kappa, curve, w, step)
+    rho = _rho(kappa, curve, w, step)
 
     lo_f = max(x2lo, tau)
     hi_f = min(x1hi, rho) if not math.isnan(rho) else x1hi

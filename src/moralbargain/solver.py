@@ -18,7 +18,7 @@ import numpy as np
 
 from .beliefs import BeliefDistribution
 from .curves import PayoffCurve
-from .errors import ConvergenceError, IndeterminateError, ValidationError
+from .errors import ConvergenceError, ValidationError
 from .numerics import (
     _halve_boundary,
     _spec_steps,
@@ -94,11 +94,12 @@ def constrained_offer(
 def constrained_threshold(
     kappa: float | np.ndarray, alpha: float | np.ndarray, curve: PayoffCurve, w: float
 ) -> float | np.ndarray:
-    """Rejection threshold: zero of (1+alpha-kappa) v(x) - alpha v(w-x) on (0, w/2).
+    """Rejection threshold: zero of (1+alpha-kappa) v(x) - alpha v(w-x) on (0, w/2].
 
     Below it, accepting costs more in disadvantage-weighted terms than the
-    payoff is worth. Returns 0 for alpha <= 0; kappa = 1 leaves the
-    responder problem degenerate and is signalled. Arrays of kappa and
+    payoff is worth. Returns 0 for alpha <= 0. At kappa = 1 and alpha > 0
+    the equation is alpha (v(x) - v(w-x)) = 0, so the threshold is exactly
+    w/2, the limit of the roots as kappa rises to 1. Arrays of kappa and
     alpha broadcast to one root per entry, found in one lane search.
     """
     validate_endowment(w)
@@ -109,14 +110,13 @@ def constrained_threshold(
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"alpha must be finite, got {_first_bad(a, ~np.isfinite(a))}")
     pos = a > 0.0
-    if np.any(pos & (k == 1.0)):
-        raise IndeterminateError("threshold indeterminate at kappa = 1")
-    out = np.zeros(k.shape)
-    if pos.any():
-        ap = a[pos]
-        coef = 1.0 + ap - k[pos]
+    out = np.where(pos & (k == 1.0), 0.5 * w, 0.0)
+    root = pos & (k < 1.0)
+    if root.any():
+        ap = a[root]
+        coef = 1.0 + ap - k[root]
         g = lambda x: coef * curve.value(x) - ap * curve.value(w - x)
-        out[pos] = bisect_root(g, np.zeros(ap.shape), np.full(ap.shape, 0.5 * w), residual_tol=1e-10)
+        out[root] = bisect_root(g, np.zeros(ap.shape), np.full(ap.shape, 0.5 * w), residual_tol=1e-10)
     return float(out) if out.ndim == 0 else out
 
 
@@ -300,7 +300,8 @@ class _CachedProblem:
         while scan and step <= _KTIL_SCAN:
             n = 1 if one_by_one else _spec_steps(len(scan))
             steps = range(step, min(step + n, _KTIL_SCAN + 1))
-            # kappa = 1 leaves the threshold undefined
+            # the last step scans 1 - 1e-9, not 1, so the bisection brackets,
+            # and with them the roots' bits, stay those of the kappa < 1 search
             ks = [min(i / _KTIL_SCAN, 1.0 - 1e-9) for i in steps]
             al, kk = np.tile(scan, len(ks)), np.repeat(ks, len(scan))
             call = lambda: (self._gap(al, kk) <= 0.0).reshape(len(ks), len(scan)).tolist()
@@ -346,15 +347,16 @@ class _CachedProblem:
         one lane search over the points that need it: the constrained offers
         of the distinct kappa, the threshold roots, kappa-tilde of the
         distinct alpha whose decision needs it, then the R2 diagonal optima.
-        At kappa = 1 the universalization term dominates: the offer is the
-        equal split and the threshold is not pinned down (flagged, reported
-        as 0).
+        At kappa = 1 the offer is the equal split and the threshold that of
+        constrained_threshold: (w/2, w/2) in R2 for alpha > 0, (w/2, 0) in R1
+        for alpha <= 0. At alpha = 0 there every threshold up to the offer
+        scores the same, and the point is flagged threshold-indeterminate.
         """
         pairs = [(float(a), float(k)) for a, k in pairs]
         inner = [i for i, (_, k) in enumerate(pairs) if k != 1.0]
         tilde = dict(zip(inner, self.offers_and_tildes(pairs[i][1] for i in inner)))
-        spite = [i for i in inner if not pairs[i][0] <= 0.0]
-        x2 = dict.fromkeys(inner, 0.0)
+        spite = [i for i, (a, _) in enumerate(pairs) if not a <= 0.0]
+        x2 = dict.fromkeys(range(len(pairs)), 0.0)
         if spite:
             roots = constrained_threshold(
                 np.array([pairs[i][1] for i in spite]), np.array([pairs[i][0] for i in spite]),
@@ -363,7 +365,8 @@ class _CachedProblem:
             x2.update(zip(spite, roots.tolist()))
         # R1 also needs the threshold at or below the offer: near kappa = 1 the
         # offer can stop short of w/2 with alpha-tilde read as infinite
-        above = [i for i in spite if not (pairs[i][0] <= tilde[i][1] and x2[i] <= tilde[i][0])]
+        above = [i for i in spite if i in tilde
+                 and not (pairs[i][0] <= tilde[i][1] and x2[i] <= tilde[i][0])]
         ktil = dict.fromkeys(above)
         need = [i for i in above if not pairs[i][0] < self.abar]
         ktil.update(zip(need, self.kappa_tildes(pairs[i][0] for i in need)))
@@ -379,7 +382,7 @@ class _CachedProblem:
             opt = _diag_opt(p, self.curve, self.thresholds, self.tails, self.w, lo, hi)
             x_hat.update(zip(r2, opt.tolist()))
         return tuple(
-            self._output(a, k, tilde.get(i), x2.get(i), x_hat.get(i), ktil.get(i))
+            self._output(a, k, tilde.get(i), x2[i], x_hat.get(i), ktil.get(i))
             for i, (a, k) in enumerate(pairs)
         )
 
@@ -390,14 +393,14 @@ class _CachedProblem:
             return SolverOutputs(
                 x_selfish=self.x_s,
                 x_constrained=half,
-                threshold=0.0,
+                threshold=x2,
                 symmetric=half if alpha > 0.0 else None,
                 alpha_bar=self.abar,
                 alpha_tilde=0.0,
                 kappa_tilde=None,
                 region="R1" if alpha <= 0.0 else "R2",
-                optimal=Strategy(half, 0.0),
-                flags=self.flags + ("threshold-indeterminate",),
+                optimal=Strategy(half, x2),
+                flags=self.flags + (("threshold-indeterminate",) if alpha == 0.0 else ()),
             )
         x1c, atil = tilde
         if alpha <= 0.0 or (alpha <= atil and x2 <= x1c):

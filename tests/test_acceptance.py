@@ -33,7 +33,6 @@ from moralbargain import (
     rho_of_kappa,
     simulate_choices,
     verify_nash,
-    x2_lower_of,
 )
 from moralbargain.oracle import brute_force_ug, optimal_vs_brute, threshold_root_residual
 from moralbargain.params import Strategy
@@ -263,7 +262,7 @@ def test_criterion_7_equilibrium_verifier(crra):
     for k in (0.1, 0.3, 0.5, 0.7, 0.9):
         for a in (0.2, 0.5, 1.0, 2.0):
             worst = max(worst, abs(
-                x2_lower_of(k, a, crra, W) - constrained_threshold(k, a, crra, W)
+                nash_set(k, a, crra, W, W / 20).x2_lower - constrained_threshold(k, a, crra, W)
             ))
     check(bad, "equilibrium lower bound equals the rejection threshold (1e-9)",
           worst <= 1e-9, f"worst gap {worst:.2e}")

@@ -111,6 +111,19 @@ def test_empirical_sample_must_lie_on_support():
         BeliefDistribution.empirical([-0.2, 1.0], W)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameters_rejected(bad):
+    # NaN passed the a <= 0 test and inf gave a cdf of 0 everywhere; a NaN
+    # atom passed the min/max support test
+    for a, b in ((bad, 4.0), (2.0, bad)):
+        with pytest.raises(ValidationError, match="finite"):
+            BeliefDistribution.scaled_beta(a, b, W)
+    with pytest.raises(ValidationError, match="finite"):
+        BeliefDistribution.empirical([bad, 1.0], W)
+    with pytest.raises(ValidationError, match="finite"):
+        BeliefDistribution.empirical([0.5, 1.0, bad], W)
+
+
 def test_tail_expectation_matches_fine_riemann(thresholds, crra):
     for lo in (0.0, 1.0, 2.7, 4.9):
         ys = np.linspace(lo, W / 2, 200_001)

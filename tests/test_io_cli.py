@@ -26,6 +26,7 @@ from moralbargain import (
     simulate_choices,
 )
 from moralbargain.cli import main
+from moralbargain.errors import ConvergenceError, IndeterminateError
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = ROOT / "data" / "test_sample.csv"
@@ -552,13 +553,44 @@ class TestCliErrors:
         )
         assert code == 2 and "error:" in err
 
-    def test_numeric_failure_exit_3(self, tmp_path, capsys):
-        # kappa=1 passes the ingest filter but the threshold root is
-        # indeterminate there
+    def test_numeric_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        # both numeric error kinds map to exit 3, whichever solver call raises
         est = tmp_path / "est.csv"
-        est.write_text("id,alpha,beta,kappa\na,0.5,0.0,1.0\n")
-        code, _, err = run_cli(["predict", "--estimates", str(est)], capsys)
-        assert code == 3 and "numeric failure:" in err
+        est.write_text("id,alpha,beta,kappa\na,0.5,0.0,0.4\n")
+        for error in (ConvergenceError, IndeterminateError):
+            def fail(*args, error=error):
+                raise error("injected")
+
+            monkeypatch.setattr(mio, "constrained_threshold", fail)
+            code, out, err = run_cli(["predict", "--estimates", str(est)], capsys)
+            assert code == 3 and out == "" and "numeric failure: injected" in err
+
+    def test_predict_at_kappa_one_exit_0(self, tmp_path, capsys):
+        # kappa = 1 passes the ingest filter; the threshold there is w/2 for
+        # alpha > 0 and 0 for alpha <= 0
+        est = tmp_path / "est.csv"
+        est.write_text("id,alpha,beta,kappa\na,0.5,0.0,1.0\nb,2.0,0.1,1.0\n"
+                       "c,0.0,0.0,1.0\nd,-0.5,0.2,1.0\n")
+        code, out, _ = run_cli(["predict", "--estimates", str(est)], capsys)
+        assert code == 0
+        body = json.loads(out)
+        assert [r["ug_threshold"] for r in body["subjects"]] == [29.4, 29.4, 0.0, 0.0]
+        assert body["w"] == 58.8
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("command", [["solve", "--alpha", "0.5", "--kappa", "0.6"],
+                                         ["region-map"]], ids=["solve", "region-map"])
+    def test_non_finite_belief_parameter_exit_2(self, command, token, tmp_path, capsys):
+        # NaN used to exit 3 on a NaN objective and Infinity to exit 0 on a
+        # cdf of 0 everywhere; the config's beliefs are validated instead
+        for spec in ('{"kind": "scaled_beta", "a": %s, "b": 4}' % token,
+                     '{"kind": "scaled_beta", "a": 2, "b": %s}' % token,
+                     '{"kind": "empirical", "sample": [%s, 1.0]}' % token):
+            for side in ("threshold_beliefs", "offer_beliefs"):
+                cfg = tmp_path / "run.json"
+                cfg.write_text('{"%s": %s}' % (side, spec))
+                code, out, err = run_cli(command + ["--config", str(cfg)], capsys)
+                assert code == 2 and out == "" and "finite" in err
 
     def test_negative_seed_exit_2(self, capsys):
         code, _, _ = run_cli(

@@ -19,7 +19,6 @@ from moralbargain import (
     tau_of_kappa,
     verify_nash,
     x1_upper_of,
-    x2_lower_of,
 )
 from moralbargain.errors import ValidationError
 import moralbargain.nash as nash_mod
@@ -87,21 +86,25 @@ class TestX1Upper:
 
 
 class TestX2Lower:
+    # nash_set's lower bound is the rejection threshold; it does not depend on
+    # the lattice, so a coarse step keeps these calls cheap
+    STEP = W / 20
+
     def test_matches_solver_threshold(self, crra, rng):
         for _ in range(20):
             k = rng.uniform(0.0, 0.99)
             a = rng.uniform(1e-3, 3.0)
-            assert x2_lower_of(k, a, crra, W) == pytest.approx(
+            assert nash_set(k, a, crra, W, self.STEP).x2_lower == pytest.approx(
                 constrained_threshold(k, a, crra, W), abs=1e-9
             )
 
     def test_full_universalization_limit(self, crra):
-        assert x2_lower_of(1.0, 0.5, crra, W) == W / 2
-        assert x2_lower_of(1.0, 0.0, crra, W) == 0.0
+        assert nash_set(1.0, 0.5, crra, W, self.STEP).x2_lower == W / 2
+        assert nash_set(1.0, 0.0, crra, W, self.STEP).x2_lower == 0.0
 
     def test_nondecreasing_in_alpha(self, crra):
         alphas = np.linspace(0.05, 2.5, 15)
-        vals = [x2_lower_of(0.3, float(a), crra, W) for a in alphas]
+        vals = [nash_set(0.3, float(a), crra, W, self.STEP).x2_lower for a in alphas]
         assert np.all(np.diff(vals) > 0)
 
 
@@ -129,7 +132,7 @@ class TestVerifier:
         while done < 200:
             k = rng.uniform(0.05, 0.95)
             a = rng.uniform(1e-2, 2.0)
-            x2lo = x2_lower_of(k, a, crra, W)
+            x2lo = constrained_threshold(k, a, crra, W)
             if x2lo <= step:
                 continue
             profile = Strategy(rng.uniform(0.0, x2lo - step), rng.uniform(0.0, W))

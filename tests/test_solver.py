@@ -29,9 +29,9 @@ from moralbargain import (
     selfish_offer,
 )
 from moralbargain import numerics, solver
-from moralbargain.errors import ConvergenceError, IndeterminateError, ValidationError
+from moralbargain.errors import ConvergenceError, ValidationError
 from moralbargain.io import default_run_config
-from moralbargain.oracle import brute_force_ug, expected_utility_riemann
+from moralbargain.oracle import OPTIMAL_VS_BRUTE_FLOOR, brute_force_ug, expected_utility_riemann
 from moralbargain.solver import _CachedProblem
 
 W = 10.0
@@ -109,8 +109,31 @@ def test_constrained_threshold_linear_closed_form(linear):
     assert constrained_threshold(0.0, 1.0, linear, W) == pytest.approx(10.0 / 3.0, abs=1e-9)
     assert constrained_threshold(0.3, -0.5, linear, W) == 0.0
     assert constrained_threshold(0.3, 0.0, linear, W) == 0.0
-    with pytest.raises(IndeterminateError):
-        constrained_threshold(1.0, 0.5, linear, W)
+    # at kappa = 1, alpha (x - (w - x)) = 0: the equal split
+    assert constrained_threshold(1.0, 0.5, linear, W) == W / 2
+    assert constrained_threshold(1.0, 0.0, linear, W) == 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 2.0])
+@pytest.mark.parametrize("name", ["linear", "crra", "shifted_log"])
+def test_constrained_threshold_continuous_at_kappa_one(name, alpha, request):
+    # the kappa = 1 value w/2 is the limit of the roots from below
+    curve = request.getfixturevalue(name)
+    for w in (W, 58.8):
+        assert constrained_threshold(1.0, alpha, curve, w) == w / 2
+        assert abs(constrained_threshold(1.0 - 1e-12, alpha, curve, w) - w / 2) <= 1e-9 * w
+
+
+def test_constrained_threshold_kappa_one_lanes_leave_the_roots_bitwise(crra):
+    # the w/2 lanes take no part in the root search: the other lanes keep their bits
+    ks = np.array([0.3, 1.0, 0.9, 1.0, 1.0 - 1e-12, 0.0, 1.0])
+    als = np.array([0.5, 2.0, 1.5, 0.0, 0.5, 1.0, -1.0])
+    got = constrained_threshold(ks, als, crra, W)
+    alone = [constrained_threshold(k, a, crra, W) for k, a in zip(ks.tolist(), als.tolist())]
+    assert got.tobytes() == np.array(alone).tobytes()
+    assert got[[1, 3, 6]].tolist() == [W / 2, 0.0, 0.0]
+    roots = ks < 1.0
+    assert got[roots].tobytes() == constrained_threshold(ks[roots], als[roots], crra, W).tobytes()
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.2])
@@ -249,13 +272,41 @@ def test_region_boundary_ties(crra, thresholds, offers):
 
 
 def test_full_universalization_edge(crra, thresholds, offers):
-    out = optimal_strategy(PreferenceParams(alpha=0.5, kappa=1.0), crra, thresholds, offers, W)
-    assert "threshold-indeterminate" in out.flags
-    assert out.optimal.x1 == pytest.approx(W / 2)
-    assert out.optimal.x2 == 0.0
-    assert out.region == "R2"
-    out = optimal_strategy(PreferenceParams(alpha=-0.5, kappa=1.0), crra, thresholds, offers, W)
-    assert out.region == "R1"
+    # at kappa = 1 the offer is the equal split and the threshold constrained_threshold's
+    solve = lambda a: optimal_strategy(PreferenceParams(alpha=a, kappa=1.0), crra, thresholds,
+                                       offers, W)
+    out = solve(0.5)
+    assert out.optimal == Strategy(W / 2, W / 2) and out.threshold == W / 2
+    assert out.region == "R2" and out.flags == ()
+    out = solve(-0.5)
+    assert out.optimal == Strategy(W / 2, 0.0) and out.threshold == 0.0
+    assert out.region == "R1" and out.flags == ()
+    # at alpha = 0 every threshold up to the offer scores the same
+    out = solve(0.0)
+    assert out.optimal == Strategy(W / 2, 0.0) and out.region == "R1"
+    assert out.flags == ("threshold-indeterminate",)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 2.0])
+@pytest.mark.parametrize(
+    "offers",
+    [
+        BeliefDistribution.scaled_beta(2.0, 4.0, W),
+        BeliefDistribution.uniform_on_half(W),
+        BeliefDistribution.empirical([0.5, 1.0, 1.0, 1.5, 2.0, 2.5, 2.5, 3.0, 4.0, 5.0], W),
+        BeliefDistribution.always_accept(W),
+    ],
+    ids=lambda d: d.kind,
+)
+def test_kappa_one_optimum_matches_brute_force(crra, thresholds, offers, alpha):
+    # a threshold of 0 at alpha > 0 scored 3.09 below the grid optimum at
+    # alpha = 0.5 and 12.38 below it at alpha = 2 (Beta(2, 4) offers)
+    p = PreferenceParams(alpha=alpha, kappa=1.0)
+    out = optimal_strategy(p, crra, thresholds, offers, W)
+    s_brute, _ = brute_force_ug(p, crra, thresholds, offers, W, W / 400)
+    u_opt = expected_utility_riemann(p, crra, thresholds, offers, out.optimal, W)
+    u_brute = expected_utility_riemann(p, crra, thresholds, offers, s_brute, W)
+    assert u_opt - u_brute >= OPTIMAL_VS_BRUTE_FLOOR
 
 
 @pytest.mark.parametrize("alpha", [0.5, 2.0])

@@ -67,8 +67,6 @@ def tau_of_kappa(kappa: float, curve: PayoffCurve, w: float) -> float:
     if kappa == 0.0:
         return 0.0  # v'(w - x) >= 0 holds at x = 0; avoids 0 * inf at a v'(0) pole
     pred = lambda x: curve.derivative(w - x) >= kappa * curve.derivative(x)
-    if pred(0.0):
-        return 0.0
     # pred(w/2) reduces to (1 - kappa) v'(w/2) >= 0, always true
     return bisect_boundary(pred, 0.0, 0.5 * w, x_tol=1e-12)
 
@@ -78,11 +76,9 @@ def x1_upper_of(kappa: float, alpha: float, curve: PayoffCurve, w: float) -> flo
     validate_endowment(w)
     coef = 1.0 - kappa + alpha
     pred = lambda x: coef * curve.value(w - x) >= curve.value(x)
-    if not pred(0.0):
-        return 0.0
     if pred(w):
         return w
-    # the inequality holds on a lower interval; bisect its right edge
+    # the inequality holds on a lower interval, maybe empty; bisect its right edge
     return bisect_boundary(lambda x: ~pred(x), 0.0, w, x_tol=1e-12)
 
 

@@ -170,16 +170,11 @@ def _riemann_tails(
     curve: PayoffCurve, offers: BeliefDistribution, x2: float, w: float
 ) -> tuple[float, float]:
     """expected_utility_riemann's responder integrals of v(y) and v(w - y)
-    over offers y in [x2, w/2]."""
-    half = 0.5 * w
-    if x2 < half and offers.kind not in ("empirical", "always_accept"):
-        m = max(1, int(round((half - x2) / _RIEMANN_STEP)))
-        mids = np.linspace(x2, half, m, endpoint=False) + (half - x2) / (2 * m)
-        wts = offers.pdf(mids) * (half - x2) / m
-        return float(np.sum(curve.value(mids) * wts)), float(np.sum(curve.value(w - mids) * wts))
-    i1 = offers.tail_expectation(curve.value, x2)
-    i2 = offers.tail_expectation(lambda y: curve.value(w - y), x2)
-    return i1, i2
+    over offers y in [x2, w/2]: riemann_tail_pair at the one node x2, its
+    one sub-interval cut at _RIEMANN_STEP."""
+    m = max(1, round((0.5 * w - x2) / _RIEMANN_STEP)) if x2 < 0.5 * w else 1
+    i1, i2 = riemann_tail_pair(offers, curve, w, np.array([x2]), fine_factor=m)
+    return float(i1[0]), float(i2[0])
 
 
 def _riemann_utility(

@@ -72,23 +72,30 @@ def constrained_offer(
 ) -> float | np.ndarray:
     """Offer maximizing (1-kappa) v(w-x) F(x) + kappa [v(w-x) + v(x)].
 
-    The universalization term pulls the offer toward the equal split;
-    at kappa = 1 it is exactly w/2. A 1-D array of kappa is one search
-    lane per entry and gives an array.
+    The universalization term pulls the offer toward the equal split. At
+    kappa = 1 the objective is v(w-x) + v(x), so the offer is exactly w/2
+    (on a linear curve every offer ties, and w/2 is the limit as kappa
+    rises to 1); only kappa < 1 is searched. A 1-D array of kappa is one
+    search lane per entry and gives an array.
     """
     validate_endowment(w)
     k = np.asarray(kappa, dtype=float)
     out_of_range = ~((0.0 <= k) & (k <= 1.0))
     if out_of_range.any():
         raise ValidationError(f"kappa must lie in [0, 1], got {_first_bad(k, out_of_range)}")
+    out = np.full(k.shape, 0.5 * w)
+    inner = k < 1.0
+    if inner.any():
+        ki = k[inner]
 
-    def f(x):
-        v_keep = curve.value(w - x)
-        accept = thresholds.cdf(x)
-        return _proposer_term(k, v_keep, accept) + _universal_term(k, v_keep, curve.value(x))
+        def f(x):
+            v_keep = curve.value(w - x)
+            accept = thresholds.cdf(x)
+            return _proposer_term(ki, v_keep, accept) + _universal_term(ki, v_keep, curve.value(x))
 
-    zero = np.zeros(k.shape)
-    return scan_then_golden(f, zero, zero + 0.5 * w)
+        zero = np.zeros(ki.shape)
+        out[inner] = scan_then_golden(f, zero, zero + 0.5 * w)
+    return float(out) if out.ndim == 0 else out
 
 
 def constrained_threshold(
@@ -168,7 +175,9 @@ def alpha_tilde(kappa: float, curve: PayoffCurve, thresholds: BeliefDistribution
     """Spite level at which the threshold meets the constrained offer.
 
     (1-kappa) v(x1c) / (v(w - x1c) - v(x1c)) with x1c the constrained offer;
-    infinite when the constrained offer reaches the equal split.
+    infinite when the constrained offer reaches the equal split, as it does
+    at kappa = 1. It is reported, not decided on: the threshold meets the
+    offer exactly where alpha = alpha-tilde, and solve_many compares the two.
     """
     x1c = constrained_offer(kappa, curve, thresholds, w)
     return _indifference_alpha(curve, x1c, w, 1.0 - kappa)
@@ -347,68 +356,47 @@ class _CachedProblem:
         one lane search over the points that need it: the constrained offers
         of the distinct kappa, the threshold roots, kappa-tilde of the
         distinct alpha whose decision needs it, then the R2 diagonal optima.
-        At kappa = 1 the offer is the equal split and the threshold that of
-        constrained_threshold: (w/2, w/2) in R2 for alpha > 0, (w/2, 0) in R1
-        for alpha <= 0. At alpha = 0 there every threshold up to the offer
-        scores the same, and the point is flagged threshold-indeterminate.
+        A point is R1 iff its threshold is at or below its constrained offer,
+        which is alpha <= alpha-tilde (alpha <= 0 gives the threshold 0). At
+        kappa = 1 offer and threshold are those of constrained_offer and
+        constrained_threshold, so every alpha there is R1, (w/2, w/2) for
+        alpha > 0 and (w/2, 0) for alpha <= 0. At alpha = 0, kappa = 1 every
+        threshold up to the offer scores the same, and the point is flagged
+        threshold-indeterminate.
         """
         pairs = [(float(a), float(k)) for a, k in pairs]
-        inner = [i for i, (_, k) in enumerate(pairs) if k != 1.0]
-        tilde = dict(zip(inner, self.offers_and_tildes(pairs[i][1] for i in inner)))
-        spite = [i for i, (a, _) in enumerate(pairs) if not a <= 0.0]
-        x2 = dict.fromkeys(range(len(pairs)), 0.0)
-        if spite:
-            roots = constrained_threshold(
-                np.array([pairs[i][1] for i in spite]), np.array([pairs[i][0] for i in spite]),
-                self.curve, self.w,
-            )
-            x2.update(zip(spite, roots.tolist()))
-        # R1 also needs the threshold at or below the offer: near kappa = 1 the
-        # offer can stop short of w/2 with alpha-tilde read as infinite
-        above = [i for i in spite if i in tilde
-                 and not (pairs[i][0] <= tilde[i][1] and x2[i] <= tilde[i][0])]
+        tilde = self.offers_and_tildes(k for _, k in pairs)
+        x2 = constrained_threshold(
+            np.array([k for _, k in pairs]), np.array([a for a, _ in pairs]), self.curve, self.w
+        ).tolist()
+        above = [i for i, (x1c, _) in enumerate(tilde) if not x2[i] <= x1c]
         ktil = dict.fromkeys(above)
         need = [i for i in above if not pairs[i][0] < self.abar]
         ktil.update(zip(need, self.kappa_tildes(pairs[i][0] for i in need)))
         r2 = [i for i in above if ktil[i] is None or pairs[i][1] > ktil[i]]
         x_hat: dict[int, float] = {}
         if r2:
-            # just above alpha-tilde the threshold root can land a few
-            # 1e-11 below the constrained offer; the bracket then is [x2, x2]
+            lo = np.array([tilde[i][0] for i in r2])
             hi = np.array([x2[i] for i in r2])
-            lo = np.array([min(tilde[i][0], x2[i]) for i in r2])
             alpha = np.array([pairs[i][0] for i in r2])
             p = ParamLanes(alpha, 0.0 * alpha, np.array([pairs[i][1] for i in r2]))
             opt = _diag_opt(p, self.curve, self.thresholds, self.tails, self.w, lo, hi)
             x_hat.update(zip(r2, opt.tolist()))
         return tuple(
-            self._output(a, k, tilde.get(i), x2[i], x_hat.get(i), ktil.get(i))
+            self._output(a, k, tilde[i], x2[i], x_hat.get(i), ktil.get(i))
             for i, (a, k) in enumerate(pairs)
         )
 
     def _output(self, alpha, kappa, tilde, x2, x_hat, ktil) -> SolverOutputs:
         """One point's SolverOutputs from the values the stages of solve_many found."""
-        if kappa == 1.0:
-            half = 0.5 * self.w
-            return SolverOutputs(
-                x_selfish=self.x_s,
-                x_constrained=half,
-                threshold=x2,
-                symmetric=half if alpha > 0.0 else None,
-                alpha_bar=self.abar,
-                alpha_tilde=0.0,
-                kappa_tilde=None,
-                region="R1" if alpha <= 0.0 else "R2",
-                optimal=Strategy(half, x2),
-                flags=self.flags + (("threshold-indeterminate",) if alpha == 0.0 else ()),
-            )
         x1c, atil = tilde
-        if alpha <= 0.0 or (alpha <= atil and x2 <= x1c):
+        if x2 <= x1c:
             region, optimal = "R1", Strategy(x1c, x2)
         elif x_hat is not None:
             region, optimal = "R2", Strategy(x_hat, x_hat)
         else:
             region, optimal = "R3", Strategy(self.x_s, x2)
+        indeterminate = ("threshold-indeterminate",) if alpha == 0.0 and kappa == 1.0 else ()
         return SolverOutputs(
             x_selfish=self.x_s,
             x_constrained=x1c,
@@ -419,11 +407,14 @@ class _CachedProblem:
             kappa_tilde=ktil,
             region=region,
             optimal=optimal,
-            flags=self.flags,
+            flags=self.flags + indeterminate,
         )
 
     def cells(self, pairs) -> tuple[RegionCell, ...]:
-        """RegionCells for kappa < 1; a cell has no room for the kappa = 1 flag."""
+        """RegionCells for kappa < 1: kappa = 1 is R1 for every alpha, while
+        the label as kappa rises to 1 is R2 above the limit of alpha-tilde
+        (about 0.053 on the default configuration), so a kappa = 1 row would
+        change label with no change of strategy."""
         pairs = [(float(a), float(k)) for a, k in pairs]
         if any(k >= 1.0 for _, k in pairs):
             raise ValidationError("region classification needs kappa < 1")

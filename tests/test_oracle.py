@@ -130,6 +130,22 @@ def test_riemann_tail_pair_nan_node_rejected(offers, crra):
         riemann_tail_pair(offers, crra, W, np.array([1.0, np.nan]))
 
 
+@pytest.mark.parametrize("offers", [
+    BeliefDistribution.scaled_beta(2.0, 4.0, W),
+    BeliefDistribution.uniform_on_half(W),
+    BeliefDistribution.empirical([1.0, 2.0, 5.0], W),
+    BeliefDistribution.always_accept(W),
+], ids=lambda d: d.kind)
+def test_riemann_utility_thresholds_off_the_offer_range(offers, crra):
+    # a threshold past w/2, infinite included, leaves no offer to accept; a
+    # NaN threshold is rejected as a NaN tail node is
+    p = PreferenceParams(alpha=0.5, kappa=0.3)
+    u = lambda x2: expected_utility_riemann(p, crra, offers, offers, Strategy(1.0, x2), W)
+    assert u(np.inf) == u(W) == u(0.7 * W)
+    with pytest.raises(ValidationError):
+        u(np.nan)
+
+
 def test_brute_ug_degenerate_corner(linear):
     # every offer accepted and no spite: keep everything, ties break low
     acc = BeliefDistribution.always_accept(W)

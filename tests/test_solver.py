@@ -81,6 +81,36 @@ def test_kappa_lanes_equal_one_point_calls_bitwise(crra, thresholds):
     assert got == [(x, alpha_tilde(float(k), crra, thresholds, W)) for k, x in zip(ks, alone)]
 
 
+_OFFER_BELIEFS = [
+    BeliefDistribution.scaled_beta(2.0, 4.0, W),
+    BeliefDistribution.uniform_on_half(W),
+    BeliefDistribution.empirical([0.5, 1.0, 1.0, 1.5, 2.0, 2.5, 2.5, 3.0, 4.0, 5.0], W),
+    BeliefDistribution.always_accept(W),
+]
+
+
+@pytest.mark.parametrize("beliefs", _OFFER_BELIEFS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("name", ["linear", "crra", "shifted_log"])
+def test_constrained_offer_at_kappa_one_is_the_equal_split(name, beliefs, request):
+    # v(w - x) + v(x) peaks at w/2 (every offer ties on a linear curve); the
+    # kappa = 1 lanes are not searched, and the others keep their bits
+    curve = request.getfixturevalue(name)
+    got = constrained_offer(1.0, curve, beliefs, W)
+    assert type(got) is float and got == 0.5 * W
+    ks = np.array([0.3, 1.0, 0.0, 1.0, 0.999999999, 0.7])
+    mixed = constrained_offer(ks, curve, beliefs, W)
+    assert mixed[ks == 1.0].tolist() == [0.5 * W, 0.5 * W]
+    inner = constrained_offer(ks[ks < 1.0], curve, beliefs, W)
+    assert mixed[ks < 1.0].tobytes() == inner.tobytes()
+
+
+@pytest.mark.parametrize("name", ["linear", "crra", "shifted_log"])
+def test_alpha_tilde_at_kappa_one_is_infinite(name, thresholds, offers, request):
+    curve = request.getfixturevalue(name)
+    out = optimal_strategy(PreferenceParams(alpha=0.5, kappa=1.0), curve, thresholds, offers, W)
+    assert alpha_tilde(1.0, curve, thresholds, W) == out.alpha_tilde == math.inf
+
+
 def test_indifference_alpha_arrays_equal_float_calls_bitwise(crra):
     def scalar(x, weight):
         # the float formula, one point at a time
@@ -147,10 +177,13 @@ def test_constrained_threshold_steep_crra_root(kappa):
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-def test_constrained_threshold_rejects_non_finite_alpha(linear, bad):
-    # a validation failure (exit 2), not a bisection that cannot converge
+def test_constrained_threshold_rejects_non_finite_alpha(linear, thresholds, bad):
+    # a validation failure (exit 2), not a bisection that cannot converge; a
+    # batch classification asks it for every point, -inf included
     with pytest.raises(ValidationError):
         constrained_threshold(0.3, bad, linear, W)
+    with pytest.raises(ValidationError):
+        classify_many([(bad, 0.3)], linear, thresholds, thresholds, W)
 
 
 def test_diagonal_utility_broadcasts_bitwise(crra, thresholds, offers):
@@ -272,12 +305,14 @@ def test_region_boundary_ties(crra, thresholds, offers):
 
 
 def test_full_universalization_edge(crra, thresholds, offers):
-    # at kappa = 1 the offer is the equal split and the threshold constrained_threshold's
+    # at kappa = 1 the offer is the equal split and the threshold constrained_threshold's;
+    # the threshold never exceeds the offer there, so every alpha is R1
     solve = lambda a: optimal_strategy(PreferenceParams(alpha=a, kappa=1.0), crra, thresholds,
                                        offers, W)
     out = solve(0.5)
     assert out.optimal == Strategy(W / 2, W / 2) and out.threshold == W / 2
-    assert out.region == "R2" and out.flags == ()
+    assert out.region == "R1" and out.flags == ()
+    assert (out.symmetric, out.alpha_tilde, out.kappa_tilde) == (None, math.inf, None)
     out = solve(-0.5)
     assert out.optimal == Strategy(W / 2, 0.0) and out.threshold == 0.0
     assert out.region == "R1" and out.flags == ()
@@ -288,16 +323,7 @@ def test_full_universalization_edge(crra, thresholds, offers):
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 2.0])
-@pytest.mark.parametrize(
-    "offers",
-    [
-        BeliefDistribution.scaled_beta(2.0, 4.0, W),
-        BeliefDistribution.uniform_on_half(W),
-        BeliefDistribution.empirical([0.5, 1.0, 1.0, 1.5, 2.0, 2.5, 2.5, 3.0, 4.0, 5.0], W),
-        BeliefDistribution.always_accept(W),
-    ],
-    ids=lambda d: d.kind,
-)
+@pytest.mark.parametrize("offers", _OFFER_BELIEFS, ids=lambda d: d.kind)
 def test_kappa_one_optimum_matches_brute_force(crra, thresholds, offers, alpha):
     # a threshold of 0 at alpha > 0 scored 3.09 below the grid optimum at
     # alpha = 0.5 and 12.38 below it at alpha = 2 (Beta(2, 4) offers)
@@ -422,12 +448,15 @@ def test_solve_many_equals_pointwise_optimal_strategy(crra, thresholds, offers):
             assert {o.region for o in outs} == {"R1", "R2", "R3"}
         else:
             assert all("degenerate-belief" in o.flags for o in outs)
-    # the threshold root lands 4e-11 below the constrained offer here; the
-    # diagonal optimum then sits on the threshold instead of raising
+    # the threshold root lands 4e-11 below the constrained offer here, so the
+    # threshold is compatible with the offer and the pair is R1 (it scores
+    # 7.792256397856201 by expected_utility_riemann, the diagonal point on
+    # the threshold 7.7922563978562)
     p = PreferenceParams(alpha=just_above_atil, kappa=0.46)
     out = optimal_strategy(p, crra, thresholds, offers, W)
-    assert out.region == "R2" and out.x_constrained > out.threshold
-    assert out.optimal == Strategy(out.threshold, out.threshold)
+    assert just_above_atil > out.alpha_tilde
+    assert out.region == "R1" and out.x_constrained > out.threshold
+    assert out.optimal == Strategy(out.x_constrained, out.threshold)
 
 
 def test_kappa_tilde_bisection_reuses_the_scan_endpoints(crra, thresholds, offers, monkeypatch):
@@ -600,11 +629,34 @@ def test_mixed_batch_equals_one_point_solves_by_repr(name):
         alone = optimal_strategy(PreferenceParams(alpha=a, kappa=k), curve, th, of, W)
         assert repr(out) == repr(alone), (a, k)
     regions = {o.region for o in outs}
-    assert {"R1", "R2"} <= regions
+    if name == "shifted_log/uniform/beta42":
+        # the constrained offer is w/2 at every kappa, so no threshold exceeds it
+        assert regions == {"R1"} and all(o.x_constrained == W / 2 for o in outs)
+    else:
+        assert {"R1", "R2"} <= regions
     assert any("threshold-indeterminate" in o.flags for o in outs)
     if math.isfinite(prob.abar):  # beliefs with a selfish offer below w/2
         assert "R3" in regions
         assert any(a > prob.abar for a, _ in pairs) and any(0.0 < a < prob.abar for a, _ in pairs)
+
+
+@pytest.mark.parametrize("name", sorted(_LANE_CONFIGS))
+def test_region_is_r1_iff_the_threshold_meets_the_offer(name):
+    # random (alpha, kappa < 1), and alpha at and a few ulps above alpha-tilde,
+    # where the threshold root can land a few 1e-11 either side of the offer
+    curve, th_shape, of_shape = _LANE_CONFIGS[name]
+    prob = _CachedProblem(curve, _belief(th_shape), _belief(of_shape), W)
+    rng = np.random.default_rng(2800)
+    pairs = [(float(rng.uniform(-1.0, 3.5)), float(rng.uniform(0.0, 0.99))) for _ in range(60)]
+    ks = rng.uniform(0.05, 0.95, 20).tolist()
+    for k, (_, atil) in zip(ks, prob.offers_and_tildes(ks)):
+        for _ in range(4 if math.isfinite(atil) else 0):
+            pairs.append((atil, k))
+            atil = float(np.nextafter(atil, np.inf))
+    for (a, k), out in zip(pairs, prob.solve_many(pairs)):
+        assert (out.region == "R1") == (out.threshold <= out.x_constrained), (a, k)
+        if out.region == "R1":
+            assert out.optimal == Strategy(out.x_constrained, out.threshold)
 
 
 def test_region_map_structure(crra, thresholds, offers):

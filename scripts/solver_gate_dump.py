@@ -55,6 +55,12 @@ Beta(2, 4) beliefs on both sides):
   41 transfers on [0, w] at w = 58.8 (rng seed 1300), and of
   constrained_offer over 50 kappa lanes (0, 1 and 48 drawn with rng seed
   1700);
+- per curve (linear, CRRA(0.05), shifted log) and threshold belief
+  (Beta(2, 4), uniform, the empirical belief above, always-accept), the
+  `repr` of selfish_offer, alpha_bar, alpha_tilde at kappa = 0 and a
+  _CachedProblem's x_s and abar, one line each configuration;
+- kappa_tilde at alpha = NaN and -inf: its `repr`, or the class of the
+  error it raises;
 - the CLI output bytes: for each invocation below, each --format (json,
   csv) and each destination (stdout, and the file an --out run writes),
   the exit code and the sha256 of the output, one line each:
@@ -96,6 +102,8 @@ from moralbargain import (  # noqa: E402
     PayoffCurve,
     PreferenceParams,
     Strategy,
+    alpha_bar,
+    alpha_tilde,
     classify_many,
     constrained_offer,
     constrained_threshold,
@@ -106,6 +114,7 @@ from moralbargain import (  # noqa: E402
     kappa_tilde,
     nash_set,
     optimal_strategy,
+    selfish_offer,
     simulate_choices,
 )
 from moralbargain.io import load_estimates, save_choices  # noqa: E402
@@ -116,6 +125,7 @@ from moralbargain.oracle import (  # noqa: E402
     optimal_vs_brute,
 )
 from moralbargain.params import ParamLanes  # noqa: E402
+from moralbargain.solver import _CachedProblem  # noqa: E402
 from moralbargain.utility import TailIntegrals, dg_objective  # noqa: E402
 
 W = 10.0
@@ -328,6 +338,24 @@ def main() -> None:
         print(f"dg_objective over 300 lanes x 41 transfers, {name}: sha256={digest}")
         digest = hashlib.sha256(constrained_offer(kappas, u_curve, beliefs, W).tobytes()).hexdigest()
         print(f"constrained_offer over 50 kappa lanes, {name}: sha256={digest}")
+
+    lane_beliefs = {"Beta(2, 4)": beliefs, "uniform": BeliefDistribution.uniform_on_half(W),
+                    "empirical": BeliefDistribution.empirical(sample, W),
+                    "always-accept": BeliefDistribution.always_accept(W)}
+    for s_curve in (PayoffCurve.linear(), curve, PayoffCurve.shifted_log()):
+        for name, th in lane_beliefs.items():
+            prob = _CachedProblem(s_curve, th, th, W)
+            print(f"kappa = 0 lane, {s_curve.label()}, {name} thresholds: "
+                  f"selfish_offer={selfish_offer(s_curve, th, W)!r} "
+                  f"alpha_bar={alpha_bar(s_curve, th, W)!r} "
+                  f"alpha_tilde(0.0)={alpha_tilde(0.0, s_curve, th, W)!r} "
+                  f"_CachedProblem x_s={prob.x_s!r} abar={prob.abar!r}")
+    for a in (float("nan"), -float("inf")):
+        try:
+            got = repr(kappa_tilde(a, curve, beliefs, beliefs, W))
+        except MoralBargainError as exc:
+            got = f"raises {type(exc).__name__}"
+        print(f"kappa_tilde({a!r}): {got}")
 
     print("\n".join(cli_lines()))
 

@@ -23,7 +23,9 @@ _KINDS = ("scaled_beta", "uniform", "always_accept", "empirical")
 
 @dataclass(frozen=True)
 class BeliefDistribution:
-    """Distribution on [0, w/2] for one side of the game."""
+    """Distribution on [0, w/2] for one side of the game. The discrete kinds,
+    empirical and always-accept (one atom at 0), are read through atoms;
+    only an empirical belief takes a sample."""
 
     kind: str
     w: float
@@ -38,6 +40,8 @@ class BeliefDistribution:
         if self.kind == "scaled_beta":
             if not all(s is not None and 0 < s < math.inf for s in (self.a, self.b)):
                 raise ValidationError("scaled_beta needs finite shape parameters a, b > 0")
+        if self.kind != "empirical" and self.sample is not None:
+            raise ValidationError(f"a {self.kind} belief takes no sample")
         if self.kind == "empirical":
             if not self.sample:
                 raise ValidationError("empirical belief needs a nonempty sample")
@@ -75,6 +79,12 @@ class BeliefDistribution:
     def is_degenerate(self) -> bool:
         return self.kind == "always_accept"
 
+    @property
+    def atoms(self) -> tuple[float, ...] | None:
+        """The atoms of a discrete belief, each of equal mass: (0.0,) for
+        always-accept, the sample for empirical; None for a continuous kind."""
+        return (0.0,) if self.kind == "always_accept" else self.sample
+
     # -- distribution functions -------------------------------------------
 
     def cdf(self, x):
@@ -86,10 +96,9 @@ class BeliefDistribution:
         if isinstance(x, float):
             if x < 0.0:
                 raise DomainError("belief cdf evaluated at negative amount")
-            if self.kind == "always_accept":
-                return 1.0
-            if self.kind == "empirical":
-                return bisect.bisect_right(self.sample, x) / len(self.sample)
+            atoms = self.atoms
+            if atoms is not None:
+                return bisect.bisect_right(atoms, x) / len(atoms)
             u = min(max(x / self.half, 0.0), 1.0)
             return float(betainc(self.a, self.b, u) if self.kind == "scaled_beta" else u)
         arr = np.asarray(x, dtype=float)
@@ -97,15 +106,13 @@ class BeliefDistribution:
             raise DomainError("belief cdf evaluated at negative amount")
         # past the negativity check only the upper bound can act; np.minimum
         # keeps a -0.0 and a NaN as np.clip would
-        if self.kind == "scaled_beta":
+        atoms = self.atoms
+        if atoms is not None:
+            out = np.searchsorted(atoms, arr, side="right") / len(atoms)
+        elif self.kind == "scaled_beta":
             out = betainc(self.a, self.b, np.minimum(arr / self.half, 1.0))
-        elif self.kind == "uniform":
-            out = np.minimum(arr / self.half, 1.0)
-        elif self.kind == "always_accept":
-            out = np.ones_like(arr)
         else:
-            pts = np.asarray(self.sample)
-            out = np.searchsorted(pts, arr, side="right") / len(pts)
+            out = np.minimum(arr / self.half, 1.0)
         return float(out) if arr.ndim == 0 else out
 
     def pdf(self, x):
@@ -147,21 +154,19 @@ class BeliefDistribution:
     def tail_expectation(self, fn: Callable, lo: float) -> float:
         """Exact-or-adaptive integral of fn against this distribution on [lo, w/2].
 
-        Continuous kinds use adaptive quadrature (abs tol 1e-10); empirical
-        beliefs are finite sums over sample points, atoms at lo included;
-        the always-accept point mass contributes fn(0) iff lo <= 0.
+        Continuous kinds use adaptive quadrature (abs tol 1e-10); discrete
+        kinds are finite sums over their atoms, atoms at lo included, with
+        fn called once on the array of those atoms.
         """
         hi = self.half
-        if self.kind == "always_accept":
-            return float(fn(0.0)) if lo <= 0.0 else 0.0
-        if lo >= hi and self.kind != "empirical":
-            return 0.0
-        if self.kind == "empirical":
-            pts = np.asarray(self.sample)
+        if self.atoms is not None:
+            pts = np.asarray(self.atoms)
             keep = pts[pts >= lo]
             if keep.size == 0:
                 return 0.0
             return float(np.sum(fn(keep)) / len(pts))
+        if lo >= hi:
+            return 0.0
         from scipy.integrate import quad  # the reference route only
 
         val, _ = quad(

@@ -17,7 +17,8 @@ from . import kernels
 from .curves import PayoffCurve
 from .errors import ValidationError
 from .numerics import bisect_boundary
-from .params import PreferenceParams, Strategy, grid_step_of, validate_endowment
+from .params import PreferenceParams, Strategy, grid_axis, grid_step_of
+from .params import validate_endowment, validate_kappa_alpha
 from .solver import constrained_threshold
 from .utility import _universal_term, social_utility
 
@@ -62,8 +63,7 @@ def tau_of_kappa(kappa: float, curve: PayoffCurve, w: float) -> float:
     region is an upper interval and bisection on the flip point applies.
     """
     validate_endowment(w)
-    if not 0.0 <= kappa <= 1.0:
-        raise ValidationError("kappa must lie in [0, 1]")
+    validate_kappa_alpha(kappa)
     if kappa == 0.0:
         return 0.0  # v'(w - x) >= 0 holds at x = 0; avoids 0 * inf at a v'(0) pole
     pred = lambda x: curve.derivative(w - x) >= kappa * curve.derivative(x)
@@ -74,6 +74,7 @@ def tau_of_kappa(kappa: float, curve: PayoffCurve, w: float) -> float:
 def x1_upper_of(kappa: float, alpha: float, curve: PayoffCurve, w: float) -> float:
     """Largest sustainable offer: max{x: (1-kappa+alpha) v(w-x) >= v(x)}."""
     validate_endowment(w)
+    validate_kappa_alpha(kappa, alpha)
     coef = 1.0 - kappa + alpha
     pred = lambda x: coef * curve.value(w - x) >= curve.value(x)
     if pred(w):
@@ -102,8 +103,7 @@ def _verify(
     if not inside.all():
         raise ValidationError(f"strategy {profiles[int(np.argmin(inside))]} outside [0, {w}]^2")
     p = PreferenceParams(alpha=alpha, kappa=kappa)
-    n = int(round(w / step))
-    axis = np.linspace(0.0, w, n + 1)
+    axis = grid_axis(step, w)
 
     v_keep = curve.value(w - axis)
     v_give = curve.value(axis)
@@ -210,8 +210,7 @@ def nash_set(
     hi_f = min(x1hi, rho) if not math.isnan(rho) else x1hi
     formula_segment = (lo_f, hi_f) if lo_f <= hi_f else None
 
-    n = int(round(w / step))
-    axis = np.linspace(0.0, w, n + 1)
+    axis = grid_axis(step, w)
     checks = _verify([Strategy(x, x) for x in axis.tolist()], kappa, alpha, curve, w, step)
     passing = np.array([chk.is_nash for chk in checks], dtype=np.int8)
     segment = None

@@ -19,7 +19,7 @@ from .beliefs import BeliefDistribution
 from .curves import PayoffCurve
 from .errors import IndeterminateError, ValidationError
 from .kernels import grid_argmax
-from .params import ParamLanes, PreferenceParams, Strategy, grid_step_of, validate_endowment
+from .params import ParamLanes, PreferenceParams, Strategy, grid_axis, grid_step_of, validate_endowment
 from .solver import _CachedProblem, constrained_threshold
 from .utility import dg_transfer, eval_expected_utility
 
@@ -36,13 +36,13 @@ def riemann_tail_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tail integrals I1(t) = int_t^{w/2} v(y) dF, I2(t) = int_t^{w/2} v(w-y) dF
     at each grid node t, via midpoint sums on a fine sub-grid (continuous
-    kinds) or exact finite sums (empirical / point-mass kinds).
+    kinds) or exact finite sums over the atoms (discrete kinds).
     """
     half = 0.5 * w
     nodes = np.asarray(nodes, dtype=float)
     if np.isnan(nodes).any():
         raise ValidationError("riemann_tail_pair nodes must not be NaN")
-    if offers.kind in ("empirical", "always_accept"):
+    if offers.atoms is not None:
         i1 = [offers.tail_expectation(curve.value, t) for t in nodes]
         i2 = [offers.tail_expectation(lambda y: curve.value(w - y), t) for t in nodes]
         return np.array(i1), np.array(i2)
@@ -105,10 +105,7 @@ def _ug_tables(
 ) -> tuple[np.ndarray, ...]:
     """The parameter-free tables of the brute-force grid: the axis xs and
     its _ug_columns."""
-    validate_endowment(w)
-    step = grid_step_of(grid_step, w)
-    n = int(round(w / step))
-    xs = np.linspace(0.0, w, n + 1)
+    xs = grid_axis(grid_step, w)
     return (xs,) + _ug_columns(curve, thresholds, offers, w, xs)
 
 
@@ -158,9 +155,7 @@ def brute_force_dg(
     p: PreferenceParams, curve: PayoffCurve, w: float, grid_step: float
 ) -> tuple[float, float]:
     """Exhaustive scan of the dictator objective on [0, w]."""
-    validate_endowment(w)
-    n = int(round(w / grid_step_of(grid_step, w)))
-    xs = np.linspace(0.0, w, n + 1)
+    xs = grid_axis(grid_step, w)
     vals = _dg_values(p, curve.value(w - xs), curve.value(xs))
     k = int(np.argmax(vals))
     return float(xs[k]), float(vals[k])

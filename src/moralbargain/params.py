@@ -47,11 +47,9 @@ class PreferenceParams:
     lam: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
-        if not (0.0 <= self.kappa <= 1.0):
-            raise ValidationError(f"kappa must lie in [0, 1], got {self.kappa}")
+        validate_kappa_alpha(self.kappa, self.alpha)
+        if not math.isfinite(self.beta):
+            raise ValidationError(f"beta must be finite, got {self.beta}")
         if not (0.0 <= self.lam <= 1.0):
             raise ValidationError(f"lam must lie in [0, 1], got {self.lam}")
 
@@ -82,6 +80,18 @@ class Strategy:
     x2: float
 
 
+def validate_kappa_alpha(kappa=(), alpha=()) -> None:
+    """ValidationError unless every kappa (float or array) is in [0, 1] and every alpha finite."""
+    k = np.asarray(kappa, dtype=float)
+    bad = ~((0.0 <= k) & (k <= 1.0))  # also catches nan
+    if bad.any():
+        raise ValidationError(f"kappa must lie in [0, 1], got {float(k[bad][0])}")
+    a = np.asarray(alpha, dtype=float)
+    bad = ~np.isfinite(a)
+    if bad.any():
+        raise ValidationError(f"alpha must be finite, got {float(a[bad][0])}")
+
+
 def grid_step_of(grid: float, w: float) -> float:
     """The step of a brute-force or verifier lattice on [0, w]; it must lie in
     (0, w/2], since a wider step collapses the lattice."""
@@ -89,3 +99,11 @@ def grid_step_of(grid: float, w: float) -> float:
     if not 0.0 < step <= 0.5 * w:  # also rejects nan and inf
         raise ValidationError("grid_step must lie in (0, w/2]")
     return step
+
+
+def grid_axis(grid: float, w: float) -> np.ndarray:
+    """The brute-force or verifier lattice on [0, w]: w / grid_step_of(grid, w)
+    steps, rounded to a whole number; w and the step are validated."""
+    w = validate_endowment(w)
+    n = int(round(w / grid_step_of(grid, w)))
+    return np.linspace(0.0, w, n + 1)

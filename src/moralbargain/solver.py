@@ -26,7 +26,7 @@ from .numerics import (
     bisect_root,
     scan_then_golden,
 )
-from .params import ParamLanes, PreferenceParams, Strategy, validate_endowment
+from .params import ParamLanes, PreferenceParams, Strategy, validate_endowment, validate_kappa_alpha
 from .utility import TailIntegrals, _proposer_term, _responder_term, _universal_term
 
 REGIONS = ("R1", "R2", "R3")
@@ -61,10 +61,9 @@ class SolverOutputs:
 
 
 def selfish_offer(curve: PayoffCurve, thresholds: BeliefDistribution, w: float) -> float:
-    """Offer maximizing v(w - x) F(x): acceptance-weighted own payoff."""
-    validate_endowment(w)
-    f = lambda x: curve.value(w - x) * thresholds.cdf(x)
-    return scan_then_golden(f, 0.0, 0.5 * w)
+    """Offer maximizing v(w - x) F(x): acceptance-weighted own payoff, found as
+    the constrained offer at kappa = 0, whose objective this is."""
+    return constrained_offer(0.0, curve, thresholds, w)
 
 
 def constrained_offer(
@@ -79,10 +78,8 @@ def constrained_offer(
     search lane per entry and gives an array.
     """
     validate_endowment(w)
+    validate_kappa_alpha(kappa)
     k = np.asarray(kappa, dtype=float)
-    out_of_range = ~((0.0 <= k) & (k <= 1.0))
-    if out_of_range.any():
-        raise ValidationError(f"kappa must lie in [0, 1], got {_first_bad(k, out_of_range)}")
     out = np.full(k.shape, 0.5 * w)
     inner = k < 1.0
     if inner.any():
@@ -110,12 +107,8 @@ def constrained_threshold(
     alpha broadcast to one root per entry, found in one lane search.
     """
     validate_endowment(w)
+    validate_kappa_alpha(kappa, alpha)
     k, a = np.broadcast_arrays(np.asarray(kappa, dtype=float), np.asarray(alpha, dtype=float))
-    out_of_range = ~((0.0 <= k) & (k <= 1.0))
-    if out_of_range.any():
-        raise ValidationError(f"kappa must lie in [0, 1], got {_first_bad(k, out_of_range)}")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError(f"alpha must be finite, got {_first_bad(a, ~np.isfinite(a))}")
     pos = a > 0.0
     out = np.where(pos & (k == 1.0), 0.5 * w, 0.0)
     root = pos & (k < 1.0)
@@ -125,11 +118,6 @@ def constrained_threshold(
         g = lambda x: coef * curve.value(x) - ap * curve.value(w - x)
         out[root] = bisect_root(g, np.zeros(ap.shape), np.full(ap.shape, 0.5 * w), residual_tol=1e-10)
     return float(out) if out.ndim == 0 else out
-
-
-def _first_bad(values: np.ndarray, mask: np.ndarray) -> float:
-    """The first entry of values where mask holds, for an error message."""
-    return float(values[mask][0])
 
 
 def _fast_u(p, curve, thresholds, tails, x1, x2, w: float):
@@ -150,7 +138,7 @@ def _diag_opt(p, curve, thresholds, tails, w: float, lo, hi):
     return scan_then_golden(f, lo, hi, tol=1e-6)
 
 
-def _indifference_alpha(curve: PayoffCurve, x, w: float, weight=1.0):
+def _indifference_alpha(curve: PayoffCurve, x, w: float, weight):
     """weight v(x) / (v(w - x) - v(x)); infinite when x is the equal split.
 
     Broadcasts over arrays of x and weight; a float for float input.
@@ -166,9 +154,9 @@ def alpha_bar(curve: PayoffCurve, thresholds: BeliefDistribution, w: float) -> f
     """Spite level above which rejecting the selfish offer is worth it.
 
     v(x_s) / (v(w - x_s) - v(x_s)); infinite when the selfish offer is
-    already the equal split.
+    already the equal split. This is alpha_tilde at kappa = 0.
     """
-    return _indifference_alpha(curve, selfish_offer(curve, thresholds, w), w)
+    return alpha_tilde(0.0, curve, thresholds, w)
 
 
 def alpha_tilde(kappa: float, curve: PayoffCurve, thresholds: BeliefDistribution, w: float) -> float:
@@ -193,8 +181,8 @@ def kappa_tilde(
     """Universalization level where the selfish combination stops paying.
 
     Root of u(x_s, threshold) - u(symmetric, symmetric) in kappa; defined
-    for alpha above alpha_bar (returns None otherwise). See
-    _CachedProblem.kappa_tildes.
+    for alpha above alpha_bar (returns None otherwise). A non-finite alpha
+    is a ValidationError. See _CachedProblem.kappa_tildes.
     """
     (out,) = _CachedProblem(curve, thresholds, offers, w).kappa_tildes([alpha])
     return out
@@ -251,10 +239,9 @@ class _CachedProblem:
         self.thresholds = thresholds
         self.offers = offers
         self.w = validate_endowment(w)
-        self.x_s = selfish_offer(curve, thresholds, w)
-        self.abar = _indifference_alpha(curve, self.x_s, w)
         self._by_kappa: dict[float, tuple[float, float]] = {}
         self._ktil: dict[float, float | None] = {}
+        ((self.x_s, self.abar),) = self.offers_and_tildes([0.0])
         degenerate = thresholds.is_degenerate or offers.is_degenerate
         self.flags = ("degenerate-belief",) if degenerate else ()
 
@@ -285,7 +272,8 @@ class _CachedProblem:
 
     def kappa_tildes(self, alphas) -> list[float | None]:
         """Root in kappa of u(x_s, threshold) - u(symmetric, symmetric) at
-        each alpha > alpha-bar, cached per alpha; None for alpha <= alpha-bar.
+        each alpha > alpha-bar, cached per alpha; None for alpha <= alpha-bar,
+        decided here only. A non-finite alpha is a ValidationError.
 
         The first utility is strictly decreasing in kappa and the second
         convex, so the first sign change on the kappa grid i / _KTIL_SCAN,
@@ -301,6 +289,7 @@ class _CachedProblem:
         scan.
         """
         alphas = [float(a) for a in alphas]
+        validate_kappa_alpha(alpha=alphas)
         new = [a for a in dict.fromkeys(alphas) if a not in self._ktil]
         self._ktil.update((a, None) for a in new if not a > self.abar)
         scan = [a for a in new if a > self.abar]
@@ -355,7 +344,7 @@ class _CachedProblem:
         brute-force oracle runner all go through it. It runs in stages, each
         one lane search over the points that need it: the constrained offers
         of the distinct kappa, the threshold roots, kappa-tilde of the
-        distinct alpha whose decision needs it, then the R2 diagonal optima.
+        distinct alpha of the non-R1 points, then the R2 diagonal optima.
         A point is R1 iff its threshold is at or below its constrained offer,
         which is alpha <= alpha-tilde (alpha <= 0 gives the threshold 0). At
         kappa = 1 offer and threshold are those of constrained_offer and
@@ -370,9 +359,7 @@ class _CachedProblem:
             np.array([k for _, k in pairs]), np.array([a for a, _ in pairs]), self.curve, self.w
         ).tolist()
         above = [i for i, (x1c, _) in enumerate(tilde) if not x2[i] <= x1c]
-        ktil = dict.fromkeys(above)
-        need = [i for i in above if not pairs[i][0] < self.abar]
-        ktil.update(zip(need, self.kappa_tildes(pairs[i][0] for i in need)))
+        ktil = dict(zip(above, self.kappa_tildes(pairs[i][0] for i in above)))
         r2 = [i for i in above if ktil[i] is None or pairs[i][1] > ktil[i]]
         x_hat: dict[int, float] = {}
         if r2:
@@ -437,10 +424,7 @@ def region_map(
     prob = _CachedProblem(curve, thresholds, offers, w)
     cells = prob.cells((a, k) for a in alphas for k in kappas)
     atil_series = tuple((k, atil) for k, (_, atil) in zip(kappas, prob.offers_and_tildes(kappas)))
-    spiteful = [a for a in alphas if a > prob.abar]
-    ktil_series = tuple(
-        (a, kt) for a, kt in zip(spiteful, prob.kappa_tildes(spiteful)) if kt is not None
-    )
+    ktil_series = tuple((a, kt) for a, kt in zip(alphas, prob.kappa_tildes(alphas)) if kt is not None)
     return RegionMapResult(cells, prob.abar, atil_series, ktil_series)
 
 

@@ -127,8 +127,8 @@ class TailIntegrals:
     v(w-y). Continuous beliefs use a dense cumulative-trapezoid table
     (adaptive quadrature in tail_expectation stays the reference route),
     read by linear interpolation with np.interp's values bit for bit;
-    empirical beliefs use exact suffix sums over the atoms, and a degenerate
-    always-accept belief is one atom at zero. A scaled Beta offer belief
+    discrete beliefs use exact suffix sums over BeliefDistribution.atoms
+    (always-accept is one atom at zero). A scaled Beta offer belief
     with a shape parameter below 1 is a ValidationError.
     """
 
@@ -138,10 +138,8 @@ class TailIntegrals:
             raise ValidationError("belief endowment does not match w")
         self.w = w
         half = 0.5 * w
-        if offers.kind in ("empirical", "always_accept"):
-            # the always-accept point mass is one atom at zero
-            sample = (0.0,) if offers.is_degenerate else offers.sample
-            pts = np.sort(np.asarray(sample, dtype=float))
+        if offers.atoms is not None:
+            pts = np.sort(np.asarray(offers.atoms, dtype=float))
             n = pts.size
             self._pts = pts
             self._sfx_own = np.concatenate([np.cumsum(curve.value(pts)[::-1])[::-1] / n, [0.0]])

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from moralbargain import BeliefDistribution
+from moralbargain import BeliefDistribution, PayoffCurve
 from moralbargain.errors import DomainError, ValidationError
+from moralbargain.utility import TailIntegrals
 
 W = 10.0
 
@@ -83,6 +84,30 @@ def test_always_accept_contract():
     np.testing.assert_array_equal(d.cdf(xs), np.ones_like(xs))
     assert d.tail_expectation(lambda y: y + 3.0, 0.0) == 3.0
     assert d.tail_expectation(lambda y: y + 3.0, 0.1) == 0.0
+
+
+def test_always_accept_is_one_atom_at_zero():
+    # the same sums, tail tables and cdf bits as an empirical belief on {0}
+    d, atom = BeliefDistribution.always_accept(W), BeliefDistribution.empirical([0.0], W)
+    assert d.atoms == atom.atoms == (0.0,)
+    assert BeliefDistribution.uniform_on_half(W).atoms is None
+    xs = np.concatenate([[0.0, -0.0, W / 2, W, np.nan, np.inf], np.linspace(0.0, W, 101)])
+    assert d.cdf(xs).tobytes() == atom.cdf(xs).tobytes()
+    assert [d.cdf(x) for x in xs.tolist()] == [atom.cdf(x) for x in xs.tolist()]
+    curve = PayoffCurve.crra(0.05)
+    for lo in (-1.0, 0.0, 1e-300, 0.1, W / 2, W, np.nan):
+        assert d.tail_expectation(curve.value, lo) == atom.tail_expectation(curve.value, lo)
+    got, want = TailIntegrals(d, curve, W), TailIntegrals(atom, curve, W)
+    for x in (xs, 0.0, W / 2):
+        assert np.array(got._eval(x)).tobytes() == np.array(want._eval(x)).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["scaled_beta", "uniform", "always_accept"])
+def test_sample_only_on_an_empirical_belief(kind):
+    # a sample on another kind was silently ignored
+    shape = {"a": 2.0, "b": 4.0} if kind == "scaled_beta" else {}
+    with pytest.raises(ValidationError, match="takes no sample"):
+        BeliefDistribution(kind, W, sample=(1.0,), **shape)
 
 
 def test_empirical_cdf_and_sums():

@@ -7,12 +7,14 @@ formula-level checks only.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from moralbargain import (
     PayoffCurve,
+    constrained_offer,
     constrained_threshold,
     nash_set,
     rho_of_kappa,
@@ -83,6 +85,28 @@ class TestX1Upper:
         assert not ok(got + 1e-6)
         # above the half-split only when alpha covers the kappa drag
         assert got >= W / 2
+
+    @pytest.mark.parametrize("kappa, alpha", [
+        (2.0, 0.5), (-1.0, 0.5), (float("nan"), 0.5), (0.5, float("nan")), (0.5, float("inf")),
+    ])
+    def test_degenerate_inputs_rejected(self, crra, kappa, alpha):
+        # these gave 0.0, 7.24, 0.0, 0.0 and 10.0 (the last with a RuntimeWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                x1_upper_of(kappa, alpha, crra, W)
+
+
+def test_one_kappa_check_for_every_bound_and_root(crra, thresholds):
+    calls = [
+        lambda: tau_of_kappa(2.0, crra, W),
+        lambda: x1_upper_of(2.0, 0.5, crra, W),
+        lambda: constrained_offer(2.0, crra, thresholds, W),
+        lambda: constrained_threshold(2.0, 0.5, crra, W),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match=r"kappa must lie in \[0, 1\], got 2\.0"):
+            call()
 
 
 class TestX2Lower:

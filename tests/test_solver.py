@@ -242,6 +242,63 @@ def test_alpha_bar_definitional_identity(crra, thresholds, linear):
     assert alpha_bar(linear, BeliefDistribution.always_accept(W), W) == pytest.approx(0.0, abs=1e-8)
 
 
+def _identity_beliefs(w):
+    atoms = [f * w for f in (0.05, 0.1, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5)]
+    return [
+        BeliefDistribution.scaled_beta(2.0, 4.0, w),
+        BeliefDistribution.scaled_beta(1.0, 1.0, w),
+        BeliefDistribution.scaled_beta(0.5, 3.0, w),
+        BeliefDistribution.uniform_on_half(w),
+        BeliefDistribution.always_accept(w),
+        BeliefDistribution.empirical(atoms, w),
+    ]
+
+
+@pytest.mark.parametrize("w", [W, 58.8, 7.0, 1000.0])
+@pytest.mark.parametrize(
+    "curve",
+    [PayoffCurve.linear(), PayoffCurve.crra(0.05), PayoffCurve.crra(0.5), PayoffCurve.crra(0.9),
+     PayoffCurve.shifted_log()],
+    ids=lambda c: c.label(),
+)
+def test_selfish_offer_and_alpha_bar_are_the_kappa_zero_lane(curve, w):
+    # at kappa = 0 the constrained objective is v(w - x) F(x) bit for bit, so
+    # x_s and alpha-bar are the kappa = 0 offer and alpha-tilde, alone and as
+    # one lane of a mixed kappa array
+    ks = np.array([0.3, 0.0, 1.0, 0.7])
+    for th in _identity_beliefs(w):
+        x_s, abar = selfish_offer(curve, th, w), alpha_bar(curve, th, w)
+        lanes = constrained_offer(ks, curve, th, w)
+        assert x_s == constrained_offer(0.0, curve, th, w) == lanes[1], th.kind
+        assert repr(abar) == repr(alpha_tilde(0.0, curve, th, w)), th.kind
+        assert repr(abar) == repr(float(solver._indifference_alpha(curve, lanes, w, 1.0 - ks)[1]))
+        prob = _CachedProblem(curve, th, th, w)
+        assert repr((prob.x_s, prob.abar)) == repr((x_s, abar)), th.kind
+
+
+def test_cached_problem_reads_x_s_and_alpha_bar_from_the_kappa_zero_lane(
+    crra, thresholds, offers, monkeypatch
+):
+    searched = []
+    search = solver.constrained_offer
+
+    def spy(kappa, *args):
+        searched.append(np.atleast_1d(kappa).tolist())
+        return search(kappa, *args)
+
+    def no_selfish_search(*args):
+        raise AssertionError("selfish_offer called")
+
+    monkeypatch.setattr(solver, "constrained_offer", spy)
+    monkeypatch.setattr(solver, "selfish_offer", no_selfish_search)
+    prob = _CachedProblem(crra, thresholds, offers, W)
+    assert searched == [[0.0]]
+    assert prob.x_s == search(0.0, crra, thresholds, W)
+    # the kappa = 0 lane is cached: only kappa = 0.3 is searched
+    assert prob.offers_and_tildes([0.0, 0.3])[0] == (prob.x_s, prob.abar)
+    assert searched == [[0.0], [0.3]]
+
+
 @pytest.mark.parametrize("w", [W, 58.8])
 def test_indifference_alpha_infinite_at_a_flat_half_split(linear, w):
     # (w - x) F(x) with uniform F peaks at w/2 with zero slope, so the search
@@ -271,6 +328,13 @@ def test_kappa_tilde_frozen_and_domain(crra, thresholds, offers):
     assert kappa_tilde(ALPHA_BAR, crra, thresholds, offers, W) is None
     got = kappa_tilde(3.0, crra, thresholds, offers, W)
     assert got == pytest.approx(KAPPA_TILDE_3, abs=1e-5)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -float("inf"), float("inf")])
+def test_kappa_tilde_rejects_non_finite_alpha(crra, thresholds, offers, bad):
+    # NaN and -inf used to read as alpha <= alpha-bar and gave None
+    with pytest.raises(ValidationError, match="alpha must be finite"):
+        kappa_tilde(bad, crra, thresholds, offers, W)
 
 
 def test_region_assignment_examples(crra, thresholds, offers):

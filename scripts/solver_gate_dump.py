@@ -33,6 +33,10 @@ Beta(2, 4) beliefs on both sides):
   uniform and Beta(2, 2) beliefs, w = 10 and 58.8; 12 draws, rng seed 8000
   plus the index, step w/400), and on 40 draws with empirical and with
   always-accept offer beliefs (rng seeds 9101 and 9102);
+- the `repr` of brute_force_ug (its argmax cell and utility, step w/400) at
+  8 fixed (alpha, kappa) points, kappa = 0 and 1 among them, on three
+  configurations: the default, shifted log with uniform beliefs at
+  w = 58.8, and the default with the empirical offer belief above;
 - the sha256 of the bytes of TailIntegrals' own and other tails (both read
   through its one lookup, `_eval`) on one fixed dense query set: the
   100,001 table nodes on [0, w/2] and both float neighbours of each, the
@@ -121,6 +125,7 @@ from moralbargain.io import load_estimates, save_choices  # noqa: E402
 from moralbargain.cli import main as cli_main  # noqa: E402
 from moralbargain.oracle import (  # noqa: E402
     brute_force_symmetric,
+    brute_force_ug,
     expected_utility_riemann,
     optimal_vs_brute,
 )
@@ -317,6 +322,19 @@ def main() -> None:
                                (9102, "always-accept", BeliefDistribution.always_accept(W))):
         worst = optimal_vs_brute(np.random.default_rng(seed), 40, curve, beliefs, offers, W, W / 400)
         print(f"optimal_vs_brute {name} offers: {worst!r}")
+    grid_configs = {
+        "default": (curve, beliefs, beliefs, W),
+        "shifted-log uniform w=58.8": (PayoffCurve.shifted_log(),
+                                       BeliefDistribution.uniform_on_half(58.8),
+                                       BeliefDistribution.uniform_on_half(58.8), 58.8),
+        "empirical offers": (curve, beliefs, BeliefDistribution.empirical(sample, W), W),
+    }
+    grid_points = ((-1.0, 0.0), (0.0, 0.0), (1.0, 0.1), (0.5, 0.3), (2.0, 0.6),
+                   (-0.5, 0.9), (3.0, 0.95), (0.5, 1.0))
+    for name, (g_curve, th, offers, w) in grid_configs.items():
+        for a, k in grid_points:
+            got = brute_force_ug(PreferenceParams(alpha=a, kappa=k), g_curve, th, offers, w, w / 400)
+            print(f"brute_force_ug({a!r}, {k!r}), {name}: {got!r}")
     tail_offers = {"default": beliefs, "empirical": BeliefDistribution.empirical(sample, W),
                    "always-accept": BeliefDistribution.always_accept(W)}
     print("\n".join(tail_lines(curve, tail_offers, sample, W)))

@@ -48,6 +48,11 @@ class BeliefDistribution:
             arr = np.asarray(self.sample, dtype=float)
             if not np.isfinite(arr).all() or arr.min() < 0.0 or arr.max() > self.half + 1e-12:
                 raise ValidationError("empirical sample must be finite and lie in [0, w/2]")
+            if np.any(arr[1:] < arr[:-1]):
+                # cdf searches the atoms as sorted
+                raise ValidationError(
+                    "empirical sample must be sorted ascending; BeliefDistribution.empirical() sorts it"
+                )
 
     # -- constructors ------------------------------------------------------
 

@@ -11,17 +11,32 @@ import numpy as np
 from .errors import ValidationError
 
 
+def _check_axes(x1s, x2s, kernel: str) -> None:
+    """Both kernels read the x1 >= x2 indicator off searchsorted, so x2s must
+    be ascending and neither axis may hold a NaN."""
+    if np.isnan(x1s).any() or np.isnan(x2s).any() or np.any(x2s[1:] < x2s[:-1]):
+        raise ValidationError(f"{kernel} needs NaN-free axes with x2s sorted ascending")
+
+
 def grid_argmax(a, b, c, x1s, x2s):
-    """Argmax of u[i,j] = a[i] + b[j] + c[i]*1{x1s[i] >= x2s[j]}.
+    """Argmax of u[i,j] = a[i] + b[j] + c[i]*1{x1s[i] >= x2s[j]}, summed left to right.
 
     Ties break to the lowest x1, then lowest x2 (C-order first hit).
-    Returns (i, j, u_max).
+    Returns (i, j, u_max). With x2s ascending, row i is on (c[i] added)
+    for j < r[i] = #{x2s <= x1s[i]} and off after. fl(x + y) never falls
+    as y rises, so for finite terms the row maximum is the larger of
+    (a[i] + max b[:r]) + c[i] and a[i] + max b[r:], an empty run reading
+    -inf: O(n) in all, and only the first row that reaches the overall
+    maximum is scored cell by cell, as the full grid scores it.
     """
-    ind = x1s[:, None] >= x2s[None, :]
-    u = a[:, None] + b[None, :] + np.where(ind, c[:, None], 0.0)
-    k = int(np.argmax(u))
-    i, j = divmod(k, u.shape[1])
-    return i, j, float(u[i, j])
+    _check_axes(x1s, x2s, "grid_argmax")
+    r = np.searchsorted(x2s, x1s, "right")
+    pre = np.concatenate(([-np.inf], np.maximum.accumulate(b)))  # pre[k] = max b[:k]
+    suf = np.concatenate((np.maximum.accumulate(b[::-1])[::-1], [-np.inf]))  # suf[k] = max b[k:]
+    i = int(np.argmax(np.maximum((a + pre[r]) + c, a + suf[r])))
+    row = a[i] + b + np.where(x1s[i] >= x2s, c[i], 0.0)
+    j = int(np.argmax(row))
+    return i, j, float(row[j])
 
 
 def deviation_best(pa, racc, c, x1s, x2s, y1, y2):
@@ -35,8 +50,7 @@ def deviation_best(pa, racc, c, x1s, x2s, y1, y2):
     the best so far strictly gives the first hit of the full (i, j) grid
     in O(n) per row. Returns arrays (u_max, i, j) of length P.
     """
-    if np.any(x2s[1:] < x2s[:-1]):
-        raise ValidationError("deviation_best needs x2s sorted ascending")
+    _check_axes(x1s, x2s, "deviation_best")
     racc = np.asarray(racc, dtype=float)[:, None]
     prop = np.where(x1s >= np.asarray(y2, dtype=float)[:, None], pa, 0.0)
     r1 = np.searchsorted(x2s, y1, "right")[:, None]  # responder term on for j < r1

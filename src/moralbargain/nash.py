@@ -27,9 +27,11 @@ SET_KINDS = ("SymmetricSegment", "SegmentPlusAsymmetricStub")
 _DEFAULT_GRID_DIVISOR = 400  # deviation lattice step = w / 400
 _NASH_TOL = 1e-9
 # (profiles x lattice) cells per deviation_best call; the kernel holds about a
-# dozen temporaries of this size. The default w/400 diagonal (401 x 401 cells)
-# fits in one call.
-_VERIFY_CELLS = 1 << 18
+# dozen temporaries of this size: 64 KiB each at most, on a lattice of up to
+# 8,192 points. That is under glibc's default 128 KiB mmap threshold, so they
+# are reused from the heap, not faulted in afresh on every call. The default
+# w/400 diagonal (401 x 401 cells) takes 21 calls of 20 profiles or fewer.
+_VERIFY_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)

@@ -234,11 +234,7 @@ def optimal_vs_brute(
     Riemann evaluator, so its integration error cancels from the margin.
     """
     pairs = _uniform_draws(rng, draws, (-1.0, 3.0), (0.0, 0.95)).tolist()
-    # prob stays bound through the loop: with its tail table freed first,
-    # each grid argmax faulted its temporaries in afresh (535 minor page
-    # faults a call against 10) and ran about twice as slow
-    prob = _CachedProblem(curve, thresholds, offers, w)
-    outs = prob.solve_many(pairs)
+    outs = _CachedProblem(curve, thresholds, offers, w).solve_many(pairs)
     # zero draws score no grid, so they neither build nor validate one
     tables = _ug_tables(curve, thresholds, offers, w, grid_step) if pairs else ()
     tails: dict[float, tuple[float, float]] = {}

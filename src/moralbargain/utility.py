@@ -157,10 +157,7 @@ class TailIntegrals:
             dens = offers.pdf(grid)
             # rows: the nodes, with one more, inf, past w/2 so that x = w/2
             # needs no branch; both tails; their slopes as np.interp forms
-            # them, (y[j+1] - y[j]) / (x[j+1] - x[j]), 0 at w/2. One 4 MB
-            # block, not separate arrays: freed 1.6 MB ones left glibc's
-            # dynamic mmap threshold where the oracle's 1.3 MB grid
-            # temporaries page-faulted on every call
+            # them, (y[j+1] - y[j]) / (x[j+1] - x[j]), 0 at w/2; one 4 MB block
             table = np.zeros((5, _TAIL_NODES + 1))
             table[0, :-1], table[0, -1] = grid, np.inf
             tails, slopes = table[1:3, :-1], table[3:, :-1]

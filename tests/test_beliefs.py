@@ -136,6 +136,15 @@ def test_empirical_sample_must_lie_on_support():
         BeliefDistribution.empirical([-0.2, 1.0], W)
 
 
+def test_unsorted_empirical_sample_rejected():
+    # cdf searches the atoms as sorted: built directly from (3, 1), the
+    # belief read cdf(2) = 1.0 where empirical([3, 1]) reads 0.5
+    assert BeliefDistribution.empirical([3.0, 1.0], W).cdf(2.0) == 0.5
+    with pytest.raises(ValidationError, match=r"empirical\(\)"):
+        BeliefDistribution("empirical", W, sample=(3.0, 1.0))
+    assert BeliefDistribution("empirical", W, sample=(1.0, 1.0, 3.0)).cdf(2.0) == 2 / 3
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_parameters_rejected(bad):
     # NaN passed the a <= 0 test and inf gave a cdf of 0 everywhere; a NaN

@@ -2,16 +2,20 @@
 
 The kernels must reproduce the references' first-hit tie rule and their
 float sums exactly, so the checks use exact equality rather than
-tolerances; `deviation_best` is also compared on the sign bit of u.
+tolerances; both are also compared on the sign bit of u.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moralbargain import kernels
+from moralbargain import PayoffCurve, kernels
 from moralbargain.errors import ValidationError
+from moralbargain.nash import _verify
+from moralbargain.params import Strategy
 
 
 def _argmax_slow(a, b, c, x1s, x2s):
@@ -55,6 +59,38 @@ def _assert_lanes_match(got, pa, racc, c, x1s, x2s, y1, y2):
         assert np.signbit(u[p]) == np.signbit(ref_u)
 
 
+_small = st.integers(-3, 3).map(float)
+_real = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+_pos = st.integers(0, 6).map(float) | st.floats(0.0, 6.0, allow_nan=False)
+
+
+@st.composite
+def _deviation_cases(draw):
+    # integer-valued draws force ties between runs and rows, and repeated
+    # axis points; opponents may fall outside the axis range
+    num = draw(st.sampled_from([_small, _real]))
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(1, 9))
+    lanes = draw(st.integers(1, 5))
+    vec = lambda k, elem: np.array(draw(st.lists(elem, min_size=k, max_size=k)))
+    opp = st.integers(-1, 8).map(float) | st.floats(-1.0, 8.0, allow_nan=False)
+    return (
+        vec(n, num), vec(lanes, num), vec(n, num),
+        np.sort(vec(n, _pos)), np.sort(vec(m, _pos)),
+        vec(lanes, opp), vec(lanes, opp),
+    )
+
+
+@st.composite
+def _grid_cases(draw):
+    # as _deviation_cases, with x1s left in draw order
+    num = draw(st.sampled_from([_small, _real]))
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(1, 9))
+    vec = lambda k, elem: np.array(draw(st.lists(elem, min_size=k, max_size=k)))
+    return vec(n, num), vec(m, num), vec(n, num), vec(n, _pos), np.sort(vec(m, _pos))
+
+
 class TestGridArgmax:
     def test_matches_slow_reference(self, rng):
         for _ in range(20):
@@ -80,27 +116,62 @@ class TestGridArgmax:
         got = kernels.grid_argmax(a, b, np.zeros(2), np.zeros(2), np.ones(3))
         assert (got[0], got[1]) == (0, 0)
 
+    @settings(max_examples=400, deadline=None)
+    @given(case=_grid_cases())
+    def test_property_matches_slow_reference(self, case):
+        got = kernels.grid_argmax(*case)
+        ref = _argmax_slow(*case)
+        assert got == ref
+        assert np.signbit(got[2]) == np.signbit(ref[2])
 
-_small = st.integers(-3, 3).map(float)
-_real = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+
+class TestAxisChecks:
+    @pytest.mark.parametrize("x2s", [[2.0, 1.0], [1.0, np.nan], [np.nan]])
+    def test_unsorted_or_nan_x2s_rejected(self, x2s):
+        x2s = np.array(x2s)
+        one = np.array([1.0])
+        with pytest.raises(ValidationError, match="sorted ascending"):
+            kernels.grid_argmax(one, np.ones(len(x2s)), one, one, x2s)
+        with pytest.raises(ValidationError, match="sorted ascending"):
+            kernels.deviation_best(one, one, one, one, x2s, one, one)
+
+    def test_nan_x1s_rejected(self):
+        # searchsorted puts NaN past every x2, where the indicator reads it as below all
+        one, nan = np.array([1.0]), np.array([np.nan])
+        with pytest.raises(ValidationError, match="NaN"):
+            kernels.grid_argmax(one, one, one, nan, one)
+        with pytest.raises(ValidationError, match="NaN"):
+            kernels.deviation_best(one, one, one, nan, one, one, one)
 
 
-@st.composite
-def _deviation_cases(draw):
-    # integer-valued draws force ties between runs and rows, and repeated
-    # axis points; opponents may fall outside the axis range
-    num = draw(st.sampled_from([_small, _real]))
-    n = draw(st.integers(1, 9))
-    m = draw(st.integers(1, 9))
-    lanes = draw(st.integers(1, 5))
-    vec = lambda k, elem: np.array(draw(st.lists(elem, min_size=k, max_size=k)))
-    pos = st.integers(0, 6).map(float) | st.floats(0.0, 6.0, allow_nan=False)
-    opp = st.integers(-1, 8).map(float) | st.floats(-1.0, 8.0, allow_nan=False)
-    return (
-        vec(n, num), vec(lanes, num), vec(n, num),
-        np.sort(vec(n, pos)), np.sort(vec(m, pos)),
-        vec(lanes, opp), vec(lanes, opp),
-    )
+def _peak_bytes(fn, *args):
+    """tracemalloc's peak over one call, after a warm-up call; numpy reports its buffers to it."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocationBounds:
+    """No n x n temporaries: at n = 401 the full grid held three of 1.3 MB
+    each, and one verifier call on the whole diagonal about a dozen. Small
+    blocks stay under glibc's mmap threshold, so their cost does not depend
+    on what the process freed before."""
+
+    def test_grid_argmax_is_linear_in_memory(self, rng):
+        n = 401
+        x = np.linspace(0.0, 10.0, n)
+        a, b, c = rng.normal(size=(3, n))
+        assert _peak_bytes(kernels.grid_argmax, a, b, c, x, x) < 64 * 1024
+
+    def test_verifier_calls_stay_small(self):
+        w = 10.0
+        diagonal = [Strategy(x, x) for x in np.linspace(0.0, w, 401).tolist()]
+        peak = _peak_bytes(_verify, diagonal, 0.6, 0.5, PayoffCurve.crra(0.05), w, w / 400)
+        assert peak < 1024 * 1024
 
 
 class TestDeviationBest:

@@ -17,6 +17,9 @@ Beta(2, 4) beliefs on both sides):
   tests/golden/region_map.csv;
 - the sha256 of the JSON of CLI `statics --alpha 0.5`, and of CLI
   `statics --alpha 3` with kappa_grid [0, 0.05, 6];
+- the `repr` of comparative_statics' switches (kappa, regions and both
+  jumps) at alpha in {0.5, 1.5, 3} on the kappa grids [0, 0.95, 39] (the
+  default) and [0, 0.5, 11], one line each;
 - the sha256 of the `repr` of classify_many over the 96 subjects of
   data/test_sample.csv, one cell per line;
 - the sha256 of the JSON and of the CSV of CLI `predict` on that file;
@@ -109,6 +112,7 @@ from moralbargain import (  # noqa: E402
     alpha_bar,
     alpha_tilde,
     classify_many,
+    comparative_statics,
     constrained_offer,
     constrained_threshold,
     default_games,
@@ -276,6 +280,10 @@ def main() -> None:
             ["statics", "--alpha", "3", "--config", str(cfg), "--format", "json"], "statics.json"
         )
     print(f"statics alpha=3 on kappa_grid [0, 0.05, 6]: exit={code} json sha256={sha(text)}")
+    for a in (0.5, 1.5, 3.0):
+        for grid in ((0.0, 0.95, 39), (0.0, 0.5, 11)):
+            res = comparative_statics(a, np.linspace(*grid), curve, beliefs, beliefs, W)
+            print(f"comparative_statics({a!r}) on kappa grid {list(grid)!r}: {res.switches!r}")
 
     records, _ = load_estimates(SAMPLE)
     cells = classify_many([(r.alpha, r.kappa) for r in records], curve, beliefs, beliefs, W)

@@ -39,8 +39,8 @@ _DENOM_RTOL = 1e-7
 # kappa-tilde scans kappa = i / _KTIL_SCAN, then bisects the crossing to _KTIL_TOL
 _KTIL_SCAN = 100
 _KTIL_TOL = 1e-8
-# comparative_statics bisects each region switch to this width in kappa and
-# reads the jumps this far to either side
+# comparative_statics bisects each switch into or out of R1 to this width in
+# kappa, and reads every switch's jumps this far to either side
 _SWITCH_TOL = 1e-4
 
 
@@ -354,11 +354,8 @@ class _CachedProblem:
         threshold-indeterminate.
         """
         pairs = [(float(a), float(k)) for a, k in pairs]
-        tilde = self.offers_and_tildes(k for _, k in pairs)
-        x2 = constrained_threshold(
-            np.array([k for _, k in pairs]), np.array([a for a, _ in pairs]), self.curve, self.w
-        ).tolist()
-        above = [i for i, (x1c, _) in enumerate(tilde) if not x2[i] <= x1c]
+        tilde, x2, r1 = self._r1_stage(pairs)
+        above = [i for i, is_r1 in enumerate(r1) if not is_r1]
         ktil = dict(zip(above, self.kappa_tildes(pairs[i][0] for i in above)))
         r2 = [i for i in above if ktil[i] is None or pairs[i][1] > ktil[i]]
         x_hat: dict[int, float] = {}
@@ -370,14 +367,24 @@ class _CachedProblem:
             opt = _diag_opt(p, self.curve, self.thresholds, self.tails, self.w, lo, hi)
             x_hat.update(zip(r2, opt.tolist()))
         return tuple(
-            self._output(a, k, tilde[i], x2[i], x_hat.get(i), ktil.get(i))
+            self._output(a, k, tilde[i], x2[i], r1[i], x_hat.get(i), ktil.get(i))
             for i, (a, k) in enumerate(pairs)
         )
 
-    def _output(self, alpha, kappa, tilde, x2, x_hat, ktil) -> SolverOutputs:
+    def _r1_stage(self, pairs) -> tuple[list[tuple[float, float]], list[float], list[bool]]:
+        """(constrained offer, alpha-tilde), threshold and whether R1 (threshold
+        at or below the offer) at each (alpha, kappa): solve_many's first two
+        stages, and all that the statics R1 bisection asks of a point."""
+        tilde = self.offers_and_tildes(k for _, k in pairs)
+        x2 = constrained_threshold(
+            np.array([k for _, k in pairs]), np.array([a for a, _ in pairs]), self.curve, self.w
+        ).tolist()
+        return tilde, x2, [t <= x1c for t, (x1c, _) in zip(x2, tilde)]
+
+    def _output(self, alpha, kappa, tilde, x2, r1, x_hat, ktil) -> SolverOutputs:
         """One point's SolverOutputs from the values the stages of solve_many found."""
         x1c, atil = tilde
-        if x2 <= x1c:
+        if r1:
             region, optimal = "R1", Strategy(x1c, x2)
         elif x_hat is not None:
             region, optimal = "R2", Strategy(x_hat, x_hat)
@@ -475,12 +482,19 @@ def comparative_statics(
     offers: BeliefDistribution,
     w: float,
 ) -> StaticsResult:
-    """Optimal strategy along a kappa grid, with region switches located
-    by bisection between adjacent grid points.
+    """Optimal strategy along a nondecreasing kappa grid (else a
+    ValidationError), and one region switch per adjacent pair whose regions
+    differ, its jumps read _SWITCH_TOL to either side of it.
 
-    The grid rows are one batch solve; the switches are bisected together,
-    one lane each.
+    A non-R1 point is R2 iff kappa > kappa-tilde(alpha), so a pair with no R1
+    end switches R3 -> R2 at the kappa-tilde the rows' solve cached. A pair
+    with an R1 end is bisected to _SWITCH_TOL on the R1 decision alone, all
+    such pairs in one lane search. Were a third region inside a pair, a pair
+    with an R1 end would report its R1 edge, any other pair kappa-tilde.
     """
+    kappas = [float(k) for k in kappas]
+    if any(hi < lo for lo, hi in zip(kappas, kappas[1:])):
+        raise ValidationError("comparative_statics needs a nondecreasing kappa grid")
     prob = _CachedProblem(curve, thresholds, offers, w)
     rows = [
         StaticsRow(c.kappa, c.x1_star, c.x2_star, c.region)
@@ -489,19 +503,24 @@ def comparative_statics(
     pairs = [(left, right) for left, right in zip(rows, rows[1:]) if left.region != right.region]
     if not pairs:
         return StaticsResult(alpha, tuple(rows), ())
-    bases = [left.region for left, _ in pairs]
+    has_r1 = lambda pair: "R1" in (pair[0].region, pair[1].region)
+    r1_pairs = [pair for pair in pairs if has_r1(pair)]
+    left_r1 = np.array([left.region == "R1" for left, _ in r1_pairs])
 
-    def left_base(ks):
-        regions = [c.region for c in prob.cells((alpha, k) for k in ks.ravel().tolist())]
-        return np.array(regions).reshape(ks.shape) != np.array(bases)
+    def leaves_left(ks):
+        _, _, r1 = prob._r1_stage([(alpha, k) for k in ks.ravel().tolist()])
+        return np.array(r1).reshape(ks.shape) != left_r1
 
-    # the rows already give the left end's base region and the right end's other one
-    k_stars = _halve_boundary(
-        left_base,
-        np.array([left.kappa for left, _ in pairs]),
-        np.array([right.kappa for _, right in pairs]),
+    # the rows already give the R1 decision at both ends
+    r1_kappas = iter(_halve_boundary(
+        leaves_left,
+        np.array([left.kappa for left, _ in r1_pairs]),
+        np.array([right.kappa for _, right in r1_pairs]),
         _SWITCH_TOL,
-    ).tolist()
+    ).tolist())
+    # some row is not R1, so the rows' solve has cached kappa-tilde
+    (ktil,) = prob.kappa_tildes([alpha])
+    k_stars = [next(r1_kappas) if has_r1(pair) else ktil for pair in pairs]
     ends = prob.cells(
         [(alpha, max(k - _SWITCH_TOL, 0.0)) for k in k_stars]
         + [(alpha, k + _SWITCH_TOL) for k in k_stars]

@@ -383,6 +383,17 @@ class TestCliCore:
         assert switch["from_region"] == "R1" and switch["to_region"] == "R2"
         assert switch["kappa"] == pytest.approx(0.46045, abs=2e-3)
 
+    def test_statics_descending_kappa_grid_exit_2(self, tmp_path, capsys):
+        # statics bisects between ascending neighbours; region-map has no
+        # switches and keeps accepting a descending grid
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"kappa_grid": [0.05, 0.0, 6]}))
+        code, out, err = run_cli(["statics", "--alpha", "3", "--config", str(cfg)], capsys)
+        assert code == 2 and out == "" and "nondecreasing" in err
+        code, out, _ = run_cli(["region-map", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert [c["kappa"] for c in json.loads(out)["cells"][:6]] == np.linspace(0.05, 0.0, 6).tolist()
+
     def test_nash_stub_case(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"curve": {"kind": "shifted_log"}}))

@@ -766,7 +766,8 @@ def test_statics_switch_location_mild_spite(crra, thresholds, offers):
     assert len(res.switches) == 1
     sw = res.switches[0]
     assert (sw.from_region, sw.to_region) == ("R1", "R2")
-    assert sw.kappa == pytest.approx(0.46045, abs=2e-3)
+    # bisected to _SWITCH_TOL on the R1 decision alone
+    assert sw.kappa == 0.46039062500000005
 
 
 # the Beta(a, b) shapes of scripts/offer_belief_scan.py
@@ -794,9 +795,56 @@ def test_statics_switch_jumps_strong_spite(crra, thresholds, offers):
     assert len(res.switches) == 1
     sw = res.switches[0]
     assert (sw.from_region, sw.to_region) == ("R3", "R2")
-    assert sw.kappa == pytest.approx(KAPPA_TILDE_3, abs=2e-3)
+    assert sw.kappa == KAPPA_TILDE_3
     assert sw.x1_jump > 0.0
     assert sw.x2_jump < 0.0
+
+
+@pytest.mark.parametrize("grid", [(0.0, 0.05, 6), (0.0, 0.5, 11), (0.0, 0.95, 20)], ids=str)
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+def test_statics_r3_r2_switch_is_kappa_tilde(crra, thresholds, offers, alpha, grid):
+    # a non-R1 point is R2 iff kappa > kappa-tilde, so the switch is kappa-tilde
+    # itself, whatever the grid
+    res = comparative_statics(alpha, np.linspace(*grid), crra, thresholds, offers, W)
+    (sw,) = res.switches
+    assert (sw.from_region, sw.to_region) == ("R3", "R2")
+    assert sw.kappa == kappa_tilde(alpha, crra, thresholds, offers, W)
+
+
+@pytest.mark.parametrize("alpha, grid", [(0.5, (0.40, 0.52, 4)), (3.0, (0.0, 0.05, 6))])
+def test_statics_solves_the_rows_and_the_jump_ends_only(crra, thresholds, offers, monkeypatch,
+                                                        alpha, grid):
+    # the R1 bisection asks for offers and thresholds alone, and the R3 -> R2
+    # switch is the rows' kappa-tilde: no midpoint runs a whole solve or a gap
+    solves, gaps = [], []
+    solve_many, gap = _CachedProblem.solve_many, _CachedProblem._gap
+
+    def solve_spy(self, pairs):
+        pairs = list(pairs)
+        solves.append(len(pairs))
+        return solve_many(self, pairs)
+
+    def gap_spy(self, alphas, kappas):
+        gaps.append(len(alphas))
+        return gap(self, alphas, kappas)
+
+    monkeypatch.setattr(_CachedProblem, "solve_many", solve_spy)
+    monkeypatch.setattr(_CachedProblem, "_gap", gap_spy)
+    (sw,) = comparative_statics(alpha, np.linspace(*grid), crra, thresholds, offers, W).switches
+    assert solves == [grid[2], 2]
+    statics_gaps = list(gaps)
+    gaps.clear()
+    _CachedProblem(crra, thresholds, offers, W).kappa_tildes([alpha])
+    assert statics_gaps == gaps
+
+
+@pytest.mark.parametrize("grid", [[0.05, 0.0], [0.0, 0.03, 0.02, 0.05]], ids=str)
+def test_statics_rejects_a_kappa_grid_that_is_not_ascending(crra, thresholds, offers, grid):
+    with pytest.raises(ValidationError, match="nondecreasing"):
+        comparative_statics(3.0, grid, crra, thresholds, offers, W)
+    # a repeated kappa is no switch
+    res = comparative_statics(3.0, sorted(grid + grid), crra, thresholds, offers, W)
+    assert [sw.kappa for sw in res.switches] == [KAPPA_TILDE_3]
 
 
 def test_statics_rows_follow_classifier(crra, thresholds, offers):

@@ -12,7 +12,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.special import log_expit, logsumexp
+from scipy.special import log_expit
 
 from .curves import PayoffCurve
 from .errors import ConvergenceError, ValidationError
@@ -240,26 +240,35 @@ def _match_tie(patterns: np.ndarray, counts: np.ndarray):
     patterns (..., G, 2) and counts (..., G, 2, 2) broadcast over their
     leading axes: (T, G, 2) patterns against one table in the M-step,
     (K, 1, G, 2) patterns against (N, G, 2, 2) subject counts in the E-step.
-    The sums add one game and role at a time, games outer, so every
-    leading shape gets the same bits.
+    Both weights are copied into one C-contiguous (G * 2, 2, ...) array,
+    (game, role) entries on its leading axis, which np.add.reduce(axis=0)
+    adds one row at a time: one game and role at a time, games outer, so
+    every leading shape gets the same bits. (Along a contiguous axis numpy
+    would sum in unrolled partial sums instead.)
     """
     c0, c1 = counts[..., 0], counts[..., 1]
     tied = patterns == 2
-    both = np.stack(
-        [np.where(tied, 0.0, np.where(patterns == 1, c1, c0)), np.where(tied, c0 + c1, 0.0)]
-    )
-    acc = np.zeros(both.shape[:-2])
-    for g in range(both.shape[-2]):
-        for ro in range(2):
-            acc += both[..., g, ro]
+    matched = np.where(tied, 0.0, np.where(patterns == 1, c1, c0))
+    ties = np.where(tied, c0 + c1, 0.0)
+    g2 = 2 * matched.shape[-2]
+    rows = np.empty((g2, 2, matched.size // g2))
+    rows[:, 0] = matched.reshape(-1, g2).T
+    rows[:, 1] = ties.reshape(-1, g2).T
+    acc = np.add.reduce(rows, axis=0).reshape(2, *matched.shape[:-2])
     return acc[0], acc[1]
 
 
-def _loglik_matrix(cnt, params, coeffs, choice_model):
-    """Per-subject log-likelihood column for each type."""
-    patterns, margins = _structure(coeffs, _theta_of(params))
+def _loglik_matrix(cnt, params, coeffs, choice_model, patterns=None):
+    """Per-subject log-likelihood column for each type.
+
+    Under the constant model, patterns may give the types' (G, 2) pattern
+    rows, as the M-steps that picked them kept them; otherwise one
+    _structure call computes them. Under logit the columns read margins.
+    """
     if choice_model == "constant":
-        matched, tied = _match_tie(patterns[:, None], cnt)
+        if patterns is None:
+            patterns = _structure(coeffs, _theta_of(params))[0]
+        matched, tied = _match_tie(np.stack(patterns)[:, None], cnt)
         missed = cnt.sum(axis=(1, 2, 3)) - matched - tied
         cols = [
             m * math.log1p(-0.5 * p.lam) + d * math.log(0.5 * p.lam) + t * math.log(0.5)
@@ -267,7 +276,7 @@ def _loglik_matrix(cnt, params, coeffs, choice_model):
         ]
     else:
         cols = []
-        for p, margin in zip(params, margins):
+        for p, margin in zip(params, _structure(coeffs, _theta_of(params))[1]):
             z = margin / p.lam
             lp1 = log_expit(z)
             lp0 = log_expit(-z)
@@ -275,6 +284,30 @@ def _loglik_matrix(cnt, params, coeffs, choice_model):
                 np.einsum("ngr,gr->n", cnt[..., 1], lp1) + np.einsum("ngr,gr->n", cnt[..., 0], lp0)
             )
     return np.column_stack(cols)
+
+
+def _log_normalizer(joint: np.ndarray) -> np.ndarray:
+    """scipy.special.logsumexp(joint, axis=1), bit for bit, without its
+    array-API wrapping.
+
+    The operations of scipy 1.17.1's real, unweighted path, in its order:
+    the row maximum a_max; the mask of entries equal to it, set to -inf;
+    m, the mask's count; s, the row sum of exp(a - a_max), divided by m
+    unless it is 0; then log1p(s) + log(m) + a_max. A row whose result is
+    not finite (an all -inf or a NaN row) takes log(sum(exp(joint))).
+    scipy's sign handling is left out: m >= 1 and s >= 0 here, so it
+    changes nothing.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.log(np.exp(joint).sum(axis=1))
+    a_max = joint.max(axis=1, keepdims=True)
+    at_max = joint == a_max
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = at_max.sum(axis=1, dtype=float)
+        s = np.exp(np.where(at_max, -np.inf, joint) - a_max).sum(axis=1)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max[:, 0]
+    return np.where(np.isfinite(out), out, direct)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +331,13 @@ class _Lattice:
     order. maximize draws its seeds from seed_pool. The refinement
     candidates of one seed triple (the seed points and their boxes, sorted
     and deduplicated, with each row's index into the pattern rows that
-    score it) are built once per memo (see maximize); each seed box's
-    patterns are computed once per lattice and kept in _boxes as int8 rows
-    and a small integer inverse. The logit coarse scan scores the distinct
-    margin values of each (game, role) column (103,443 values for
+    score it) are built once per memo (see maximize), which also keeps them
+    with the last incumbent placed in them until the incumbent moves
+    (_refinement); each seed box's patterns are computed once per lattice
+    and kept in _boxes as int8 rows and a small integer inverse. A type's
+    pattern row is computed once, by the M-step that scores its pick, and
+    the next E-step and M-step read it. The logit coarse scan scores the
+    distinct margin values of each (game, role) column (103,443 values for
     2,480,058 entries on that design) and sums them into the points with
     one sparse row-sum matrix, both built on its first call (logit_table);
     its columns for the grid lams are kept for one weight table at a time
@@ -376,13 +412,13 @@ class _Lattice:
         return (grid[lam] if lam in grid else next(extra) for lam in lams)
 
     def _score(self, theta, weights3, model, lam_grid):
-        """Objective and lambda at each row of theta, points off the lattice
+        """(obj, lam, patterns) at each row of theta, points off the lattice
         (refinement candidates and the centroid); _coarse scores the lattice."""
         patterns, margins = _structure(self.coeffs, theta)
         if model == "constant":
-            return self._objective_constant(patterns, weights3)
+            return (*self._objective_constant(patterns, weights3), patterns)
         cols = _logit_columns(_logit_table(margins), weights3, lam_grid)
-        return _best_lam(cols, lam_grid, len(theta))
+        return (*_best_lam(cols, lam_grid, len(theta)), patterns)
 
     def _coarse(self, weights3, model, lam_grid):
         """Coarse scan as (obj, unit, pool): obj[unit] is the value at every
@@ -430,38 +466,52 @@ class _Lattice:
         # the dtype also holds len(patterns), the incumbent's id in _refinement
         return cand[keep], patterns, ids[keep].astype(np.min_scalar_type(len(patterns)))
 
-    def _refinement(self, seeds, current, weights3, model, lam_grid, memo):
-        """(theta, obj, lam) over the refinement candidates of seeds.
+    def _refinement(self, seeds, current, weights3, model, lam_grid, memo, pattern=None):
+        """(theta, obj, lam, patterns, ids) over the refinement candidates of
+        seeds.
 
         theta holds the rows np.unique gives over the seed points, their
         boxes and the incumbent's (alpha, beta, kappa); obj and lam score
-        them. The candidates of the seed triple come from memo, keyed by
-        (model, seeds), and are built on a miss. The incumbent joins them at
-        its lexicographic place, or is dropped when it equals one; under
-        the constant model its pattern is scored with the memo's pattern
-        rows.
+        them. Under the constant model patterns[ids] is theta's pattern
+        table, and the objective is scored once per pattern row; under
+        logit both are None. memo holds one entry per seed triple, keyed by
+        (model, seeds) and built on a miss: the candidates, and the last
+        incumbent's row with the candidates it was placed in. The incumbent
+        joins them at its lexicographic place, or is dropped when it equals
+        one, with its pattern row (pattern, or one _structure call when it
+        is None); the placing is redone only when the incumbent's row
+        differs from the entry's.
         """
         key = (model, *seeds.tolist())
         if key not in memo:
-            memo[key] = self._candidates(seeds, model)
-        theta, patterns, ids = memo[key]
+            memo[key] = [self._candidates(seeds, model), None, None]
+        entry = memo[key]
+        theta, patterns, ids = entry[0]
         if current is not None:
             row = np.array([current.alpha, current.beta, current.kappa])
-            pos, present = _lex_place(theta, row)
-            if not present:
-                theta = np.insert(theta, pos, row, axis=0)
-                if model == "constant":
-                    ids = np.insert(ids, pos, len(patterns))
-                    patterns = np.concatenate([patterns, _structure(self.coeffs, row[None])[0]])
+            if entry[1] != row.tobytes():
+                pos, present = _lex_place(theta, row)
+                if not present:
+                    theta = np.insert(theta, pos, row, axis=0)
+                    if model == "constant":
+                        if pattern is None:
+                            pattern = _structure(self.coeffs, row[None])[0][0]
+                        ids = np.insert(ids, pos, len(patterns))
+                        patterns = np.concatenate([patterns, pattern[None]])
+                entry[1:] = row.tobytes(), (theta, patterns, ids)
+            theta, patterns, ids = entry[2]
         if model != "constant":
-            return (theta, *self._score(theta, weights3, model, lam_grid))
+            obj, lam, _ = self._score(theta, weights3, model, lam_grid)
+            return theta, obj, lam, None, None
         obj, lam = self._objective_constant(patterns, weights3)
-        return theta, obj[ids], lam[ids]
+        return theta, obj[ids], lam[ids], patterns, ids
 
     def maximize(
-        self, weights3: np.ndarray, current: PreferenceParams | None, model: str, memo=None
+        self, weights3: np.ndarray, current: PreferenceParams | None, model: str, memo=None,
+        pattern=None,
     ):
-        """Best (alpha, beta, kappa, lambda) for one type's weighted counts.
+        """(params, objective, pattern): the best (alpha, beta, kappa,
+        lambda) for one type's weighted counts.
 
         Coarse scan, local 0.01-step refinement around three coarse seeds,
         centroid-of-argmax reporting, and the incumbent parameters as a
@@ -477,15 +527,20 @@ class _Lattice:
 
         memo holds the refinement candidates by seed triple (see
         _refinement); the M-steps of one fit share one (see _em), and
-        without it each call builds its own.
+        without it each call builds its own. Under the constant model,
+        pattern may give the incumbent's (G, 2) pattern row, and the
+        returned pattern is the pick's row as its scoring computed it, so
+        the next E-step and M-step read it instead of computing it again
+        (a row's pattern does not depend on the rows scored with it).
+        Under logit the returned pattern is None.
         """
         lam_grid = _LOGIT_LAM_GRID
         if model == "logit" and current is not None:
             lam_grid = np.unique(np.append(lam_grid, current.lam))
         obj, unit, pool = self._coarse(weights3, model, lam_grid)
         seeds = pool[_top_three(obj[unit[pool]])]
-        theta, obj_f, lam_f = self._refinement(
-            seeds, current, weights3, model, lam_grid, {} if memo is None else memo
+        theta, obj_f, lam_f, patterns, ids = self._refinement(
+            seeds, current, weights3, model, lam_grid, {} if memo is None else memo, pattern
         )
         best = obj_f.max()
         at_max = obj_f >= best - 1e-12
@@ -502,20 +557,22 @@ class _Lattice:
             centroid = self.theta[coarse_at_max].mean(axis=0)[None, :]
         else:
             centroid = theta[at_max].mean(axis=0)[None, :]
-        c_obj, c_lam = self._score(centroid, weights3, model, lam_grid)
+        c_obj, c_lam, c_patterns = self._score(centroid, weights3, model, lam_grid)
         if c_obj[0] >= best - 1e-12:
-            pick, pick_lam, best = centroid[0], c_lam[0], c_obj[0]
+            pick, pick_lam, best, pattern = centroid[0], c_lam[0], c_obj[0], c_patterns[0]
         else:
             first = int(np.argmax(at_max))
             pick, pick_lam = theta[first], lam_f[first]
+            pattern = None if ids is None else patterns[ids[first]]
         if model == "logit":
             pick_lam, best = _polish_logit_lam(
                 self, pick, weights3, float(pick_lam), float(best)
             )
+            pattern = None
         p = PreferenceParams(
             alpha=float(pick[0]), beta=float(pick[1]), kappa=float(pick[2]), lam=float(pick_lam)
         )
-        return p, float(best)
+        return p, float(best), pattern
 
 
 def _top_three(obj: np.ndarray) -> np.ndarray:
@@ -795,15 +852,19 @@ def _em_once(cnt, lattice, k, rng, tol, max_iter, choice_model, memo):
         )
         for i in idx
     ]
+    # each type's (G, 2) pattern row, read by the E-step and handed to the
+    # M-step that refines the type, which returns its pick's row (None
+    # under logit, whose E-step reads margins)
+    patterns = list(lattice.patterns[idx])
     shares = np.full(k, 1.0 / k)
     posterior = np.full((n, k), 1.0 / k)
     prev_ll = -np.inf
     ll = prev_ll
     it = 0
     for it in range(1, max_iter + 1):
-        lmat = _loglik_matrix(cnt, params, lattice.coeffs, choice_model)
+        lmat = _loglik_matrix(cnt, params, lattice.coeffs, choice_model, patterns)
         joint = lmat + np.log(shares)[None, :]
-        norm = logsumexp(joint, axis=1)
+        norm = _log_normalizer(joint)
         ll = float(norm.sum())
         if ll < prev_ll - 1e-9:
             raise ConvergenceError(f"log-likelihood decreased: {prev_ll} -> {ll}")
@@ -813,12 +874,14 @@ def _em_once(cnt, lattice, k, rng, tol, max_iter, choice_model, memo):
         prev_ll = ll
         shares = np.clip(posterior.mean(axis=0), 1e-12, None)
         shares /= shares.sum()
-        params = [
+        steps = [
             lattice.maximize(
-                np.einsum("n,ngra->gra", posterior[:, j], cnt), params[j], choice_model, memo
-            )[0]
+                np.einsum("n,ngra->gra", posterior[:, j], cnt),
+                params[j], choice_model, memo, patterns[j],
+            )
             for j in range(k)
         ]
+        params, _, patterns = map(list, zip(*steps))
     return params, shares, ll, posterior, it
 
 

@@ -484,7 +484,8 @@ def comparative_statics(
 ) -> StaticsResult:
     """Optimal strategy along a nondecreasing kappa grid (else a
     ValidationError), and one region switch per adjacent pair whose regions
-    differ, its jumps read _SWITCH_TOL to either side of it.
+    differ, its jumps read _SWITCH_TOL to either side of it, clamped into
+    the pair.
 
     A non-R1 point is R2 iff kappa > kappa-tilde(alpha), so a pair with no R1
     end switches R3 -> R2 at the kappa-tilde the rows' solve cached. A pair
@@ -521,9 +522,11 @@ def comparative_statics(
     # some row is not R1, so the rows' solve has cached kappa-tilde
     (ktil,) = prob.kappa_tildes([alpha])
     k_stars = [next(r1_kappas) if has_r1(pair) else ktil for pair in pairs]
+    # each end is clamped into its grid pair, so no read leaves the grid
+    # (a switch within _SWITCH_TOL of kappa = 1 would read kappa >= 1)
     ends = prob.cells(
-        [(alpha, max(k - _SWITCH_TOL, 0.0)) for k in k_stars]
-        + [(alpha, k + _SWITCH_TOL) for k in k_stars]
+        [(alpha, max(k - _SWITCH_TOL, left.kappa)) for k, (left, _) in zip(k_stars, pairs)]
+        + [(alpha, min(k + _SWITCH_TOL, right.kappa)) for k, (_, right) in zip(k_stars, pairs)]
     )
     switches = tuple(
         RegionSwitch(

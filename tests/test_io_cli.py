@@ -394,6 +394,21 @@ class TestCliCore:
         assert code == 0
         assert [c["kappa"] for c in json.loads(out)["cells"][:6]] == np.linspace(0.05, 0.0, 6).tolist()
 
+    def test_statics_switch_within_tol_of_kappa_one_exit_0(self, tmp_path, capsys):
+        # alpha-tilde rises near kappa = 1 (0.0486 at 0.99, 0.0526 at
+        # 0.99999), so the R2 -> R1 switch lands near 0.99993: a jump end
+        # read at the switch + 1e-4 used to reach kappa >= 1 and exit 2
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"kappa_grid": [0.999, 0.99999, 2]}))
+        code, out, err = run_cli(["statics", "--alpha", "0.0526", "--config", str(cfg)], capsys)
+        assert code == 0, err
+        body = json.loads(out)
+        assert [r["region"] for r in body["rows"]] == ["R2", "R1"]
+        (switch,) = body["switches"]
+        assert 0.999 < switch["kappa"] <= 0.99999
+        assert (switch["from_region"], switch["to_region"]) == ("R2", "R1")
+        assert math.isfinite(switch["x1_jump"]) and math.isfinite(switch["x2_jump"])
+
     def test_nash_stub_case(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"curve": {"kind": "shifted_log"}}))

@@ -510,7 +510,7 @@ class TestLogitScan:
             [rng.uniform(-2, 2, 300), rng.uniform(-2, 2, 300), rng.uniform(0, 1, 300)]
         )
         weights3 = rng.uniform(0.0, 30.0, size=(len(lat.games), 2, 2))
-        obj, lam = lat._score(theta, weights3, "logit", mx._LOGIT_LAM_GRID)
+        obj, lam, _ = lat._score(theta, weights3, "logit", mx._LOGIT_LAM_GRID)
         margins = mx._structure(lat.coeffs, theta)[1]
         want = _logit_every_entry(margins, weights3, mx._LOGIT_LAM_GRID)
         assert np.array_equal(_bits(obj), _bits(want[0]))
@@ -529,7 +529,7 @@ class TestLogitScan:
             for zeroed in (0, 3, len(lat.games)):
                 weights3 = rng.uniform(0.0, 30.0, size=(len(lat.games), 2, 2))
                 weights3[rng.choice(len(lat.games), size=zeroed, replace=False)] = 0.0
-                obj, lam = lat._score(theta, weights3, "logit", lams)
+                obj, lam, _ = lat._score(theta, weights3, "logit", lams)
                 margins = mx._structure(lat.coeffs, theta)[1]
                 want = _logit_every_entry(margins, weights3, lams)
                 assert obj.shape == (len(theta),)
@@ -614,7 +614,7 @@ class TestLocalBox:
             weights3 = rng.integers(0, 6, size=(9, 2, 2)).astype(float)
             weights3[rng.uniform(size=9) < 0.3] = 0.0
             if draw in draws:
-                p, _ = lat.maximize(weights3, None, "constant")
+                p, _, _ = lat.maximize(weights3, None, "constant")
                 assert p.kappa <= 1.0 and p.alpha <= 2.0
 
 
@@ -662,7 +662,7 @@ def _recipe_picks(lat, draws):
     for draw in range(max(draws) + 1):
         w = rng.uniform(0, 30, size=(9, 2, 2)) * (rng.uniform(size=(9, 1, 1)) < 0.8)
         if draw in draws:
-            p, _ = lat.maximize(w, None, "constant")
+            p, _, _ = lat.maximize(w, None, "constant")
             picks.append([p.alpha, p.beta, p.kappa])
     return picks
 
@@ -834,7 +834,7 @@ class TestPatternLevelMaximize:
         for weights3 in _recipe_tables(300):
             for current in (None, _OFF_LATTICE):
                 want_p, want_obj = _maximize_reference(lattice9, weights3, current, "constant")
-                p, obj = lattice9.maximize(weights3, current, "constant")
+                p, obj, _ = lattice9.maximize(weights3, current, "constant")
                 assert _as_bits(p, obj) == _bits([*want_p, want_obj]).tolist()
 
     def test_logit_picks_match_reference(self, games9, shifted_log):
@@ -843,7 +843,7 @@ class TestPatternLevelMaximize:
         for weights3 in _recipe_tables(3):
             for current in (None, _OFF_LATTICE):
                 want_p, want_obj = _maximize_reference(lat, weights3, current, "logit")
-                p, obj = lat.maximize(weights3, current, "logit")
+                p, obj, _ = lat.maximize(weights3, current, "logit")
                 assert _as_bits(p, obj) == _bits([*want_p, want_obj]).tolist()
 
     @settings(max_examples=150, deadline=None)
@@ -864,7 +864,7 @@ class TestPatternLevelMaximize:
     def test_second_call_hits_the_box_memo(self, games9, shifted_log, monkeypatch):
         lat = mx._Lattice(games9, shifted_log, 0.1)
         (weights3,) = _recipe_tables(1)
-        first = [lat.maximize(weights3, cur, "constant") for cur in (None, _OFF_LATTICE)]
+        first = [lat.maximize(weights3, cur, "constant")[:2] for cur in (None, _OFF_LATTICE)]
         memo = dict(lat._boxes)
         assert 1 <= len(memo) <= 3
         misses = []
@@ -875,7 +875,7 @@ class TestPatternLevelMaximize:
             return original(patterns)
 
         monkeypatch.setattr(mx, "_distinct_patterns", spy)
-        again = [lat.maximize(weights3, cur, "constant") for cur in (None, _OFF_LATTICE)]
+        again = [lat.maximize(weights3, cur, "constant")[:2] for cur in (None, _OFF_LATTICE)]
         assert misses == []
         assert lat._boxes.keys() == memo.keys()
         assert all(lat._boxes[k] is memo[k] for k in memo)
@@ -930,7 +930,7 @@ class TestGridSlot:
         picks = []
         for current, coarse_calls in zip(incumbents, (2, 0)):  # 0.2 is a grid lam
             sizes.clear()
-            picks.append(lat.maximize(weights3, current, "logit"))
+            picks.append(lat.maximize(weights3, current, "logit")[:2])
             assert sizes.count(n_values) == coarse_calls
         monkeypatch.undo()
         for current, got in zip(incumbents, picks):
@@ -944,7 +944,7 @@ class TestGridSlot:
             for wp, wo in (_maximize_reference(lat, w, _OFF_LATTICE, "logit") for w in tables)
         ]
         for weights3, bits in zip(tables * 2, want * 2):
-            got = lat.maximize(weights3, _OFF_LATTICE, "logit")
+            got = lat.maximize(weights3, _OFF_LATTICE, "logit")[:2]
             assert _as_bits(*got) == bits
             key, cols = lat._grid_slot
             assert key == weights3.tobytes()
@@ -964,11 +964,11 @@ class TestCandidateMemo:
             seeds, incumbents = _seeds_and_incumbents(lat, weights3, model, lam_grid, 0.17)
             score = _reference_score(lat, weights3, model, lam_grid)
             for current in incumbents:
-                got = lat._refinement(seeds, current, weights3, model, lam_grid, memo)
+                got = lat._refinement(seeds, current, weights3, model, lam_grid, memo)[:3]
                 want = _reference_refinement(lat, seeds, current, score)
                 assert all(np.array_equal(_bits(g), _bits(w)) for g, w in zip(got, want))
                 want_p, want_obj = _maximize_reference(lat, weights3, current, model)
-                p, obj = lat.maximize(weights3, current, model, memo)
+                p, obj, _ = lat.maximize(weights3, current, model, memo)
                 assert _as_bits(p, obj) == _bits([*want_p, want_obj]).tolist()
             assert len(memo) == 1
 
@@ -985,10 +985,11 @@ class TestCandidateMemo:
                 return _original(*args)
 
             monkeypatch.setattr(mx, name, spy)
-        again = lattice9.maximize(weights3, _OFF_LATTICE, "constant", memo)
+        again = lattice9.maximize(weights3, _OFF_LATTICE, "constant", memo)[:2]
         assert built == [] and len(memo) == 1
         monkeypatch.undo()
-        assert _as_bits(*again) == _as_bits(*lattice9.maximize(weights3, _OFF_LATTICE, "constant"))
+        want = lattice9.maximize(weights3, _OFF_LATTICE, "constant")
+        assert _as_bits(*again) == _as_bits(*want[:2])
 
 
 class TestStructureAt:
@@ -1007,6 +1008,249 @@ class TestStructureAt:
             assert np.array_equal(pat, want_pat)
             assert np.array_equal(_bits(margins), _bits(want_margins))
         assert len(tied) > 0
+
+
+def _match_tie_by_loop(patterns, counts):
+    """_match_tie's sums as one += per game and role, games outer."""
+    c0, c1 = counts[..., 0], counts[..., 1]
+    tied = patterns == 2
+    matched = np.where(tied, 0.0, np.where(patterns == 1, c1, c0))
+    ties = np.where(tied, c0 + c1, 0.0)
+    acc_m, acc_t = np.zeros(matched.shape[:-2]), np.zeros(ties.shape[:-2])
+    for g in range(matched.shape[-2]):
+        for ro in range(2):
+            acc_m += matched[..., g, ro]
+            acc_t += ties[..., g, ro]
+    return acc_m, acc_t
+
+
+class TestMatchTie:
+    def test_ordered_reduce_is_the_loop_bit_for_bit(self, lattice9, rng):
+        lat = lattice9
+        n_games = len(lat.games)
+        weights3 = rng.uniform(0.0, 30.0, size=(n_games, 2, 2))
+        subjects = rng.integers(0, 3, size=(40, n_games, 2, 2))
+        for patterns, counts in (
+            (lat.unique_patterns, weights3),  # the coarse scan
+            (lat.unique_patterns[:1], weights3),  # one centroid row
+            (lat.unique_patterns[:5, None], subjects),  # the E-step's (K, 1, G, 2)
+            (lat.unique_patterns[:1, None], subjects[:1]),
+        ):
+            got = mx._match_tie(patterns, counts)
+            want = _match_tie_by_loop(patterns, counts)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert np.array_equal(_bits(g), _bits(w))
+
+
+class TestStructureRowIndependence:
+    @pytest.mark.parametrize("block", [1, 2, 3, 17, 8192])
+    def test_a_row_alone_and_inside_a_block_have_the_same_bits(self, lattice9, block):
+        # kept patterns and the blocked lattice build both rest on this
+        lat = lattice9
+        rng = np.random.default_rng(3200 + block)
+        tied = lat.theta[(lat.patterns == 2).any(axis=(1, 2))]
+        rows = np.vstack([
+            tied[rng.choice(len(tied), 20, replace=False)],
+            lat.theta[rng.choice(len(lat.theta), 20, replace=False)],
+            np.column_stack([rng.uniform(-2, 2, 40), rng.uniform(-2, 2, 40),
+                             rng.uniform(0, 1, 40)]),
+        ])
+        n = -(-len(rows) // block) * block
+        slots = rng.permutation(n)[: len(rows)]
+        theta = lat.theta[rng.choice(len(lat.theta), n, replace=False)]
+        theta[slots] = rows
+        blocks = [mx._structure(lat.coeffs, theta[b:b + block]) for b in range(0, n, block)]
+        patterns = np.concatenate([pat for pat, _ in blocks])[slots]
+        margins = np.concatenate([mar for _, mar in blocks])[slots]
+        for row, pat, mar in zip(rows, patterns, margins):
+            alone_pat, alone_mar = mx._structure(lat.coeffs, row[None])
+            assert np.array_equal(pat, alone_pat[0])
+            assert np.array_equal(_bits(mar), _bits(alone_mar[0]))
+
+
+class TestKeptPatterns:
+    def test_returned_pattern_is_the_picks_structure_row(self, lattice9, monkeypatch):
+        lat = lattice9
+        centroids = []
+        score = mx._Lattice._score
+
+        def spy(self, theta, *args):
+            centroids.append(theta[0])  # the constant model scores centroids only
+            return score(self, theta, *args)
+
+        monkeypatch.setattr(mx._Lattice, "_score", spy)
+        # small integer tables (test_mstep_picks_stay_inside_the_bounds's
+        # recipe) make plateaus whose centroid can lose to a candidate
+        rng = np.random.default_rng(5)
+        tables = _recipe_tables(20)
+        for _ in range(40):
+            weights3 = rng.integers(0, 6, size=(9, 2, 2)).astype(float)
+            weights3[rng.uniform(size=9) < 0.3] = 0.0
+            tables.append(weights3)
+        memo, branches = {}, set()
+        current, pattern = _OFF_LATTICE, None
+        for weights3 in tables:
+            # each pick is the next incumbent, with its pattern, as in _em_once
+            current, _, pattern = lat.maximize(weights3, current, "constant", memo, pattern)
+            row = np.array([current.alpha, current.beta, current.kappa])
+            want = mx._structure(lat.coeffs, row[None])[0][0]
+            assert pattern.dtype == np.int8 and np.array_equal(pattern, want)
+            branches.add(np.array_equal(row, centroids[-1]))
+        assert branches == {True, False}  # centroids and candidates picked
+        assert lat.maximize(_recipe_tables(1)[0], _OFF_LATTICE, "logit")[2] is None
+
+    def test_kept_incumbent_placing_skips_lex_place_and_structure(self, lattice9, monkeypatch):
+        (weights3,) = _recipe_tables(1)
+        memo = {}
+        want = lattice9.maximize(weights3, _OFF_LATTICE, "constant")
+        first = lattice9.maximize(weights3, _OFF_LATTICE, "constant", memo)
+        calls = []
+        originals = {name: getattr(mx, name) for name in ("_lex_place", "_structure")}
+        for name, original in originals.items():
+            def spy(*args, _original=original, _name=name):
+                calls.append((_name, len(args[1])))
+                return _original(*args)
+
+            monkeypatch.setattr(mx, name, spy)
+        kept = mx._structure(lattice9.coeffs, np.array([[0.1234, -0.0567, 0.3141]]))[0][0]
+        calls.clear()
+        again = lattice9.maximize(weights3, _OFF_LATTICE, "constant", memo, kept)
+        # the centroid's row alone: the incumbent is placed already
+        assert calls == [("_structure", 1)] and len(memo) == 1
+        monkeypatch.undo()
+        assert _as_bits(*again[:2]) == _as_bits(*first[:2]) == _as_bits(*want[:2])
+        # a new incumbent is placed again, with the pattern it comes with
+        moved = dataclasses.replace(_OFF_LATTICE, alpha=0.125)
+        kept = mx._structure(lattice9.coeffs, np.array([[0.125, -0.0567, 0.3141]]))[0][0]
+        got = lattice9.maximize(weights3, moved, "constant", memo, kept)
+        assert len(memo) == 1
+        assert _as_bits(*got[:2]) == _as_bits(*lattice9.maximize(weights3, moved, "constant")[:2])
+
+    def test_constant_em_scores_only_centroids_and_boxes(self, games9, shifted_log, monkeypatch):
+        recs, _ = simulate_choices(
+            [PreferenceParams(alpha=0.05, beta=0.08, kappa=0.25, lam=0.28),
+             PreferenceParams(alpha=0.28, beta=-0.30, kappa=0.19, lam=0.16)],
+            [0.6, 0.4], games9, shifted_log, 40, seed=402,
+        )
+        structure, maximize, loglik = mx._structure, mx._Lattice.maximize, mx._loglik_matrix
+
+        # the reference computes every pattern afresh: no kept rows go in
+        def fresh_mstep(self, weights3, current, model, memo, _kept):
+            return maximize(self, weights3, current, model, memo)
+
+        monkeypatch.setattr(mx._Lattice, "maximize", fresh_mstep)
+        monkeypatch.setattr(mx, "_loglik_matrix", lambda *args: loglik(*args[:4]))
+        want = em_fit(recs, games9, shifted_log, k=2, seed=3)
+        monkeypatch.undo()
+        rows, msteps = [], []
+
+        def count_rows(coeffs, theta):
+            rows.append(len(theta))
+            return structure(coeffs, theta)
+
+        def count_msteps(self, *args):
+            msteps.append(1)
+            return maximize(self, *args)
+
+        monkeypatch.setattr(mx, "_structure", count_rows)
+        monkeypatch.setattr(mx._Lattice, "maximize", count_msteps)
+        got = em_fit(recs, games9, shifted_log, k=2, seed=3)
+        # one row per M-step (its centroid); any other call builds a seed box
+        assert rows.count(1) == len(msteps) > 0
+        assert all(r == 1 or r > 100 for r in rows)
+        assert repr(dataclasses.replace(got, posterior=None)) == repr(
+            dataclasses.replace(want, posterior=None)
+        )
+        assert np.array_equal(_bits(got.posterior), _bits(want.posterior))
+
+
+def _edge_joints():
+    """E-step-like (N, k) tables at the normalizer's edges."""
+    rng = np.random.default_rng(3202)
+    wide = rng.uniform(-1e3, 1e3, size=(200, 3))
+    wide[::7, 1] = wide[::7, 0]  # tied maxima among spread values
+    ties = np.array([[-3.5, -3.5, -7.0], [0.0, 0.0, 0.0], [1e3, 1e3, -1e3], [-1e3, -1e3, -1e3]])
+    neg_inf = np.array([[-np.inf, -2.0, -5.0], [-4.0, -np.inf, -4.0], [-np.inf, -np.inf, -1.0]])
+    return [
+        rng.uniform(-300.0, 0.0, size=(100, 1)),  # k = 1
+        wide,
+        ties,
+        neg_inf,
+        np.array([[-1.0, -2.0], [-np.inf, -np.inf], [-40.0, -40.5]]),  # an all -inf row
+        rng.uniform(-1e3, -1e3 + 1e-9, size=(50, 4)),
+    ]
+
+
+def _fit_gate_joints(games, curve):
+    """Every joint table the E-step normalizes in three fits of
+    scripts/fit_gate_dump.py: sim400 k = 2 and 3 (seed 2) and sim9 k = 2
+    (seed 0, two restarts), whose collapsing types tie."""
+    joints = []
+    original = mx._log_normalizer
+
+    def keep(joint):
+        joints.append(joint.copy())
+        return original(joint)
+
+    def sample(types, shares, n, seed):
+        types = [PreferenceParams(*t) for t in types]
+        return simulate_choices(types, shares, games, curve, n, seed=seed)[0]
+
+    recs400 = sample([(0.05, 0.08, 0.25, 0.28), (0.28, -0.30, 0.19, 0.16)], [0.61, 0.39], 100, 400)
+    recs9 = sample([(0.14, -0.01, 0.22, 0.25)], [1.0], 30, 9)
+    mx._log_normalizer = keep
+    try:
+        for k in (2, 3):
+            em_fit(recs400, games, curve, k=k, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the NEC of a collapsed fit
+            em_fit(recs9, games, curve, k=2, seed=0, restarts=2)
+    finally:
+        mx._log_normalizer = original
+    return joints
+
+
+def _normalizer_is_scipys(joints) -> bool:
+    from scipy.special import logsumexp
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # neither may warn
+        return all(
+            np.array_equal(_bits(mx._log_normalizer(j)), _bits(logsumexp(j, axis=1)))
+            for j in joints
+        )
+
+
+_NORMALIZER_SIMD_SCRIPT = """
+import sys
+sys.path.insert(0, {tests!r})
+import test_mixture as t
+games = tuple(t.default_games()) + t.load_games_config(t._CONFIG)
+joints = t._fit_gate_joints(games, t.PayoffCurve.shifted_log())
+print(len(joints) > 100 and t._normalizer_is_scipys(joints + t._edge_joints()))
+"""
+
+
+class TestLogNormalizer:
+    def test_matches_scipy_logsumexp_bit_for_bit(self, games9, shifted_log):
+        joints = _fit_gate_joints(games9, shifted_log)
+        assert len(joints) > 100
+        assert _normalizer_is_scipys(joints + _edge_joints())
+
+    def test_all_neg_inf_row_takes_the_direct_sum(self):
+        out = mx._log_normalizer(np.array([[-np.inf, -np.inf], [0.0, 0.0]]))
+        assert out[0] == -np.inf and out[1] == math.log(2.0)
+
+    @pytest.mark.parametrize("disabled", ["X86_V4", "X86_V3 X86_V4"])
+    def test_matches_scipy_under_lower_simd_targets(self, disabled):
+        from numpy._core._multiarray_umath import __cpu_features__
+
+        if not all(__cpu_features__.get(target) for target in disabled.split()):
+            pytest.skip(f"host has no {disabled} target to disable")
+        script = _NORMALIZER_SIMD_SCRIPT.format(tests=str(Path(__file__).parent))
+        out = _run_without_targets(script, disabled.split() + list(_AVX512_ABOVE_V4))
+        assert out.strip() == "True"
 
 
 # ---------------------------------------------------------------------------

@@ -316,3 +316,25 @@ def test_dg_objective_broadcasts_bitwise(shifted_log, crra, rng):
                 scal = [f(x) for x in xs.tolist()]
                 assert all(type(v) is float for v in scal)
                 assert np.array_equal(np.array(scal), vec)
+
+
+def test_one_type_transfer_rounding_box_misses_the_reference(shifted_log):
+    # known divergence 2 (README; scripts/dg_transfer_scan.py): rounding the
+    # printed estimates (0.14, -0.01, 0.22) by up to 0.005 keeps the
+    # transfer between 9.01 and 9.92, far from the reference 7.80
+    offsets = (-0.005, 0.0, 0.005)
+    box = {
+        (a, b, k): dg_transfer(
+            PreferenceParams(alpha=0.14 + a, beta=-0.01 + b, kappa=0.22 + k), shifted_log, 58.8
+        )
+        for a in offsets for b in offsets for k in offsets
+    }
+    assert len(box) == 27
+    assert min(box.values()) == pytest.approx(9.0082, abs=1e-4)
+    assert max(box.values()) == pytest.approx(9.9192, abs=1e-4)
+    assert min(box, key=box.get)[1:] == (-0.005, -0.005)
+    assert max(box, key=box.get)[1:] == (0.005, 0.005)
+    # the envy weight alpha never enters: the transfer stays below w/2
+    for b in offsets:
+        for k in offsets:
+            assert len({box[a, b, k] for a in offsets}) == 1

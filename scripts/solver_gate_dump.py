@@ -68,6 +68,11 @@ Beta(2, 4) beliefs on both sides):
   _CachedProblem's x_s and abar, one line each configuration;
 - kappa_tilde at alpha = NaN and -inf: its `repr`, or the class of the
   error it raises;
+- the `repr` of kappa-tilde at 40 alpha spaced geometrically from 0.95 to
+  100 times alpha-bar, one line each, solved as one batch on each of three
+  configurations with a finite alpha-bar: shifted log at w = 58.8 and
+  CRRA(0.3) at w = 10, both with Beta(2, 4) beliefs, and the linear curve
+  with Beta(2, 2) beliefs at w = 10;
 - the CLI output bytes: for each invocation below, each --format (json,
   csv) and each destination (stdout, and the file an --out run writes),
   the exit code and the sha256 of the output, one line each:
@@ -382,6 +387,19 @@ def main() -> None:
         except MoralBargainError as exc:
             got = f"raises {type(exc).__name__}"
         print(f"kappa_tilde({a!r}): {got}")
+
+    ktil_configs = {
+        "shifted-log Beta(2, 4) w=58.8": (PayoffCurve.shifted_log(),
+                                          BeliefDistribution.scaled_beta(2.0, 4.0, 58.8), 58.8),
+        "crra(0.3) Beta(2, 4) w=10": (PayoffCurve.crra(0.3), beliefs, W),
+        "linear Beta(2, 2) w=10": (PayoffCurve.linear(), BeliefDistribution.scaled_beta(2.0, 2.0, W),
+                                   W),
+    }
+    for name, (k_curve, belief, w) in ktil_configs.items():
+        prob = _CachedProblem(k_curve, belief, belief, w)
+        k_alphas = (np.geomspace(0.95, 100.0, 40) * prob.abar).tolist()
+        for a, kt in zip(k_alphas, prob.kappa_tildes(k_alphas)):
+            print(f"kappa_tilde({a!r}), {name}: {kt!r}")
 
     print("\n".join(cli_lines()))
 

@@ -12,8 +12,10 @@ Minimization without Derivatives.
 Two callbacks see shape (m, L), column i belonging to lane i, and must
 broadcast over it: scan_then_golden's objective on its scan rows, and
 bisect_boundary's predicate, which is asked for the midpoints of the next
-few halvings of every lane at once. Each entry's value must depend only on
-its own point and lane, not on the rest of the call.
+few halvings of every lane at once. _halve_boundary's score mode, the
+kappa-tilde gap, is asked on shape (m, n) with the indices of its n live
+lanes. Each entry's value must depend only on its own point and lane, not
+on the rest of the call.
 """
 
 from __future__ import annotations
@@ -37,9 +39,13 @@ _SCAN_CELLS = 1 << 15
 _BISECT_MAX_ITER = 500
 # Most points in one speculative call, over all lanes: bisect_boundary asks
 # for the next d halvings at 2^d - 1 points a lane, and kappa-tilde scans
-# several kappa steps a call, while they fit. A kappa-tilde gap call costs
-# about 3 ms at one lane, 6 ms at 32 and 9 ms at 64, so a few dozen points
-# the one-step loop would skip cost less than one call more in a row.
+# several kappa steps a call, while they fit. On a quiet host a kappa-tilde
+# gap call costs about 2.3 ms at one lane, 3.0 ms at 24, 4.0 ms at 63 and
+# 14 ms at 420, so a few dozen points the one-step loop would skip cost
+# less than one call more in a row. The kappa-tilde halvings also ask each
+# lane's route below the tree (_halve_boundary), whose length the bracket
+# sets, not this budget: a route that holds decides all 20 halvings in one
+# call.
 _SPEC_LANES = 64
 
 
@@ -275,7 +281,9 @@ def _speculate(call: Callable):
     return None if caught else out
 
 
-def _halve_boundary(pred: Callable, a: np.ndarray, b: np.ndarray, x_tol: float) -> np.ndarray:
+def _halve_boundary(
+    pred: Callable, a: np.ndarray, b: np.ndarray, x_tol: float, ends=None
+) -> np.ndarray:
     """bisect_boundary's halving loop on lanes where pred(a) is false and
     pred(b) true (or a == b); returns b once every lane is at most x_tol
     wide or one float wide (its midpoint rounds onto an end), so an x_tol
@@ -289,37 +297,96 @@ def _halve_boundary(pred: Callable, a: np.ndarray, b: np.ndarray, x_tol: float) 
     time. The walk then takes the lanes down the levels, so every lane
     visits the midpoints, and ends on the bits, of one halving per call.
     The 2^d - 1 points a lane fit _SPEC_LANES, and d spreads the halvings
-    the widest lane still needs evenly over the fewest calls; a call with
-    d > 1 that raises a package error or warns is redone with d = 1 for the
-    rest of the loop.
+    the widest lane still needs evenly over the fewest calls; a call of
+    more than one point a lane that raises a package error or warns is
+    redone with d = 1, and without a route, for the rest of the loop.
+
+    With ends = (fa, fb), pred is a score whose decision is score <= 0, and
+    fa, fb are its values at a and b. pred(x, j) then gets the points x,
+    shape (m, n), of the live lanes j only, and returns their scores. Below
+    the tree each lane's call also holds its route: the midpoints of the
+    halvings it would take, down to the depth the widest lane needs, were
+    the boundary at the regula-falsi point of the scores at its bracket
+    ends. A lane walks on down the route while its decisions agree with
+    the route's, and takes the first level where they differ as well, so a
+    call decides at least the tree's d levels and, on a good guess, all of
+    them. Each decision is still the score's sign at that halving's own
+    midpoint; the scores at the new bracket ends aim the next route.
     """
     a, b = a.copy(), b.copy()
     live = (b - a) > x_tol
-    lanes = np.arange(a.size)
+    scores = route = ends is not None
+    if scores:
+        fa, fb = (np.array(f, dtype=float) for f in ends)
     cap = (_spec_steps(a.size) + 1).bit_length() - 1  # the largest d with 2^d - 1 <= steps
     while np.count_nonzero(live):
         ratio = float(np.max((b - a)[live])) / x_tol if x_tol > 0.0 else math.inf
         need = math.ceil(math.log2(ratio)) if ratio < math.inf else cap
         depth = math.ceil(need / math.ceil(need / cap))
-        mids = _midpoint_tree(a, b, depth)
-        call = lambda: np.asarray(pred(mids), dtype=bool)
-        hits = call() if depth == 1 else _speculate(call)
-        if hits is None:
-            cap = 1
+        levels = need if route else depth
+        # a score is asked on its live lanes only, a predicate on every lane
+        j = np.flatnonzero(live) if scores else np.arange(a.size)
+        lo, hi, alive = a[j], b[j], live[j]
+        mids = _midpoint_tree(lo, hi, depth)
+        if levels > depth:
+            path, guess = _route(lo, hi, fa[j], fb[j], levels)
+            mids = np.concatenate([mids, path[depth:]])
+        if scores:
+            call = lambda: np.asarray(pred(mids, j), dtype=float)
+        else:
+            call = lambda: np.asarray(pred(mids), dtype=bool)
+        got = call() if len(mids) == 1 else _speculate(call)
+        if got is None:
+            cap, route = 1, False
             continue
-        a0, b0 = a.copy(), b.copy()
-        node = np.zeros(a.size, dtype=np.intp)
-        for _ in range(depth):
-            mid, hit = mids[node, lanes], hits[node, lanes]
-            lower = live & hit
-            np.copyto(b, mid, where=lower)
-            np.copyto(a, mid, where=live ^ lower)
-            live &= (b - a) > x_tol
+        hits = got <= 0.0 if scores else got
+        if scores:
+            flo, fhi = fa[j], fb[j]
+        lo0, hi0 = lo.copy(), hi.copy()
+        cols = np.arange(j.size)
+        node = np.zeros(j.size, dtype=np.intp)
+        agree = np.ones(j.size, dtype=bool)
+        for k in range(levels):
+            # the tree's levels move every live lane, the route's those still on it
+            row = node if k < depth else 2**depth - 1 + k - depth
+            move = alive if k < depth else alive & agree
+            mid, hit = mids[row, cols], hits[row, cols]
+            lower = move & hit
+            np.copyto(hi, mid, where=lower)
+            np.copyto(lo, mid, where=move ^ lower)
+            if scores:
+                np.copyto(fhi, got[row, cols], where=lower)
+                np.copyto(flo, got[row, cols], where=move ^ lower)
+            alive = alive & ((hi - lo) > x_tol)
+            if levels > depth:
+                agree &= hit == guess[k]
             node = 2 * node + 2 - hit
         # a lane the call left in place is one float wide: its midpoint
         # rounds onto an end, and every later call would ask that point again
-        live &= (a != a0) | (b != b0)
+        live[j] = alive & ((lo != lo0) | (hi != hi0))
+        a[j], b[j] = lo, hi
+        if scores:
+            fa[j], fb[j] = flo, fhi
     return b
+
+
+def _route(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray, levels: int):
+    """Midpoints and decisions, each shape (levels, L), of the first `levels`
+    halvings of [a, b] were the boundary at the regula-falsi point of the
+    scores fa at a and fb at b; each midpoint is 0.5 * (lo + hi), as in a
+    halving. A NaN guess sends every step up."""
+    with np.errstate(all="ignore"):
+        guess = a - fa * ((b - a) / (fb - fa))
+    mids = np.empty((levels, a.size))
+    hits = np.empty((levels, a.size), dtype=bool)
+    lo, hi = a.copy(), b.copy()
+    for k in range(levels):
+        mid = 0.5 * (lo + hi)
+        hit = mid >= guess
+        mids[k], hits[k] = mid, hit
+        np.copyto(hi, mid, where=hit)
+        np.copyto(lo, mid, where=~hit)
+    return mids, hits
 
 
 def _midpoint_tree(a: np.ndarray, b: np.ndarray, depth: int) -> np.ndarray:

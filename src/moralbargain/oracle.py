@@ -370,7 +370,13 @@ def oracle_checks(
     w: float,
     grid_step: float,
 ) -> tuple[OracleCheck, ...]:
-    """The five checks of `draws` draws each, run in this order on the one rng."""
+    """The five checks of `draws` draws each, run in this order on the one rng.
+
+    Zero draws give each check its no-draw worst value; a negative count is
+    a ValidationError, not zero draws.
+    """
+    if draws < 0:
+        raise ValidationError(f"draws must be nonnegative, got {draws}")
     ug = optimal_vs_brute(rng, draws, curve, thresholds, offers, w, grid_step)
     resid = threshold_root_residual(rng, draws, curve, w)
     misses = threshold_sign_misses(rng, draws, curve, w)

@@ -287,13 +287,21 @@ class _CachedProblem:
         first gap <= 0. A call that raises a package error or warns is redone
         one step per call from there on, so errors are those of the one-step
         scan.
+
+        The scan keeps its gaps, not only their signs: the bisection asks
+        each lane's route, the halvings it would take were the root at the
+        regula-falsi point of the gaps at its bracket ends
+        (numerics._halve_boundary). The gap is nearly linear across a
+        1 / _KTIL_SCAN bracket, so one or two calls decide all 20 halvings,
+        each still on the gap's sign at that halving's own midpoint.
         """
         alphas = [float(a) for a in alphas]
         validate_kappa_alpha(alpha=alphas)
         new = [a for a in dict.fromkeys(alphas) if a not in self._ktil]
         self._ktil.update((a, None) for a in new if not a > self.abar)
         scan = [a for a in new if a > self.abar]
-        brackets = []  # (alpha, prev kappa, kappa) of each first sign change
+        last = [math.nan] * len(scan)  # each open lane's gap at the step before
+        brackets = []  # (alpha, prev kappa, kappa, their gaps) of each first sign change
         step, one_by_one = 0, False
         while scan and step <= _KTIL_SCAN:
             n = 1 if one_by_one else _spec_steps(len(scan))
@@ -302,21 +310,25 @@ class _CachedProblem:
             # and with them the roots' bits, stay those of the kappa < 1 search
             ks = [min(i / _KTIL_SCAN, 1.0 - 1e-9) for i in steps]
             al, kk = np.tile(scan, len(ks)), np.repeat(ks, len(scan))
-            call = lambda: (self._gap(al, kk) <= 0.0).reshape(len(ks), len(scan)).tolist()
-            crossed = call() if len(ks) == 1 else _speculate(call)
-            if crossed is None:
+            call = lambda: self._gap(al, kk).reshape(len(ks), len(scan)).tolist()
+            gaps = call() if len(ks) == 1 else _speculate(call)
+            if gaps is None:
                 one_by_one = True
                 continue
             done = [False] * len(scan)
-            for i, k, row in zip(steps, ks, crossed):
-                for j, hit in enumerate(row):
-                    if hit and not done[j]:
+            for i, k, row in zip(steps, ks, gaps):
+                for j, gap in enumerate(row):
+                    if done[j]:
+                        continue
+                    if gap <= 0.0:
                         done[j] = True
                         if i == 0:
                             self._ktil[scan[j]] = 0.0
                         else:
-                            brackets.append((scan[j], (i - 1) / _KTIL_SCAN, k))
-            scan = [a for a, d in zip(scan, done) if not d]
+                            brackets.append((scan[j], (i - 1) / _KTIL_SCAN, k, last[j], gap))
+                    else:
+                        last[j] = gap
+            scan, last = ([x for x, d in zip(col, done) if not d] for col in (scan, last))
             step = steps.stop
         if scan:
             # Only a non-finite gap gets here. At the last kappa, 1 - 1e-9,
@@ -329,11 +341,12 @@ class _CachedProblem:
                 f"kappa-tilde: indifference never reached on [0, 1) at alpha = {scan[0]}"
             )
         if brackets:
-            al, lo, hi = (np.array(col) for col in zip(*brackets))
+            al, lo, hi, glo, ghi = (np.array(col) for col in zip(*brackets))
             # the scan has already seen gap > 0 at lo and gap <= 0 at hi
-            pred = lambda ks: (self._gap(np.broadcast_to(al, ks.shape).ravel(), ks.ravel())
-                               <= 0.0).reshape(ks.shape)
-            roots = _halve_boundary(pred, lo, hi, _KTIL_TOL)
+            score = lambda ks, j: self._gap(
+                np.broadcast_to(al[j], ks.shape).ravel(), ks.ravel()
+            ).reshape(ks.shape)
+            roots = _halve_boundary(score, lo, hi, _KTIL_TOL, (glo, ghi))
             self._ktil.update(zip(al.tolist(), roots.tolist()))
         return [self._ktil[a] for a in alphas]
 

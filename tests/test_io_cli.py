@@ -669,6 +669,16 @@ class TestCliErrors:
         assert code == 2 and "error:" in err
         assert "all checks passed" not in out
 
+    def test_oracle_check_negative_draws_exit_2(self, capsys):
+        # a negative count is an error, not zero draws that all pass
+        code, out, err = run_cli(["oracle-check", "--draws", "-3"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: draws must be nonnegative, got -3\n"
+        # zero draws keep their no-draw worst values
+        code, out, _ = run_cli(["oracle-check", "--draws", "0"], capsys)
+        assert code == 0 and "all checks passed" in out
+        assert out.splitlines()[1].split() == ["optimal-vs-brute", "0", "inf", "pass"]
+
     def test_lattice_step_outside_range_exit_2(self, tmp_path, capsys, monkeypatch):
         import moralbargain.mixture as mx
 

@@ -532,3 +532,129 @@ def test_halving_on_the_one_step_path_gives_its_message(kind):
     got = outcome(lambda: numerics._halve_boundary(pred, np.zeros(1), np.ones(1), 1e-12))
     assert got == want
     assert want[0].startswith("asked at") if kind == "raise" else len(want[1]) > 1
+
+
+def _one_score_halving_per_call(score, a, b, x_tol):
+    """_halve_boundary's score mode one halving per call: the live lanes'
+    midpoints, shape (1, n), their decision score <= 0."""
+    a, b = a.copy(), b.copy()
+    live = (b - a) > x_tol
+    while live.any():
+        j = np.flatnonzero(live)
+        lo, hi = a[j], b[j]
+        mid = 0.5 * (lo + hi)
+        hit = np.asarray(score(mid[None, :], j), dtype=float)[0] <= 0.0
+        a[j], b[j] = np.where(hit, lo, mid), np.where(hit, mid, hi)
+        # a lane the halving leaves in place is one float wide
+        live[j] = ((b[j] - a[j]) > x_tol) & ((a[j] != lo) | (b[j] != hi))
+    return b
+
+
+def _lane_score(root, scale, kind):
+    """Per lane, falling through 0 at root: linear, cubic (flat at the root,
+    so regula falsi undershoots) or a step (its end values say nothing of the root)."""
+
+    def score(x, j):
+        d = root[j] - x
+        step = np.where(d > 0.0, scale[j], -1e-3 * scale[j])
+        return np.select([kind[j] == 0, kind[j] == 1], [scale[j] * d, scale[j] * d**3], step)
+
+    return score
+
+
+def _watched(score, lane, lo, hi, kind):
+    """score, raising or warning when lane is asked a point of [lo, hi]."""
+
+    def watched(x, j):
+        bad = (j == lane) & (lo <= x) & (x <= hi)
+        if bad.any():
+            msg = f"asked at {x[bad][0]!r}"
+            if kind == "raise":
+                raise ConvergenceError(msg)
+            warnings.warn(msg, RuntimeWarning)
+        return score(x, j)
+
+    return watched
+
+
+@st.composite
+def _route_lanes(draw):
+    n = draw(st.sampled_from(_WALK_LANES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = rng.uniform(-5.0, 5.0, n)
+    hi = lo + rng.choice([0.0, 1e-9, 0.01, 1.0, 30.0], n) * rng.uniform(0.5, 1.0, n)
+    hi = np.where(rng.random(n) < 0.2, np.nextafter(lo, np.inf), hi)  # one float wide
+    # the root anywhere in the bracket, on an end or its midpoint, or outside it
+    u = np.where(rng.random(n) < 0.3, rng.choice([0.0, 0.5, 1.0], n), rng.uniform(-0.1, 1.1, n))
+    score = _lane_score(lo + u * (hi - lo), np.exp(rng.uniform(-5.0, 5.0, n)), rng.integers(0, 3, n))
+    every = np.arange(n)
+    fa, fb = score(lo, every), score(hi, every)
+    # end values that mislead regula falsi: NaN at either end, or equal
+    mislead = rng.integers(0, 6, n)
+    fa = np.where(mislead == 1, np.nan, np.where(mislead == 3, 1.0, fa))
+    fb = np.where(mislead == 2, np.nan, np.where(mislead == 3, 1.0, fb))
+    x_tol = draw(st.sampled_from([0.0, 1e-20, 1e-12, 1e-8, 1e-3, 0.3]))
+    watch = draw(st.sampled_from([None, "raise", "warn"]))
+    if watch is not None:
+        # one lane raises or warns on part of its bracket, which the
+        # one-step search may or may not visit
+        lane = int(rng.integers(n))
+        u0, u1 = np.sort(rng.uniform(0.0, 1.0, 2))
+        width = hi[lane] - lo[lane]
+        score = _watched(score, lane, lo[lane] + u0 * width, lo[lane] + u1 * width, watch)
+    return score, lo, hi, x_tol, (fa, fb), watch is None
+
+
+def _outcome(search):
+    """A search's result bytes or error message, and the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = search().tobytes()
+        except ConvergenceError as exc:
+            result = str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_route_lanes())
+def test_halving_route_matches_one_halving_per_call_bitwise(case):
+    score, lo, hi, x_tol, ends, quiet = case
+    want = _outcome(lambda: _one_score_halving_per_call(score, lo, hi, x_tol))
+    calls = []
+
+    def counted(x, j):
+        calls.append(x.shape)
+        return score(x, j)
+
+    got = _outcome(lambda: numerics._halve_boundary(counted, lo, hi, x_tol, ends))
+    assert got == want
+    if quiet:
+        # a poor route still decides the tree's levels: no more calls than the tree alone
+        tree = []
+        every = np.arange(lo.size)
+
+        def pred(x):
+            tree.append(x.shape)
+            return score(x, every) <= 0.0
+
+        numerics._halve_boundary(pred, lo, hi, x_tol)
+        assert len(calls) <= len(tree)
+
+
+@pytest.mark.parametrize("n", [1, 24])
+def test_halving_route_on_a_linear_score_decides_all_halvings_in_one_call(n):
+    root = np.linspace(0.0133, 0.0187, n)
+    score = lambda x, j: root[j] - x
+    lo, hi = np.full(n, 0.01), np.full(n, 0.02)
+    calls = []
+
+    def counted(x, j):
+        calls.append(x.shape)
+        return score(x, j)
+
+    every = np.arange(n)
+    got = numerics._halve_boundary(counted, lo, hi, 1e-8, (score(lo, every), score(hi, every)))
+    assert got.tobytes() == _one_score_halving_per_call(score, lo, hi, 1e-8).tobytes()
+    # 20 halvings: the tree's levels, then the route below them
+    assert calls == ([(31 + 15, 1)] if n == 1 else [(20, 24)])

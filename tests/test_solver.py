@@ -28,7 +28,7 @@ from moralbargain import (
     region_map,
     selfish_offer,
 )
-from moralbargain import numerics, solver
+from moralbargain import numerics, oracle, solver
 from moralbargain.errors import ConvergenceError, ValidationError
 from moralbargain.io import default_run_config
 from moralbargain.oracle import OPTIMAL_VS_BRUTE_FLOOR, brute_force_ug, expected_utility_riemann
@@ -620,9 +620,9 @@ def test_kappa_tilde_scan_chunks_give_the_one_step_scan(crra, thresholds, offers
     halved = []
     real_halve = solver._halve_boundary
 
-    def spy(pred, lo, hi, x_tol):
-        halved.extend(zip(lo.tolist(), hi.tolist()))
-        return real_halve(pred, lo, hi, x_tol)
+    def spy(score, lo, hi, x_tol, ends):
+        halved.extend(zip(lo.tolist(), hi.tolist(), *(f.tolist() for f in ends)))
+        return real_halve(score, lo, hi, x_tol, ends)
 
     monkeypatch.setattr(solver, "_halve_boundary", spy)
     monkeypatch.setattr(_CachedProblem, "_gap", lambda self, a, k: gap(a, k))
@@ -633,7 +633,9 @@ def test_kappa_tilde_scan_chunks_give_the_one_step_scan(crra, thresholds, offers
         return
     ktil, brackets = want
     assert got == [ktil[a] for a in alphas]
-    assert halved == [(lo, hi) for _, lo, hi in brackets]
+    # the route is aimed by the scan's own gaps at both bracket ends
+    assert halved == [(lo, hi, *gap(np.array([a, a]), np.array([lo, hi])).tolist())
+                      for a, lo, hi in brackets]
 
 
 @pytest.mark.parametrize("bad", [
@@ -663,6 +665,44 @@ def test_one_alpha_kappa_tilde_makes_at_most_five_gap_calls(crra, thresholds, of
     monkeypatch.setattr(_CachedProblem, "_gap", spy)
     assert kappa_tilde(3.0, crra, thresholds, offers, W) == KAPPA_TILDE_3
     assert len(calls) <= 5
+
+
+def _region_map_kappa_tildes(cfg):
+    out = region_map(cfg.alphas(), cfg.kappas(), cfg.curve, cfg.thresholds, cfg.offers, cfg.w)
+    assert len(out.kappa_tilde_by_alpha) == 21
+
+
+def _oracle_check_solve(cfg):
+    # optimal_vs_brute's draws under the CLI's default seed, solved as it solves them
+    pairs = oracle._uniform_draws(np.random.default_rng(cfg.seed), 40, (-1.0, 3.0), (0.0, 0.95))
+    outs = _CachedProblem(cfg.curve, cfg.thresholds, cfg.offers, cfg.w).solve_many(pairs.tolist())
+    assert len({o.kappa_tilde for o in outs if o.kappa_tilde}) == 24
+
+
+def _statics_alpha_3(cfg):
+    comparative_statics(3.0, np.linspace(0.0, 0.05, 6), cfg.curve, cfg.thresholds, cfg.offers, cfg.w)
+
+
+@pytest.mark.parametrize("solve, most", [
+    # the counts on the speculative tree alone: 11, 22 (one halving a call
+    # at 24 lanes) and 5
+    (_region_map_kappa_tildes, 4),
+    (_oracle_check_solve, 5),
+    (_statics_alpha_3, 3),
+], ids=["region-map", "oracle-check", "statics-alpha-3"])
+def test_kappa_tilde_gap_calls_on_the_default_configuration(monkeypatch, solve, most):
+    # the kappa-tilde halvings follow each lane's regula-falsi route, so one
+    # or two calls decide all 20 halvings; a count, not a timing, guards it
+    calls = []
+    gap = _CachedProblem._gap
+
+    def spy(self, alphas, kappas):
+        calls.append(len(alphas))
+        return gap(self, alphas, kappas)
+
+    monkeypatch.setattr(_CachedProblem, "_gap", spy)
+    solve(default_run_config())
+    assert len(calls) <= most
 
 
 _LANE_CONFIGS = {
